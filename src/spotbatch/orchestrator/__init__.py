@@ -8,7 +8,8 @@ from .engine import (  # noqa: F401
     SimEvent,
     SummaryReport,
     WorkItem,
-    resume_point,
+    resume_index,
+    work_items,
 )
 from .preemption import PreemptionModel  # noqa: F401
 from .routing import Router, RoutingPolicy, route_job  # noqa: F401

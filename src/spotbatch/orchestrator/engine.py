@@ -10,12 +10,25 @@ boundary and re-enter routing as fresh submissions.  Instances accrue
 cost per second from activation to termination and idle instances
 terminate after a grace period.
 
+Queued jobs wait per region in arrival order.  Whenever capacity may have
+freed, the region's queue is retried oldest first; capacity only shrinks
+during one retry pass, so once a job of some demand shape (kind, vCPUs,
+GPUs) stays queued, the later jobs of that shape wait out the rest of the
+pass.  The queue is kept as one FIFO bucket per shape so that a pass costs
+O(placements + shapes), not O(queue length).
+
+A job's work items run in the order ``work_items`` defines.  When a job
+boards an instance, it takes that residency's table of (item, completion
+event, duration) for its phase plan, system and instance type, so per-item
+work is an index into a precomputed table.
+
 Determinism: a single seeded RNG drives routing draws and preemption
 draws; events are processed in (time, seq) order with seq assigned at
-scheduling time.  Planned preemptions are only materialized into events
-once no earlier-or-equal-time event remains, so a completion and a
-preemption falling on the same timestamp always resolve in the job's
-favor.  Equal inputs and seed reproduce the event log bit for bit.
+scheduling time, and scheduling an event before the clock is an error.
+Planned preemptions are only materialized into events once no
+earlier-or-equal-time event remains, so a completion and a preemption
+falling on the same timestamp always resolve in the job's favor.  Equal
+inputs and seed reproduce the event log bit for bit.
 
 The engine is strictly single-threaded; independent engines may run
 concurrently but must never share state.
@@ -26,8 +39,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import catalog as cat
 from .. import perfmodel
@@ -45,7 +59,7 @@ EV_PREEMPTION = "preemption"
 EV_IDLE_TIMEOUT = "instance_idle_timeout"
 EV_JOB_COMPLETED = "job_completed"
 
-_WORK_EVENTS = (EV_CHUNK_DONE, EV_TRANSITION_DONE, EV_INTEGRATE_DONE, EV_JOB_COMPLETED)
+_WORK_EVENTS = frozenset((EV_CHUNK_DONE, EV_TRANSITION_DONE, EV_INTEGRATE_DONE, EV_JOB_COMPLETED))
 
 SECONDS_PER_DAY = 86400.0
 
@@ -56,7 +70,7 @@ ST_DONE = "done"
 ST_FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
     """One scheduled event; processed in (time, seq) order."""
 
@@ -73,27 +87,45 @@ class SimEvent:
 
 @dataclass(frozen=True)
 class WorkItem:
-    """The next thing a job has to run: a chunk, a transition, integration, or nothing."""
+    """One step of a job's work: a chunk, a transition, integration, or "done" (nothing left)."""
 
     kind: str  # "chunk" | "transition" | "integrate" | "done"
     index: int = 0
 
 
-def resume_point(plan: PhasePlan, progress: JobProgress) -> WorkItem:
-    """Where a job continues from its persisted progress.
+_ITEM_EVENTS = {
+    "chunk": EV_CHUNK_DONE,
+    "transition": EV_TRANSITION_DONE,
+    "integrate": EV_INTEGRATE_DONE,
+    "done": EV_JOB_COMPLETED,
+}
+
+# (item, event that completes it, duration in seconds) for one item of a
+# job's work on one instance type.
+WorkEntry = Tuple[WorkItem, str, float]
+
+
+def work_items(plan: PhasePlan) -> List[WorkItem]:
+    """Every work item of a job, in the order it runs, ending with "done".
 
     Chunks run first; once all chunks are persisted, transitions follow one
     by one; after the last transition the work values are integrated; then
     the job is done.
     """
-    progress.validate(plan)
-    if progress.chunks_done < plan.equil_chunks:
-        return WorkItem("chunk", progress.chunks_done)
-    if progress.transitions_done < plan.n_transitions:
-        return WorkItem("transition", progress.transitions_done)
-    if not progress.integrated:
-        return WorkItem("integrate")
-    return WorkItem("done")
+    return (
+        [WorkItem("chunk", i) for i in range(plan.equil_chunks)]
+        + [WorkItem("transition", i) for i in range(plan.n_transitions)]
+        + [WorkItem("integrate"), WorkItem("done")]
+    )
+
+
+def resume_index(progress: JobProgress) -> int:
+    """Where a job continues in ``work_items(plan)``: the count of items it has persisted.
+
+    Valid progress (see ``JobProgress.validate``) is always a prefix of the
+    work order, so the count alone locates the next item.
+    """
+    return progress.chunks_done + progress.transitions_done + progress.integrated
 
 
 @dataclass
@@ -210,7 +242,7 @@ class SummaryReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-@dataclass
+@dataclass(slots=True)
 class _Job:
     spec: JobSpec
     progress: JobProgress = field(default_factory=JobProgress)
@@ -219,9 +251,17 @@ class _Job:
     instance_id: Optional[str] = None
     region: Optional[str] = None
     work_started_at: float = 0.0
-    current_item: Optional[WorkItem] = None
+    # The current residency's work table, indexed by resume_index(progress).
+    work: Sequence[WorkEntry] = ()
     submissions: int = 0
     completed_at: Optional[float] = None
+
+
+Shape = Tuple[str, int, int]  # (kind, vcpu demand, gpu demand)
+
+
+def _head_arrival(bucket: Deque[Tuple[int, _Job]]) -> int:
+    return bucket[0][0]
 
 
 class Engine:
@@ -253,10 +293,13 @@ class Engine:
         self._last_progress: Dict[str, Tuple[int, int, bool]] = {}
         self._seq = 0
         self._instance_counter = 0
-        self._next_sample = 0.0
+        self._arrivals = 0  # queue arrivals so far; orders the shape buckets
+        # A non-positive interval turns sampling off: no sample is ever due.
+        self._next_sample = math.inf if config.metrics_interval_s <= 0 else 0.0
         self._last_completion = 0.0
         self._region_next_slot: Dict[str, float] = {}
         self._rate_cache: Dict[Tuple[str, str, str], float] = {}
+        self._work_tables: Dict[Tuple[PhasePlan, str, float, str], Tuple[WorkEntry, ...]] = {}
 
         for region in config.routing.weights:
             if region not in catalog.regions:
@@ -276,9 +319,12 @@ class Engine:
             self.jobs[spec.id] = _Job(spec=spec)
 
         self.instances: Dict[str, InstanceState] = {}
-        self._region_instances: Dict[str, List[str]] = {r: [] for r in catalog.regions}
+        self._active: Dict[str, InstanceState] = {}  # activated and not yet terminated
         self._region_free: Dict[str, set] = {r: set() for r in catalog.regions}
-        self._region_queue: Dict[str, List[str]] = {r: [] for r in catalog.regions}
+        # Per region, one FIFO of (arrival, job) per demand shape.
+        self._region_queue: Dict[str, Dict[Shape, Deque[Tuple[int, _Job]]]] = {
+            r: {} for r in catalog.regions
+        }
         self._pool: Dict[Tuple[str, str], int] = {}
 
         self._submitted = False
@@ -286,9 +332,12 @@ class Engine:
     # -- scheduling primitives -------------------------------------------
 
     def _schedule(self, time: float, kind: str, job_id=None, instance_id=None, epoch=0) -> SimEvent:
-        ev = SimEvent(time=time, seq=self._seq, kind=kind, job_id=job_id, instance_id=instance_id, epoch=epoch)
-        self._seq += 1
-        heapq.heappush(self._heap, (ev.time, ev.seq, ev))
+        if time < self.clock:
+            raise SimulationError(f"cannot schedule {kind} at {time}: clock is already at {self.clock}")
+        seq = self._seq
+        ev = SimEvent(time, seq, kind, job_id, instance_id, epoch)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     def _pool_remaining(self, region: str, family: str) -> int:
@@ -322,8 +371,7 @@ class Engine:
             self._rate_cache[key] = rate
         return self._rate_cache[key]
 
-    def _item_duration(self, job: _Job, item: WorkItem, type_name: str) -> float:
-        spec = job.spec
+    def _item_duration(self, spec: JobSpec, item: WorkItem, type_name: str) -> float:
         plan = spec.phase_plan
         if item.kind == "chunk":
             steps = plan.chunk_length(item.index)
@@ -336,6 +384,17 @@ class Engine:
         ns = steps * spec.timestep_fs * 1e-6
         rate = self._rate_ns_per_day(spec.system, type_name, phase)
         return ns / rate * SECONDS_PER_DAY
+
+    def _work_table(self, spec: JobSpec, type_name: str) -> Tuple[WorkEntry, ...]:
+        """Every work item of ``spec`` on ``type_name``, with its event and duration, in work order."""
+        key = (spec.phase_plan, spec.system, spec.timestep_fs, type_name)
+        table = self._work_tables.get(key)
+        if table is None:
+            table = self._work_tables[key] = tuple(
+                (item, _ITEM_EVENTS[item.kind], self._item_duration(spec, item, type_name))
+                for item in work_items(spec.phase_plan)
+            )
+        return table
 
     # -- submission -------------------------------------------------------
 
@@ -364,6 +423,7 @@ class Engine:
             self._region_free[inst.region].discard(inst.id)
         job.instance_id = inst.id
         job.status = ST_RUNNING
+        job.work = self._work_table(job.spec, inst.type_name)
         if inst.active:
             self._start_next_item(job, now)
 
@@ -392,7 +452,6 @@ class Engine:
             created_seq=self._instance_counter,
         )
         self.instances[inst.id] = inst
-        self._region_instances[region].append(inst.id)
         self._region_free[region].add(inst.id)
         self._schedule(activation, EV_INSTANCE_ACQUIRED, instance_id=inst.id)
         self._board(job, inst, now)
@@ -430,62 +489,64 @@ class Engine:
         job.status = ST_QUEUED
         return "queued"
 
+    def _enqueue(self, job: _Job) -> None:
+        spec = job.spec
+        shape = (spec.kind, spec.vcpu_demand, spec.gpu_demand)
+        buckets = self._region_queue[job.region]
+        bucket = buckets.get(shape)
+        if bucket is None:
+            bucket = buckets[shape] = deque()
+        bucket.append((self._arrivals, job))
+        self._arrivals += 1
+
     def _retry_queue(self, region: str, now: float) -> None:
-        queue = self._region_queue[region]
-        if not queue:
+        """Try to place the region's queued jobs, oldest arrival first.
+
+        Capacity only shrinks during a pass, so a shape whose oldest job
+        stays queued would fail again for every later job of that shape:
+        its bucket sits out the rest of the pass.
+        """
+        buckets = self._region_queue[region]
+        if not buckets:
             return
-        still_waiting = []
-        failed_shapes = set()
-        for job_id in queue:
-            job = self.jobs[job_id]
-            shape = (job.spec.kind, job.spec.vcpu_demand, job.spec.gpu_demand)
-            if shape in failed_shapes:
-                # Identical demand already failed against unchanged
-                # capacity this pass; it would fail again.
-                still_waiting.append(job_id)
+        trying = list(buckets.values())
+        while trying:
+            bucket = min(trying, key=_head_arrival)
+            if self._place(bucket[0][1], now) == "queued":
+                trying.remove(bucket)
                 continue
-            outcome = self._place(job, now)
-            if outcome == "queued":
-                failed_shapes.add(shape)
-                still_waiting.append(job_id)
-        self._region_queue[region] = still_waiting
+            bucket.popleft()
+            if not bucket:
+                trying.remove(bucket)
+        for shape in [shape for shape, bucket in buckets.items() if not bucket]:
+            del buckets[shape]
 
     # -- job execution ----------------------------------------------------
 
     def _start_next_item(self, job: _Job, now: float) -> None:
-        item = resume_point(job.spec.phase_plan, job.progress)
-        job.current_item = item
+        _, kind, duration = job.work[resume_index(job.progress)]
         job.work_started_at = now
-        inst = self.instances[job.instance_id]
-        if item.kind == "done":
-            self._schedule(now, EV_JOB_COMPLETED, job_id=job.spec.id, instance_id=inst.id, epoch=job.epoch)
-            return
-        duration = self._item_duration(job, item, inst.type_name)
-        kind = {
-            "chunk": EV_CHUNK_DONE,
-            "transition": EV_TRANSITION_DONE,
-            "integrate": EV_INTEGRATE_DONE,
-        }[item.kind]
-        self._schedule(now + duration, kind, job_id=job.spec.id, instance_id=inst.id, epoch=job.epoch)
+        self._schedule(now + duration, kind, job.spec.id, job.instance_id, job.epoch)
 
-    def _finish_item(self, job: _Job, now: float) -> None:
-        """Credit the finished work item as productive and persist progress."""
+    def _finish_item(self, job: _Job, event_kind: str, now: float) -> None:
+        """Credit the work item that ``event_kind`` completes as productive and persist progress."""
         elapsed = now - job.work_started_at
         self.ledger.productive_core_seconds += elapsed * job.spec.vcpu_demand
-        item = job.current_item
-        if item.kind == "chunk":
-            job.progress.chunks_done += 1
-        elif item.kind == "transition":
-            job.progress.transitions_done += 1
-        elif item.kind == "integrate":
-            job.progress.integrated = True
-        job.progress.validate(job.spec.phase_plan)
+        progress = job.progress
+        if event_kind == EV_CHUNK_DONE:
+            progress.chunks_done += 1
+        elif event_kind == EV_TRANSITION_DONE:
+            progress.transitions_done += 1
+        elif event_kind == EV_INTEGRATE_DONE:
+            progress.integrated = True
+        progress.validate(job.spec.phase_plan)
 
     # -- instance teardown --------------------------------------------------
 
     def _terminate_instance(self, inst: InstanceState, now: float) -> None:
         inst.terminated_at = now
         inst.planned_preemption = None
+        del self._active[inst.id]
         self._region_free[inst.region].discard(inst.id)
         self.ledger.bill(inst, now)
         self._pool[(inst.region, inst.family)] = self._pool_remaining(inst.region, inst.family) + 1
@@ -499,7 +560,7 @@ class Engine:
         job.region = self.router.route(job.spec)
         outcome = self._place(job, now)
         if outcome == "queued":
-            self._region_queue[job.region].append(job.spec.id)
+            self._enqueue(job)
         elif outcome == "acquired":
             # Leftover capacity on the fresh instance may fit queued jobs.
             self._retry_queue(job.region, now)
@@ -507,6 +568,7 @@ class Engine:
     def _on_instance_acquired(self, ev: SimEvent, now: float) -> None:
         inst = self.instances[ev.instance_id]
         inst.active = True
+        self._active[inst.id] = inst
         draw = self.config.preemption.draw_seconds_until_preemption(self.rng, inst.region, inst.family)
         planned = None if draw is None else now + draw
         scripted = self.config.scripted_preemptions.get(inst.id)
@@ -521,7 +583,7 @@ class Engine:
 
     def _on_work_done(self, ev: SimEvent, now: float) -> None:
         job = self.jobs[ev.job_id]
-        self._finish_item(job, now)
+        self._finish_item(job, ev.kind, now)
         self._start_next_item(job, now)
 
     def _on_job_completed(self, ev: SimEvent, now: float) -> None:
@@ -529,7 +591,7 @@ class Engine:
         inst = self.instances[job.instance_id]
         job.status = ST_DONE
         job.completed_at = now
-        job.current_item = None
+        job.work = ()
         self._last_completion = max(self._last_completion, now)
         inst.resident_jobs.remove(job.spec.id)
         inst.free_vcpus += job.spec.vcpu_demand
@@ -557,19 +619,11 @@ class Engine:
             job = self.jobs[job_id]
             wasted = now - job.work_started_at
             self.ledger.wasted_core_seconds += wasted * job.spec.vcpu_demand
-            item = job.current_item
-            self.preemption_waste.append(
-                (
-                    inst.id,
-                    job_id,
-                    wasted,
-                    item.kind,
-                    self._item_duration(job, item, inst.type_name),
-                )
-            )
+            item, _, duration = job.work[resume_index(job.progress)]
+            self.preemption_waste.append((inst.id, job_id, wasted, item.kind, duration))
             job.epoch += 1  # invalidates the in-flight completion event
             job.instance_id = None
-            job.current_item = None
+            job.work = ()
             job.status = ST_PENDING
             self._schedule(now, EV_JOB_SUBMITTED, job_id=job_id)
         inst.resident_jobs.clear()
@@ -598,9 +652,7 @@ class Engine:
 
     def _take_sample(self, time_s: float) -> None:
         by_key: Dict[Tuple[str, str], List[int]] = {}
-        for inst in self.instances.values():
-            if not inst.active or inst.terminated:
-                continue
+        for inst in self._active.values():
             key = (inst.region, inst.type_name)
             agg = by_key.setdefault(key, [0, 0, 0])
             agg[0] += 1
@@ -609,17 +661,9 @@ class Engine:
         for (region, type_name), (count, vcpus, gpus) in sorted(by_key.items()):
             self.samples.append(MetricsSample(time_s, region, type_name, count, vcpus, gpus))
 
-    def _flush_samples(self, before: float) -> None:
-        if self.config.metrics_interval_s <= 0:
-            return
-        while self._next_sample < before:
-            self._take_sample(self._next_sample)
-            self._next_sample += self.config.metrics_interval_s
-
-    def _flush_samples_through(self, until: float) -> None:
-        if self.config.metrics_interval_s <= 0:
-            return
-        while self._next_sample <= until:
+    def _flush_samples(self, until: float, inclusive: bool = False) -> None:
+        """Take every sample due before ``until``, or also at it when ``inclusive``."""
+        while self._next_sample < until or (inclusive and self._next_sample == until):
             self._take_sample(self._next_sample)
             self._next_sample += self.config.metrics_interval_s
 
@@ -650,30 +694,39 @@ class Engine:
             EV_PREEMPTION: self._on_preemption,
             EV_IDLE_TIMEOUT: self._on_idle_timeout,
         }
+        heap, preheap = self._heap, self._preheap
+        record_events, strict_checks = self.config.record_events, self.config.strict_checks
         while True:
-            t_heap = self._heap[0][0] if self._heap else math.inf
-            pre_inst = self._earliest_planned_preemption()
-            t_pre = pre_inst.planned_preemption if pre_inst is not None else math.inf
-            t_next = min(t_heap, t_pre)
+            t_next = heap[0][0] if heap else math.inf
+            pre_inst = None
+            # A stale reclaim stays stale, so only one planned before the
+            # next event needs checking.
+            if preheap and preheap[0][0] < t_next:
+                pre_inst = self._earliest_planned_preemption()
+                if pre_inst is not None and pre_inst.planned_preemption < t_next:
+                    t_next = pre_inst.planned_preemption
+                else:
+                    pre_inst = None
             if t_next > until or t_next == math.inf:
                 break
-            self._flush_samples(t_next)
-            if t_pre < t_heap:
+            if self._next_sample < t_next:
+                self._flush_samples(t_next)
+            if pre_inst is not None:
                 # No earlier-or-equal event is pending, so the reclaim can
                 # now be turned into a real event; completions that share
                 # its timestamp have already been processed.
                 pre_inst.planned_preemption = None
-                self._schedule(t_pre, EV_PREEMPTION, instance_id=pre_inst.id)
+                self._schedule(t_next, EV_PREEMPTION, instance_id=pre_inst.id)
                 continue
-            _, _, ev = heapq.heappop(self._heap)
+            _, _, ev = heapq.heappop(heap)
             if self._is_stale(ev):
                 continue
             self.clock = ev.time
             self.n_events += 1
-            if self.config.record_events:
+            if record_events:
                 self.event_log.append(ev.log_row())
             handlers[ev.kind](ev, ev.time)
-            if self.config.strict_checks:
+            if strict_checks:
                 self._check_invariants()
         if until != math.inf and until > self.clock:
             self.clock = until
@@ -695,7 +748,7 @@ class Engine:
                 # Grace period of None keeps instances up forever; close
                 # them out at the final clock so billing is complete.
                 self._terminate_instance(inst, self.clock)
-        self._flush_samples_through(self.clock)
+        self._flush_samples(self.clock, inclusive=True)
         return self.summary()
 
     def summary(self) -> SummaryReport:

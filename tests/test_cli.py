@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 import spotbatch
 from spotbatch import cli
@@ -14,6 +17,19 @@ TOY_SCENARIO = str(spotbatch.data_path("scenarios/study2_toy.json"))
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def toy_variant(tmp_path, **overrides):
+    """A copy of the study2_toy scenario with ``overrides`` applied, as a file path."""
+    scenarios = spotbatch.data_path("scenarios")
+    doc = json.loads((scenarios / "study2_toy.json").read_text())
+    doc["catalog"] = str(scenarios / doc["catalog"])
+    doc["workload"] = str(scenarios / doc["workload"])
+    doc["benchmarks"] = [str(scenarios / p) for p in doc["benchmarks"]]
+    doc.update(overrides)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def test_validate_ok(capsys):
@@ -223,3 +239,45 @@ def test_report_renders_summary(tmp_path, capsys):
 
 def test_simulate_missing_scenario_usage_error():
     assert run_cli("simulate", "--scenario", "/nope.json", "--out", "/tmp/x") == 2
+
+
+@pytest.mark.parametrize(
+    "override", [{"grace_period_s": -500}, {"acquisition_latency_s": -1000}], ids=lambda o: next(iter(o))
+)
+def test_simulate_rejects_events_before_the_clock(tmp_path, capsys, override):
+    # A negative delay would schedule an idle timeout or an activation in
+    # the past; the engine refuses instead of rewriting history.
+    scenario = toy_variant(tmp_path, **override)
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
+    assert "clock is already at" in capsys.readouterr().err
+
+
+# SHA-256 of the outputs of study2_toy with two g4dn and two c5 instances
+# per region and a reclaim hazard of 0.5 per instance-hour.  Jobs queue
+# (over a hundred at once, of both shapes) and 500+ preemptions resubmit
+# them, so these pin the queue-retry order.
+QUEUEING_TOY_DIGESTS = {
+    42: {
+        "events.log": "6f7092ea082f410019489dfe0a625229d936b084d9bff7d3eda192f4e84bea9e",
+        "metrics.csv": "0b80e20441c5b0ba20817d5334e979ff1004a8f23c93fe8e7eda98e2fd4ad284",
+        "summary.json": "2d436c7d0573b0ad9eda78e71b9752da9d5d228ccd31a9353c42775c184ddae4",
+    },
+    7: {
+        "events.log": "ec17cf1a44fe37578d496aeb1938c06f8122e63688768905fa3864fd5e50e6f8",
+        "metrics.csv": "8d4de2a6f814970fd8780c123e1febcd3945b0a1956a46a7297e80cdecf6e35f",
+        "summary.json": "b2d6caffa2e2b8dfcd9a8dacea6678df9c170e8b7547120b065e2f38983de0a1",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(QUEUEING_TOY_DIGESTS))
+def test_simulate_queueing_outputs_are_golden(tmp_path, seed):
+    scenario = toy_variant(
+        tmp_path,
+        pool_overrides={"us-east-1": {"g4dn": 2, "c5": 2}, "eu-west-1": {"g4dn": 2, "c5": 2}},
+        preemption_hazards={"*/*": 0.5},
+    )
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(out), "--seed", str(seed), "--event-log") == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in QUEUEING_TOY_DIGESTS[seed]}
+    assert digests == QUEUEING_TOY_DIGESTS[seed]

@@ -12,7 +12,8 @@ from spotbatch.orchestrator.engine import (
     Engine,
     EngineConfig,
     WorkItem,
-    resume_point,
+    resume_index,
+    work_items,
 )
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.routing import RoutingPolicy
@@ -80,11 +81,23 @@ def micro_config(**kwargs):
     return EngineConfig(**defaults)
 
 
-# -- resume_point --------------------------------------------------------------
+# -- the resume point: work_items order and resume_index ----------------------
+
+
+def resume_point(plan, progress):
+    return work_items(plan)[resume_index(progress)]
 
 
 def test_resume_point_fresh():
     assert resume_point(micro_plan(), wl.JobProgress()) == WorkItem("chunk", 0)
+    assert work_items(micro_plan()) == [
+        WorkItem("chunk", 0),
+        WorkItem("chunk", 1),
+        WorkItem("transition", 0),
+        WorkItem("transition", 1),
+        WorkItem("integrate"),
+        WorkItem("done"),
+    ]
 
 
 def test_resume_point_mid_transitions():
