@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from .errors import MissingRecordError, ParseError, ValidationError
+from .jsonfile import read_json
 
 ON_DEMAND = "on_demand"
 SPOT = "spot"
@@ -302,12 +303,7 @@ def build_catalog(data: dict) -> Catalog:
 
 def load_catalog(path) -> Catalog:
     """Load and validate a catalog JSON file."""
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return build_catalog(data)
+    return build_catalog(read_json(path))
 
 
 def catalog_to_dict(catalog: Catalog) -> dict:

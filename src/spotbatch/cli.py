@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import catalog as cat
 from . import costmodel, perfmodel, workload
-from .errors import SpotbatchError
+from .errors import ParseError, SpotbatchError
+from .jsonfile import read_json
 from .orchestrator import scenario as scen
 
 EXIT_OK = 0
@@ -53,9 +54,9 @@ def cmd_validate(args) -> int:
         return code
     problems = []
     try:
-        data = json.loads(Path(args.catalog).read_text())
-    except json.JSONDecodeError as exc:
-        problems.append(f"{args.catalog}: not valid JSON: {exc}")
+        data = read_json(args.catalog)
+    except ParseError as exc:
+        problems.append(str(exc))
     else:
         problems += [f"{args.catalog}: {p}" for p in cat.validate_catalog_dict(data)]
     if args.workload:

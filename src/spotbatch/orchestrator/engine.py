@@ -19,8 +19,18 @@ O(placements + shapes), not O(queue length).
 
 A job's work items run in the order ``work_items`` defines.  When a job
 boards an instance, it takes that residency's table of (item, completion
-event, duration) for its phase plan, system and instance type, so per-item
-work is an index into a precomputed table.
+event, duration) for its phase plan, system and instance type, and a cursor
+into it at its resume index.  The completion of a work item is a plain heap
+entry ``(time, seq, job, epoch)``, not a ``SimEvent``; the event loop
+handles it inline: it credits the item, persists and validates the
+progress, advances the cursor and replaces the entry with the next item's
+in one heap operation.
+
+First-fit placement scans a region's open instances (those with a free
+vCPU) in acquisition order; the list is kept in that order as instances
+fill, free up and terminate, so a placement never sorts.  Metrics samples
+read per-(region, type) usage counters that activation, boarding,
+completion and termination keep up to date.
 
 Determinism: a single seeded RNG drives routing draws and preemption
 draws; events are processed in (time, seq) order with seq assigned at
@@ -39,8 +49,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import catalog as cat
@@ -59,8 +71,6 @@ EV_PREEMPTION = "preemption"
 EV_IDLE_TIMEOUT = "instance_idle_timeout"
 EV_JOB_COMPLETED = "job_completed"
 
-_WORK_EVENTS = frozenset((EV_CHUNK_DONE, EV_TRANSITION_DONE, EV_INTEGRATE_DONE, EV_JOB_COMPLETED))
-
 SECONDS_PER_DAY = 86400.0
 
 ST_PENDING = "pending"
@@ -72,7 +82,7 @@ ST_FAILED = "failed"
 
 @dataclass(slots=True)
 class SimEvent:
-    """One scheduled event; processed in (time, seq) order."""
+    """One scheduled event other than a work item's completion; processed in (time, seq) order."""
 
     time: float
     seq: int
@@ -251,8 +261,10 @@ class _Job:
     instance_id: Optional[str] = None
     region: Optional[str] = None
     work_started_at: float = 0.0
-    # The current residency's work table, indexed by resume_index(progress).
+    # The current residency's work table and the index of the running item,
+    # which is resume_index(progress) while the job runs.
     work: Sequence[WorkEntry] = ()
+    cursor: int = 0
     submissions: int = 0
     completed_at: Optional[float] = None
 
@@ -262,6 +274,13 @@ Shape = Tuple[str, int, int]  # (kind, vcpu demand, gpu demand)
 
 def _head_arrival(bucket: Deque[Tuple[int, _Job]]) -> int:
     return bucket[0][0]
+
+
+_created_seq = attrgetter("created_seq")
+
+
+def _clock_error(kind: str, time: float, clock: float) -> SimulationError:
+    return SimulationError(f"cannot schedule {kind} at {time}: clock is already at {clock}")
 
 
 class Engine:
@@ -288,7 +307,10 @@ class Engine:
         self.n_submissions = 0
         self.n_events = 0
 
-        self._heap: List[Tuple[float, int, SimEvent]] = []
+        # Entries are (time, seq, SimEvent), or (time, seq, job, epoch) for the
+        # completion of a job's current work item; seq is unique, so entries
+        # never compare past it.
+        self._heap: List[tuple] = []
         self._preheap: List[Tuple[float, int, str]] = []  # planned reclaims, lazily invalidated
         self._last_progress: Dict[str, Tuple[int, int, bool]] = {}
         self._seq = 0
@@ -320,7 +342,10 @@ class Engine:
 
         self.instances: Dict[str, InstanceState] = {}
         self._active: Dict[str, InstanceState] = {}  # activated and not yet terminated
-        self._region_free: Dict[str, set] = {r: set() for r in catalog.regions}
+        # Per (region, type): [active instances, vCPUs in use, GPUs in use].
+        self._usage: Dict[Tuple[str, str], List[int]] = {}
+        # Per region, the unterminated instances with a free vCPU, in acquisition order.
+        self._region_free: Dict[str, List[InstanceState]] = {r: [] for r in catalog.regions}
         # Per region, one FIFO of (arrival, job) per demand shape.
         self._region_queue: Dict[str, Dict[Shape, Deque[Tuple[int, _Job]]]] = {
             r: {} for r in catalog.regions
@@ -333,7 +358,7 @@ class Engine:
 
     def _schedule(self, time: float, kind: str, job_id=None, instance_id=None, epoch=0) -> SimEvent:
         if time < self.clock:
-            raise SimulationError(f"cannot schedule {kind} at {time}: clock is already at {self.clock}")
+            raise _clock_error(kind, time, self.clock)
         seq = self._seq
         ev = SimEvent(time, seq, kind, job_id, instance_id, epoch)
         self._seq = seq + 1
@@ -414,17 +439,33 @@ class Engine:
 
     # -- placement --------------------------------------------------------
 
+    def _open_position(self, inst: InstanceState) -> Tuple[List[InstanceState], int, bool]:
+        """The region's open list, where ``inst`` sits or would sit in it, and whether it is there."""
+        open_list = self._region_free[inst.region]
+        i = bisect_left(open_list, inst.created_seq, key=_created_seq)
+        return open_list, i, i < len(open_list) and open_list[i] is inst
+
+    def _close(self, inst: InstanceState) -> None:
+        open_list, i, present = self._open_position(inst)
+        if present:
+            del open_list[i]
+
     def _board(self, job: _Job, inst: InstanceState, now: float) -> None:
-        inst.free_vcpus -= job.spec.vcpu_demand
-        inst.free_gpus -= job.spec.gpu_demand
-        inst.resident_jobs.append(job.spec.id)
+        spec = job.spec
+        inst.free_vcpus -= spec.vcpu_demand
+        inst.free_gpus -= spec.gpu_demand
+        inst.resident_jobs.append(spec.id)
         inst.idle_epoch += 1  # cancels any pending idle timeout
         if inst.free_vcpus < 1:
-            self._region_free[inst.region].discard(inst.id)
+            self._close(inst)
         job.instance_id = inst.id
         job.status = ST_RUNNING
-        job.work = self._work_table(job.spec, inst.type_name)
+        job.work = self._work_table(spec, inst.type_name)
+        job.cursor = resume_index(job.progress)
         if inst.active:
+            usage = self._usage[(inst.region, inst.type_name)]
+            usage[1] += spec.vcpu_demand
+            usage[2] += spec.gpu_demand
             self._start_next_item(job, now)
 
     def _acquire(self, job: _Job, type_name: str, region: str, now: float) -> InstanceState:
@@ -452,7 +493,7 @@ class Engine:
             created_seq=self._instance_counter,
         )
         self.instances[inst.id] = inst
-        self._region_free[region].add(inst.id)
+        self._region_free[region].append(inst)  # the newest instance sorts last
         self._schedule(activation, EV_INSTANCE_ACQUIRED, instance_id=inst.id)
         self._board(job, inst, now)
         return inst
@@ -466,10 +507,7 @@ class Engine:
         region = job.region
         allowed = self.config.allowed_types.get(job.spec.kind, [])
         vd, gd = job.spec.vcpu_demand, job.spec.gpu_demand
-        open_instances = sorted(
-            (self.instances[i] for i in self._region_free[region]), key=lambda x: x.created_seq
-        )
-        for inst in open_instances:
+        for inst in self._region_free[region]:
             if inst.type_name not in allowed:
                 continue
             if inst.free_vcpus >= vd and inst.free_gpus >= gd:
@@ -524,22 +562,14 @@ class Engine:
     # -- job execution ----------------------------------------------------
 
     def _start_next_item(self, job: _Job, now: float) -> None:
-        _, kind, duration = job.work[resume_index(job.progress)]
+        """Schedule the completion of the job's item at its cursor (the loop schedules the rest)."""
+        _, kind, duration = job.work[job.cursor]
+        time = now + duration
+        if time < self.clock:
+            raise _clock_error(kind, time, self.clock)
         job.work_started_at = now
-        self._schedule(now + duration, kind, job.spec.id, job.instance_id, job.epoch)
-
-    def _finish_item(self, job: _Job, event_kind: str, now: float) -> None:
-        """Credit the work item that ``event_kind`` completes as productive and persist progress."""
-        elapsed = now - job.work_started_at
-        self.ledger.productive_core_seconds += elapsed * job.spec.vcpu_demand
-        progress = job.progress
-        if event_kind == EV_CHUNK_DONE:
-            progress.chunks_done += 1
-        elif event_kind == EV_TRANSITION_DONE:
-            progress.transitions_done += 1
-        elif event_kind == EV_INTEGRATE_DONE:
-            progress.integrated = True
-        progress.validate(job.spec.phase_plan)
+        heapq.heappush(self._heap, (time, self._seq, job, job.epoch))
+        self._seq += 1
 
     # -- instance teardown --------------------------------------------------
 
@@ -547,7 +577,11 @@ class Engine:
         inst.terminated_at = now
         inst.planned_preemption = None
         del self._active[inst.id]
-        self._region_free[inst.region].discard(inst.id)
+        usage = self._usage[(inst.region, inst.type_name)]
+        usage[0] -= 1
+        usage[1] -= inst.vcpus - inst.free_vcpus
+        usage[2] -= inst.gpus - inst.free_gpus
+        self._close(inst)
         self.ledger.bill(inst, now)
         self._pool[(inst.region, inst.family)] = self._pool_remaining(inst.region, inst.family) + 1
 
@@ -569,6 +603,10 @@ class Engine:
         inst = self.instances[ev.instance_id]
         inst.active = True
         self._active[inst.id] = inst
+        usage = self._usage.setdefault((inst.region, inst.type_name), [0, 0, 0])
+        usage[0] += 1
+        usage[1] += inst.vcpus - inst.free_vcpus
+        usage[2] += inst.gpus - inst.free_gpus
         draw = self.config.preemption.draw_seconds_until_preemption(self.rng, inst.region, inst.family)
         planned = None if draw is None else now + draw
         scripted = self.config.scripted_preemptions.get(inst.id)
@@ -581,23 +619,22 @@ class Engine:
         for job_id in list(inst.resident_jobs):
             self._start_next_item(self.jobs[job_id], now)
 
-    def _on_work_done(self, ev: SimEvent, now: float) -> None:
-        job = self.jobs[ev.job_id]
-        self._finish_item(job, ev.kind, now)
-        self._start_next_item(job, now)
-
-    def _on_job_completed(self, ev: SimEvent, now: float) -> None:
-        job = self.jobs[ev.job_id]
+    def _on_job_completed(self, job: _Job, now: float) -> None:
+        spec = job.spec
         inst = self.instances[job.instance_id]
         job.status = ST_DONE
         job.completed_at = now
         job.work = ()
         self._last_completion = max(self._last_completion, now)
-        inst.resident_jobs.remove(job.spec.id)
-        inst.free_vcpus += job.spec.vcpu_demand
-        inst.free_gpus += job.spec.gpu_demand
-        if inst.free_vcpus >= 1:
-            self._region_free[inst.region].add(inst.id)
+        inst.resident_jobs.remove(spec.id)
+        inst.free_vcpus += spec.vcpu_demand
+        inst.free_gpus += spec.gpu_demand
+        usage = self._usage[(inst.region, inst.type_name)]
+        usage[1] -= spec.vcpu_demand
+        usage[2] -= spec.gpu_demand
+        open_list, i, present = self._open_position(inst)
+        if not present and inst.free_vcpus >= 1:
+            open_list.insert(i, inst)
         job.instance_id = None
         inst.idle_epoch += 1
         if not inst.resident_jobs and self.config.grace_period_s is not None:
@@ -619,7 +656,7 @@ class Engine:
             job = self.jobs[job_id]
             wasted = now - job.work_started_at
             self.ledger.wasted_core_seconds += wasted * job.spec.vcpu_demand
-            item, _, duration = job.work[resume_index(job.progress)]
+            item, _, duration = job.work[job.cursor]
             self.preemption_waste.append((inst.id, job_id, wasted, item.kind, duration))
             job.epoch += 1  # invalidates the in-flight completion event
             job.instance_id = None
@@ -639,8 +676,6 @@ class Engine:
     # -- staleness ----------------------------------------------------------
 
     def _is_stale(self, ev: SimEvent) -> bool:
-        if ev.kind in _WORK_EVENTS:
-            return self.jobs[ev.job_id].epoch != ev.epoch
         if ev.kind == EV_IDLE_TIMEOUT:
             inst = self.instances[ev.instance_id]
             return inst.terminated or inst.resident_jobs != [] or inst.idle_epoch != ev.epoch
@@ -651,15 +686,9 @@ class Engine:
     # -- metrics --------------------------------------------------------------
 
     def _take_sample(self, time_s: float) -> None:
-        by_key: Dict[Tuple[str, str], List[int]] = {}
-        for inst in self._active.values():
-            key = (inst.region, inst.type_name)
-            agg = by_key.setdefault(key, [0, 0, 0])
-            agg[0] += 1
-            agg[1] += inst.vcpus - inst.free_vcpus
-            agg[2] += inst.gpus - inst.free_gpus
-        for (region, type_name), (count, vcpus, gpus) in sorted(by_key.items()):
-            self.samples.append(MetricsSample(time_s, region, type_name, count, vcpus, gpus))
+        for (region, type_name), (count, vcpus, gpus) in sorted(self._usage.items()):
+            if count:
+                self.samples.append(MetricsSample(time_s, region, type_name, count, vcpus, gpus))
 
     def _flush_samples(self, until: float, inclusive: bool = False) -> None:
         """Take every sample due before ``until``, or also at it when ``inclusive``."""
@@ -687,17 +716,18 @@ class Engine:
         handlers = {
             EV_JOB_SUBMITTED: self._on_job_submitted,
             EV_INSTANCE_ACQUIRED: self._on_instance_acquired,
-            EV_CHUNK_DONE: self._on_work_done,
-            EV_TRANSITION_DONE: self._on_work_done,
-            EV_INTEGRATE_DONE: self._on_work_done,
-            EV_JOB_COMPLETED: self._on_job_completed,
             EV_PREEMPTION: self._on_preemption,
             EV_IDLE_TIMEOUT: self._on_idle_timeout,
         }
-        heap, preheap = self._heap, self._preheap
+        heap, preheap, ledger, event_log = self._heap, self._preheap, self.ledger, self.event_log
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
         record_events, strict_checks = self.config.record_events, self.config.strict_checks
         while True:
-            t_next = heap[0][0] if heap else math.inf
+            if heap:
+                entry = heap[0]
+                t_next = entry[0]
+            else:
+                t_next = math.inf
             pre_inst = None
             # A stale reclaim stays stale, so only one planned before the
             # next event needs checking.
@@ -718,14 +748,51 @@ class Engine:
                 pre_inst.planned_preemption = None
                 self._schedule(t_next, EV_PREEMPTION, instance_id=pre_inst.id)
                 continue
-            _, _, ev = heapq.heappop(heap)
-            if self._is_stale(ev):
-                continue
-            self.clock = ev.time
-            self.n_events += 1
-            if record_events:
-                self.event_log.append(ev.log_row())
-            handlers[ev.kind](ev, ev.time)
+            if len(entry) == 4:
+                # The completion of a job's current work item.
+                _, seq, job, epoch = entry
+                if job.epoch != epoch:  # the job was preempted since
+                    heappop(heap)
+                    continue
+                self.clock = t_next
+                self.n_events += 1
+                cursor = job.cursor
+                kind = job.work[cursor][1]
+                if record_events:
+                    event_log.append((t_next, seq, kind, job.spec.id, job.instance_id))
+                if kind == EV_JOB_COMPLETED:
+                    heappop(heap)
+                    self._on_job_completed(job, t_next)
+                else:
+                    # The item reached a persisted boundary: credit it, persist it
+                    # and start the next item in the same heap slot.
+                    spec, progress = job.spec, job.progress
+                    ledger.productive_core_seconds += (t_next - job.work_started_at) * spec.vcpu_demand
+                    if kind == EV_TRANSITION_DONE:
+                        progress.transitions_done += 1
+                    elif kind == EV_CHUNK_DONE:
+                        progress.chunks_done += 1
+                    else:
+                        progress.integrated = True
+                    progress.validate(spec.phase_plan)
+                    cursor += 1
+                    job.cursor = cursor
+                    _, next_kind, duration = job.work[cursor]
+                    time = t_next + duration
+                    if time < t_next:
+                        raise _clock_error(next_kind, time, t_next)
+                    job.work_started_at = t_next
+                    heapreplace(heap, (time, self._seq, job, epoch))
+                    self._seq += 1
+            else:
+                ev = heappop(heap)[2]
+                if self._is_stale(ev):
+                    continue
+                self.clock = ev.time
+                self.n_events += 1
+                if record_events:
+                    event_log.append(ev.log_row())
+                handlers[ev.kind](ev, ev.time)
             if strict_checks:
                 self._check_invariants()
         if until != math.inf and until > self.clock:
@@ -798,10 +865,9 @@ class Engine:
         }
 
     def _check_invariants(self) -> None:
-        for inst in self.instances.values():
+        expected_open: Dict[str, List[str]] = {r: [] for r in self._region_free}
+        for inst in self.instances.values():  # in acquisition order
             if inst.terminated:
-                if inst.id in self._region_free[inst.region]:
-                    raise SimulationError(f"instance {inst.id}: terminated but indexed as open")
                 continue
             used_v = sum(self.jobs[j].spec.vcpu_demand for j in inst.resident_jobs)
             used_g = sum(self.jobs[j].spec.gpu_demand for j in inst.resident_jobs)
@@ -809,9 +875,25 @@ class Engine:
                 raise SimulationError(f"instance {inst.id}: vcpu accounting broken")
             if inst.free_gpus != inst.gpus - used_g or inst.free_gpus < 0:
                 raise SimulationError(f"instance {inst.id}: gpu accounting broken")
-            if (inst.free_vcpus >= 1) != (inst.id in self._region_free[inst.region]):
-                raise SimulationError(f"instance {inst.id}: open-capacity index out of date")
+            if inst.free_vcpus >= 1:
+                expected_open[inst.region].append(inst.id)
+        for region, open_list in self._region_free.items():
+            seqs = [inst.created_seq for inst in open_list]
+            if any(a >= b for a, b in zip(seqs, seqs[1:])):
+                raise SimulationError(f"region {region}: open instances out of acquisition order")
+            if [inst.id for inst in open_list] != expected_open[region]:
+                raise SimulationError(f"region {region}: open-capacity index out of date")
+        recount: Dict[Tuple[str, str], List[int]] = {}
+        for inst in self._active.values():
+            usage = recount.setdefault((inst.region, inst.type_name), [0, 0, 0])
+            usage[0] += 1
+            usage[1] += inst.vcpus - inst.free_vcpus
+            usage[2] += inst.gpus - inst.free_gpus
+        if {key: usage for key, usage in self._usage.items() if any(usage)} != recount:
+            raise SimulationError("usage counters disagree with the active instances")
         for job_id, job in self.jobs.items():
+            if job.status == ST_RUNNING and job.cursor != resume_index(job.progress):
+                raise SimulationError(f"job {job_id}: work cursor is not at the resume index")
             job.progress.validate(job.spec.phase_plan)
             now_tuple = job.progress.as_tuple()
             before = self._last_progress.get(job_id, (0, 0, False))

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .. import catalog as cat
 from .. import perfmodel
-from ..errors import ParseError
+from ..errors import ParseError, ValidationError
+from ..jsonfile import read_json
 from ..workload import load_workload, n_fe_differences
 from .engine import Engine, EngineConfig, MetricsSample, SummaryReport
 from .preemption import PreemptionModel
@@ -45,25 +47,35 @@ class Scenario:
     pool_overrides: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
+def _positive(path: Path, key: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{path}: {key} must be a finite number > 0, got {value!r}")
+    return value
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    data = read_json(path)
     base = path.parent
     for key in ("catalog", "workload", "benchmarks", "routing", "allowed_types"):
         if key not in data:
             raise ParseError(f"{path}: scenario is missing the {key!r} key")
     routing_raw = data["routing"]
+    if "weights" not in routing_raw:
+        raise ParseError(f"{path}: routing is missing the 'weights' key")
     routing = RoutingPolicy(
         weights={str(k): float(v) for k, v in routing_raw["weights"].items()},
         mode=routing_raw.get("mode", "weighted_random"),
     )
-    waves = [
-        (float(w["time_s"]), tuple(w["kinds"])) for w in data.get("waves", [])
-    ]
+    waves = []
+    for i, wave in enumerate(data.get("waves", [])):
+        for key in ("time_s", "kinds"):
+            if key not in wave:
+                raise ParseError(f"{path}: wave {i} is missing the {key!r} key")
+        waves.append((float(wave["time_s"]), tuple(wave["kinds"])))
     grace = data.get("grace_period_s", 120.0)
+    per_minute = data.get("acquisitions_per_region_minute")
     return Scenario(
         catalog_path=base / data["catalog"],
         workload_path=base / data["workload"],
@@ -75,9 +87,11 @@ def load_scenario(path) -> Scenario:
         grace_period_s=None if grace is None else float(grace),
         seed=int(data.get("seed", 0)),
         metrics_interval_s=float(data.get("metrics_interval_s", 60.0)),
-        transition_slowdown=float(data.get("transition_slowdown", 1.0)),
+        transition_slowdown=_positive(path, "transition_slowdown", data.get("transition_slowdown", 1.0)),
         acquisition_latency_s=float(data.get("acquisition_latency_s", 0.0)),
-        acquisitions_per_region_minute=data.get("acquisitions_per_region_minute"),
+        acquisitions_per_region_minute=(
+            None if per_minute is None else _positive(path, "acquisitions_per_region_minute", per_minute)
+        ),
         scripted_preemptions={
             str(p["instance_id"]): float(p["time_s"]) for p in data.get("scripted_preemptions", [])
         },

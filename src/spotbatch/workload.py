@@ -16,13 +16,12 @@ sequences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ParseError, ValidationError
+from .jsonfile import read_json
 
 KIND_COMPLEX = "complex"
 KIND_LIGAND = "ligand"
@@ -324,11 +323,7 @@ def _parse_policy(data: dict) -> Dict[str, KindPolicy]:
 
 def load_workload(path) -> Workload:
     """Load an ensemble specification plus resource policy from JSON."""
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    data = read_json(path)
     if "targets" not in data:
         raise ParseError(f"{path}: workload document is missing the 'targets' key")
     targets = tuple(

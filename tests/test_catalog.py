@@ -68,6 +68,14 @@ def test_malformed_json_is_parse_error(tmp_path):
         cat.load_catalog(path)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_number_is_parse_error(tmp_path, literal):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(minimal_doc()).replace("0.3", literal))
+    with pytest.raises(ParseError, match="not a finite number"):
+        cat.load_catalog(path)
+
+
 def test_spot_rate_is_fraction_of_on_demand():
     doc = minimal_doc()
     c = cat.build_catalog(doc)

@@ -270,14 +270,75 @@ QUEUEING_TOY_DIGESTS = {
 }
 
 
+def assert_outputs_golden(tmp_path, seed, expected, **overrides):
+    """Simulate the study2_toy variant with ``overrides`` and compare output digests."""
+    scenario = toy_variant(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(out), "--seed", str(seed), "--event-log") == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
+    assert digests == expected
+
+
 @pytest.mark.parametrize("seed", sorted(QUEUEING_TOY_DIGESTS))
 def test_simulate_queueing_outputs_are_golden(tmp_path, seed):
-    scenario = toy_variant(
+    assert_outputs_golden(
         tmp_path,
+        seed,
+        QUEUEING_TOY_DIGESTS[seed],
         pool_overrides={"us-east-1": {"g4dn": 2, "c5": 2}, "eu-west-1": {"g4dn": 2, "c5": 2}},
         preemption_hazards={"*/*": 0.5},
     )
-    out = tmp_path / "out"
-    assert run_cli("simulate", "--scenario", scenario, "--out", str(out), "--seed", str(seed), "--event-log") == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in QUEUEING_TOY_DIGESTS[seed]}
-    assert digests == QUEUEING_TOY_DIGESTS[seed]
+
+
+# SHA-256 of the outputs of study2_toy with ligands on c5.4xl or c6g.8xl,
+# two g4dn and four each of c5 and c6g per region, and a reclaim hazard of
+# 0.2 per instance-hour.  Completions free capacity on instances acquired
+# before others that are still open, so the open list takes insertions in
+# its middle; these pin first-fit's scan in acquisition order.
+FIRST_FIT_TOY_DIGESTS = {
+    42: {
+        "events.log": "f9bb260dd1462fc929b95ca055bb202933570d453bc83fba8a011f61da5c52d5",
+        "metrics.csv": "d396ba9928088491f9b0938c220418061944309a230b44c925b9021832efb471",
+        "summary.json": "10bd4a5de9f80cb2b9682f0b6083823dece061b81092d55a9fbd33b2e7c9fae7",
+    },
+    7: {
+        "events.log": "6ca3be96a884028d248d05adb4bd885aff64e7e9b7e315c3adc3e406d06b235f",
+        "metrics.csv": "f423cb4e0d00e861425fc0d77f9448674bbc9bd852213bfbc756b5c43262a97c",
+        "summary.json": "3d6ad5e4ec37c87344c55c822ec795d7c78e1e1811f6408b66c58e9a0c42b483",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIRST_FIT_TOY_DIGESTS))
+def test_simulate_first_fit_outputs_are_golden(tmp_path, seed):
+    pools = {"g4dn": 2, "c5": 4, "c6g": 4}
+    assert_outputs_golden(
+        tmp_path,
+        seed,
+        FIRST_FIT_TOY_DIGESTS[seed],
+        allowed_types={"complex": ["g4dn.4xl"], "ligand": ["c5.4xl", "c6g.8xl"]},
+        pool_overrides={"us-east-1": dict(pools), "eu-west-1": dict(pools)},
+        preemption_hazards={"*/*": 0.2},
+    )
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"routing": {"mode": "weighted_random"}},
+        {"waves": [{"time_s": 0}]},
+        {"transition_slowdown": 0},
+        {"transition_slowdown": -1},
+        {"acquisitions_per_region_minute": -2},
+        {"grace_period_s": float("nan")},
+        {"grace_period_s": float("inf")},
+    ],
+    ids=["routing-without-weights", "wave-without-kinds", "zero-slowdown", "negative-slowdown",
+         "negative-acquisition-rate", "nan-grace-period", "infinite-grace-period"],
+)
+def test_simulate_rejects_bad_scenario_at_load(tmp_path, capsys, override):
+    scenario = toy_variant(tmp_path, **override)
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

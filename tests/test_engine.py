@@ -417,3 +417,13 @@ def test_waves_stagger_submission_by_kind():
     submits = {j: t for t, s, k, j, i in engine.event_log if k == "job_submitted"}
     assert submits["c1"] == 0.0
     assert submits["l1"] == 500.0
+
+
+def test_negative_work_duration_rejected():
+    # With no transition record, a transition runs at the equilibration rate
+    # times the slowdown; a negative slowdown gives a negative duration,
+    # which would complete the item before it started.
+    config = micro_config(transition_slowdown=-1.0)
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+    with pytest.raises(SimulationError, match="clock is already at"):
+        engine.run()

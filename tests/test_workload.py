@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import spotbatch
 from spotbatch import workload as wl
-from spotbatch.errors import ValidationError
+from spotbatch.errors import ParseError, ValidationError
 
 
 def small_spec(**kwargs):
@@ -197,3 +197,10 @@ def test_progress_tuple_ordering():
     assert wl.JobProgress(1, 0, False).as_tuple() < wl.JobProgress(2, 0, False).as_tuple()
     assert wl.JobProgress(6, 3, False).as_tuple() < wl.JobProgress(6, 4, False).as_tuple()
     assert wl.JobProgress(6, 80, False).as_tuple() < wl.JobProgress(6, 80, True).as_tuple()
+
+
+def test_load_workload_rejects_nan(tmp_path):
+    path = tmp_path / "workload.json"
+    path.write_text(spotbatch.data_path("workload_toy.json").read_text().replace("{", '{"equil_ns": NaN, ', 1))
+    with pytest.raises(ParseError, match="NaN is not a finite number"):
+        wl.load_workload(path)
