@@ -57,7 +57,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import catalog as cat
 from .. import perfmodel
-from ..errors import MissingRecordError, SimulationError, ValidationError
+from ..errors import SimulationError, ValidationError
 from ..workload import JobProgress, JobSpec, PhasePlan
 from .preemption import PreemptionModel
 from .routing import Router, RoutingPolicy
@@ -320,7 +320,8 @@ class Engine:
         self._next_sample = math.inf if config.metrics_interval_s <= 0 else 0.0
         self._last_completion = 0.0
         self._region_next_slot: Dict[str, float] = {}
-        self._rate_cache: Dict[Tuple[str, str, str], float] = {}
+        self._best_configs: Dict[str, Dict[Tuple[str, str], perfmodel.BenchmarkRecord]] = {}
+        self._rates: Dict[Tuple[str, str], Tuple[float, float]] = {}  # (equilibration, transition)
         self._work_tables: Dict[Tuple[PhasePlan, str, float, str], Tuple[WorkEntry, ...]] = {}
 
         for region in config.routing.weights:
@@ -379,22 +380,15 @@ class Engine:
         return self._pool[key]
 
     def _rate_ns_per_day(self, system: str, type_name: str, phase: str) -> float:
-        key = (system, type_name, phase)
-        if key not in self._rate_cache:
-            equil = perfmodel.best_config(
-                self.records, system, type_name, phase=perfmodel.PHASE_EQUILIBRATION
-            ).ns_per_day
-            if phase == perfmodel.PHASE_TRANSITION:
-                try:
-                    rate = perfmodel.best_config(
-                        self.records, system, type_name, phase=perfmodel.PHASE_TRANSITION
-                    ).ns_per_day
-                except MissingRecordError:
-                    rate = equil * self.config.transition_slowdown
-            else:
-                rate = equil
-            self._rate_cache[key] = rate
-        return self._rate_cache[key]
+        rates = self._rates.get((system, type_name))
+        if rates is None:
+            best = self._best_configs.get(system)
+            if best is None:
+                best = self._best_configs[system] = perfmodel.best_configs(self.records, system)
+            rates = self._rates[(system, type_name)] = perfmodel.phase_rates(
+                best, system, type_name, self.config.transition_slowdown
+            )
+        return rates[1] if phase == perfmodel.PHASE_TRANSITION else rates[0]
 
     def _item_duration(self, spec: JobSpec, item: WorkItem, type_name: str) -> float:
         plan = spec.phase_plan

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -47,11 +48,31 @@ class Scenario:
     pool_overrides: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
+def _number(path: Path, key: str, value, whole: bool = False):
+    """``value`` as a float, or as an int when ``whole``; anything else names ``key`` in a ValidationError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if whole:
+            if isinstance(value, int) or value.is_integer():
+                return int(value)
+        elif abs(value) <= sys.float_info.max:  # a JSON integer literal may exceed every float
+            return float(value)
+    kind = "a whole number" if whole else "a number"
+    raise ValidationError(f"{path}: {key} must be {kind}, got {value!r}")
+
+
 def _positive(path: Path, key: str, value) -> float:
-    value = float(value)
+    value = _number(path, key, value)
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{path}: {key} must be a finite number > 0, got {value!r}")
     return value
+
+
+def _pool_count(path: Path, region: str, family: str, value) -> int:
+    key = f"pool_overrides.{region}.{family}"
+    count = _number(path, key, value, whole=True)
+    if count < 0:
+        raise ValidationError(f"{path}: {key} must be >= 0, got {value!r}")
+    return count
 
 
 def load_scenario(path) -> Scenario:
@@ -65,7 +86,7 @@ def load_scenario(path) -> Scenario:
     if "weights" not in routing_raw:
         raise ParseError(f"{path}: routing is missing the 'weights' key")
     routing = RoutingPolicy(
-        weights={str(k): float(v) for k, v in routing_raw["weights"].items()},
+        weights={str(k): _number(path, f"routing.weights.{k}", v) for k, v in routing_raw["weights"].items()},
         mode=routing_raw.get("mode", "weighted_random"),
     )
     waves = []
@@ -73,7 +94,7 @@ def load_scenario(path) -> Scenario:
         for key in ("time_s", "kinds"):
             if key not in wave:
                 raise ParseError(f"{path}: wave {i} is missing the {key!r} key")
-        waves.append((float(wave["time_s"]), tuple(wave["kinds"])))
+        waves.append((_number(path, f"waves[{i}].time_s", wave["time_s"]), tuple(wave["kinds"])))
     grace = data.get("grace_period_s", 120.0)
     per_minute = data.get("acquisitions_per_region_minute")
     return Scenario(
@@ -83,21 +104,25 @@ def load_scenario(path) -> Scenario:
         routing=routing,
         allowed_types={k: list(v) for k, v in data["allowed_types"].items()},
         payment=data.get("payment", cat.SPOT),
-        hazards={str(k): float(v) for k, v in data.get("preemption_hazards", {}).items()},
-        grace_period_s=None if grace is None else float(grace),
-        seed=int(data.get("seed", 0)),
-        metrics_interval_s=float(data.get("metrics_interval_s", 60.0)),
+        hazards={
+            str(k): _number(path, f"preemption_hazards.{k}", v)
+            for k, v in data.get("preemption_hazards", {}).items()
+        },
+        grace_period_s=None if grace is None else _number(path, "grace_period_s", grace),
+        seed=_number(path, "seed", data.get("seed", 0), whole=True),
+        metrics_interval_s=_number(path, "metrics_interval_s", data.get("metrics_interval_s", 60.0)),
         transition_slowdown=_positive(path, "transition_slowdown", data.get("transition_slowdown", 1.0)),
-        acquisition_latency_s=float(data.get("acquisition_latency_s", 0.0)),
+        acquisition_latency_s=_number(path, "acquisition_latency_s", data.get("acquisition_latency_s", 0.0)),
         acquisitions_per_region_minute=(
             None if per_minute is None else _positive(path, "acquisitions_per_region_minute", per_minute)
         ),
         scripted_preemptions={
-            str(p["instance_id"]): float(p["time_s"]) for p in data.get("scripted_preemptions", [])
+            str(p["instance_id"]): _number(path, f"scripted_preemptions[{i}].time_s", p["time_s"])
+            for i, p in enumerate(data.get("scripted_preemptions", []))
         },
         waves=waves,
         pool_overrides={
-            str(r): {str(f): int(c) for f, c in fams.items()}
+            str(r): {str(f): _pool_count(path, r, f, c) for f, c in fams.items()}
             for r, fams in data.get("pool_overrides", {}).items()
         },
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import catalog as cat
 from .errors import MissingRecordError, ParseError, ValidationError
@@ -162,6 +162,15 @@ def speedup(series: ScalingSeries, n: int) -> float:
     return series.performance_at(n) / series.points[0][1]
 
 
+def _config_key(r: BenchmarkRecord):
+    """Fastest first; ties toward fewer ranks, then fewer PME ranks."""
+    return (-r.ns_per_day, r.ranks, r.pme_ranks)
+
+
+def _missing(system: str, instance: str, phase: Optional[str]) -> MissingRecordError:
+    return MissingRecordError(f"no benchmark record for ({system}, {instance}, phase={phase})")
+
+
 def best_config(
     records: Iterable[BenchmarkRecord],
     system: str,
@@ -179,8 +188,51 @@ def best_config(
         if r.system == system and r.instance == instance and (phase is None or r.phase == phase)
     ]
     if not candidates:
-        raise MissingRecordError(f"no benchmark record for ({system}, {instance}, phase={phase})")
-    return min(candidates, key=lambda r: (-r.ns_per_day, r.ranks, r.pme_ranks))
+        raise _missing(system, instance, phase)
+    return min(candidates, key=_config_key)
+
+
+def best_configs(records: Iterable[BenchmarkRecord], system: str) -> Dict[Tuple[str, str], BenchmarkRecord]:
+    """``best_config`` of ``system`` for every measured (instance, phase), in one pass.
+
+    On a full tie the first record in input order wins, as with ``min``.
+    """
+    best: Dict[Tuple[str, str], BenchmarkRecord] = {}
+    for r in records:
+        if r.system != system:
+            continue
+        key = (r.instance, r.phase)
+        current = best.get(key)
+        if current is None or _config_key(r) < _config_key(current):
+            best[key] = r
+    return best
+
+
+def phase_rates(
+    best: Dict[Tuple[str, str], BenchmarkRecord],
+    system: str,
+    instance: str,
+    transition_slowdown: float,
+) -> Tuple[float, float]:
+    """(equilibration, transition) ns/day of ``system`` on ``instance``, from ``best_configs``.
+
+    The transition rate is the measured transition record when one exists;
+    otherwise the equilibration rate scaled by ``transition_slowdown``.
+    """
+    equil = best.get((instance, PHASE_EQUILIBRATION))
+    if equil is None:
+        raise _missing(system, instance, PHASE_EQUILIBRATION)
+    trans = best.get((instance, PHASE_TRANSITION))
+    equil_rate = equil.ns_per_day
+    return equil_rate, (equil_rate * transition_slowdown if trans is None else trans.ns_per_day)
+
+
+def _runtime_hours(equil_ns: float, transition_ns: float, rates: Tuple[float, float]) -> float:
+    equil_rate, trans_rate = rates
+    hours = equil_ns / equil_rate * HOURS_PER_DAY
+    if transition_ns > 0:
+        hours += transition_ns / trans_rate * HOURS_PER_DAY
+    return hours
 
 
 def pareto_frontier(points: Iterable[PerfPoint]) -> List[PerfPoint]:
@@ -226,17 +278,8 @@ def predict_runtime_hours(
     record when one exists; otherwise the equilibration rate scaled by
     ``transition_slowdown`` is used.
     """
-    records = list(records)
-    equil = best_config(records, system, instance, phase=PHASE_EQUILIBRATION)
-    equil_rate = equil.ns_per_day
-    hours = equil_ns / equil_rate * HOURS_PER_DAY
-    if transition_ns > 0:
-        try:
-            trans_rate = best_config(records, system, instance, phase=PHASE_TRANSITION).ns_per_day
-        except MissingRecordError:
-            trans_rate = equil_rate * transition_slowdown
-        hours += transition_ns / trans_rate * HOURS_PER_DAY
-    return hours
+    rates = phase_rates(best_configs(records, system), system, instance, transition_slowdown)
+    return _runtime_hours(equil_ns, transition_ns, rates)
 
 
 def predict_job_runtime(job, instance: str, records, transition_slowdown: float = 1.0) -> float:
@@ -268,19 +311,18 @@ def recommend(
     """
     if objective not in ("min_cost", "min_time"):
         raise ValueError(f"unknown objective {objective!r}")
-    records = list(records)
     if region is None:
         region = next(iter(catalog.regions))
+    best = best_configs(records, system)
     out = []
     for name in catalog.instances:
         if not catalog.has_price(name, region):
             continue
-        try:
-            config = best_config(records, system, name, phase=PHASE_EQUILIBRATION)
-        except MissingRecordError:
+        config = best.get((name, PHASE_EQUILIBRATION))
+        if config is None:
             continue
-        runtime = predict_runtime_hours(
-            system, equil_ns, transition_ns, name, records, transition_slowdown
+        runtime = _runtime_hours(
+            equil_ns, transition_ns, phase_rates(best, system, name, transition_slowdown)
         )
         if max_runtime_h is not None and runtime > max_runtime_h:
             continue

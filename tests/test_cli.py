@@ -7,6 +7,7 @@ import pytest
 
 import spotbatch
 from spotbatch import cli
+from spotbatch.orchestrator import scenario as scen
 
 CATALOG = str(spotbatch.data_path("catalog_aws.json"))
 WORKLOAD1 = str(spotbatch.data_path("workload_study1.json"))
@@ -323,22 +324,38 @@ def test_simulate_first_fit_outputs_are_golden(tmp_path, seed):
 
 
 @pytest.mark.parametrize(
-    "override",
+    "override, named",
     [
-        {"routing": {"mode": "weighted_random"}},
-        {"waves": [{"time_s": 0}]},
-        {"transition_slowdown": 0},
-        {"transition_slowdown": -1},
-        {"acquisitions_per_region_minute": -2},
-        {"grace_period_s": float("nan")},
-        {"grace_period_s": float("inf")},
+        pytest.param({"routing": {"mode": "weighted_random"}}, "'weights'", id="routing-without-weights"),
+        pytest.param({"waves": [{"time_s": 0}]}, "'kinds'", id="wave-without-kinds"),
+        pytest.param({"transition_slowdown": 0}, "transition_slowdown", id="zero-slowdown"),
+        pytest.param({"transition_slowdown": -1}, "transition_slowdown", id="negative-slowdown"),
+        pytest.param({"acquisitions_per_region_minute": -2}, "acquisitions_per_region_minute",
+                     id="negative-acquisition-rate"),
+        pytest.param({"grace_period_s": float("nan")}, "NaN", id="nan-grace-period"),
+        pytest.param({"grace_period_s": float("inf")}, "Infinity", id="infinite-grace-period"),
+        pytest.param({"grace_period_s": "abc"}, "grace_period_s", id="string-grace-period"),
+        pytest.param({"metrics_interval_s": "x"}, "metrics_interval_s", id="string-metrics-interval"),
+        pytest.param({"routing": {"weights": {"us-east-1": "a"}}}, "routing.weights.us-east-1",
+                     id="string-routing-weight"),
+        pytest.param({"acquisition_latency_s": True}, "acquisition_latency_s", id="boolean-latency"),
+        pytest.param({"seed": 1.5}, "seed must be a whole number", id="fractional-seed"),
+        pytest.param({"pool_overrides": {"us-east-1": {"c5": 2.5}}}, "pool_overrides.us-east-1.c5",
+                     id="fractional-pool-override"),
+        pytest.param({"pool_overrides": {"us-east-1": {"c5": -3}}}, "pool_overrides.us-east-1.c5",
+                     id="negative-pool-override"),
     ],
-    ids=["routing-without-weights", "wave-without-kinds", "zero-slowdown", "negative-slowdown",
-         "negative-acquisition-rate", "nan-grace-period", "infinite-grace-period"],
 )
-def test_simulate_rejects_bad_scenario_at_load(tmp_path, capsys, override):
+def test_simulate_rejects_bad_scenario_at_load(tmp_path, capsys, override, named):
     scenario = toy_variant(tmp_path, **override)
     assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert named in err
     assert not (tmp_path / "out").exists()
+
+
+def test_scenario_accepts_zero_pool_override_and_whole_float_seed(tmp_path):
+    scenario = scen.load_scenario(toy_variant(tmp_path, seed=7.0, pool_overrides={"us-east-1": {"c5": 0}}))
+    assert scenario.seed == 7 and isinstance(scenario.seed, int)
+    assert scenario.pool_overrides == {"us-east-1": {"c5": 0}}

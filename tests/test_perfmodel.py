@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spotbatch
 from spotbatch import catalog as cat
 from spotbatch import perfmodel as pm
 from spotbatch.errors import MissingRecordError, ParseError, ValidationError
@@ -112,6 +115,56 @@ def test_best_config_tie_breaks_on_fewer_ranks():
 def test_best_config_no_match():
     with pytest.raises(MissingRecordError):
         pm.best_config([], "s", "i")
+
+
+BENCH_FILES = ("bench_fe_cpu.csv", "bench_fe_gpu.csv", "bench_plain_cpu.csv", "bench_plain_gpu.csv")
+
+
+def test_best_configs_agrees_with_best_config():
+    records = pm.load_many_benchmarks([spotbatch.data_path(f) for f in BENCH_FILES])
+    instances = sorted({r.instance for r in records})
+    for system in sorted({r.system for r in records}):
+        best = pm.best_configs(records, system)
+        assert all(key[1] in pm.PHASES for key in best)
+        for instance in instances:
+            for phase in pm.PHASES:
+                if (instance, phase) in best:
+                    assert best[(instance, phase)] is pm.best_config(records, system, instance, phase)
+                else:
+                    with pytest.raises(MissingRecordError):
+                        pm.best_config(records, system, instance, phase)
+
+
+def test_best_configs_full_tie_keeps_first_record():
+    first = pm.BenchmarkRecord("s", "i", 48, 2, 8, "equilibration", 10.0)
+    second = pm.BenchmarkRecord("s", "i", 48, 2, 8, "equilibration", 10.0)
+    slower = pm.BenchmarkRecord("s", "i", 1, 8, 0, "equilibration", 9.0)
+    records = [slower, first, second]
+    assert pm.best_configs(records, "s")[("i", "equilibration")] is first
+    assert pm.best_config(records, "s", "i", "equilibration") is first
+
+
+def test_phase_rates_fallback_and_missing_equilibration():
+    equil = pm.BenchmarkRecord("s", "i", 1, 8, 0, "equilibration", 48.0)
+    trans = pm.BenchmarkRecord("s", "i", 1, 8, 0, "transition", 20.0)
+    assert pm.phase_rates(pm.best_configs([equil], "s"), "s", "i", 0.5) == (48.0, 24.0)
+    assert pm.phase_rates(pm.best_configs([equil, trans], "s"), "s", "i", 0.5) == (48.0, 20.0)
+    with pytest.raises(MissingRecordError) as raised:
+        pm.phase_rates(pm.best_configs([trans], "s"), "s", "i", 0.5)
+    with pytest.raises(MissingRecordError) as expected:
+        pm.best_config([trans], "s", "i", pm.PHASE_EQUILIBRATION)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_recommend_and_predict_accept_one_pass_iterators(fe_records, aws_catalog):
+    kwargs = dict(max_runtime_h=20.0, payment=cat.SPOT, region="eu-west-1")
+    assert pm.recommend(iter(fe_records), aws_catalog, "cmet_complex", **kwargs) == pm.recommend(
+        fe_records, aws_catalog, "cmet_complex", **kwargs
+    )
+    for instance in ("g4dn.4xl", "g4dn.xl"):
+        assert pm.predict_runtime_hours(
+            "cmet_complex", 6.0, 4.0, instance, iter(fe_records), 0.7
+        ) == pm.predict_runtime_hours("cmet_complex", 6.0, 4.0, instance, fe_records, 0.7)
 
 
 # -- pareto frontier ---------------------------------------------------------
@@ -262,6 +315,40 @@ def test_recommend_min_time_sorted_by_runtime(fe_records, aws_catalog):
     ranked = pm.recommend(fe_records, aws_catalog, "cmet_complex", objective="min_time")
     runtimes = [r.runtime_h for r in ranked]
     assert runtimes == sorted(runtimes)
+
+
+def render_recommend_grid(records, catalog):
+    """Every FE system x region x payment x deadline x objective, one line per query."""
+    lines = []
+    for system in sorted({r.system for r in records}):
+        for region in catalog.regions:
+            for payment in (cat.SPOT, cat.ON_DEMAND, cat.RESERVED_UPFRONT):
+                for deadline in (4.0, 20.0):
+                    for objective in ("min_cost", "min_time"):
+                        try:
+                            ranked = pm.recommend(
+                                records, catalog, system, max_runtime_h=deadline,
+                                objective=objective, payment=payment, region=region,
+                            )
+                            body = " ".join(
+                                f"{r.instance}/{r.ranks}x{r.threads}/{r.runtime_h!r}/{r.cost!r}" for r in ranked
+                            )
+                        except MissingRecordError as exc:
+                            body = f"MissingRecordError: {exc}"
+                        lines.append(f"{system} {region} {payment} {deadline!r} {objective} -> {body}\n")
+    return "".join(lines)
+
+
+# SHA-256 of render_recommend_grid over the bundled FE tables and catalog.
+# It pins every ranked answer, and the reserved-rate MissingRecordError
+# raised where a priced instance has no reserved quote.
+RECOMMEND_GRID_DIGEST = "c89afd207462cc74e3b1d7a654f1fddfecdf2c2199a933579ede38931f7d5ee8"
+
+
+def test_recommend_grid_is_golden(fe_records, aws_catalog):
+    rendered = render_recommend_grid(fe_records, aws_catalog)
+    assert "MissingRecordError: " in rendered
+    assert hashlib.sha256(rendered.encode()).hexdigest() == RECOMMEND_GRID_DIGEST
 
 
 # -- CSV ingestion -----------------------------------------------------------
