@@ -182,7 +182,7 @@ def validate_catalog_dict(data: dict) -> list:
             if spec.name in instance_names:
                 problems.append(f"instances[{i}]: duplicate instance name {spec.name!r}")
             instance_names.add(spec.name)
-        except (ValidationError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"instances[{i}]: {exc}")
 
     region_names = set()
@@ -196,7 +196,7 @@ def validate_catalog_dict(data: dict) -> list:
             if spec.name in region_names:
                 problems.append(f"regions[{i}]: duplicate region name {spec.name!r}")
             region_names.add(spec.name)
-        except (ValidationError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"regions[{i}]: {exc}")
     if not region_names:
         problems.append("catalog must declare at least one region")
@@ -215,7 +215,7 @@ def validate_catalog_dict(data: dict) -> list:
                     else None
                 ),
             )
-        except (ValidationError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"prices[{i}]: {exc}")
             continue
         where = f"prices[{i}] ({entry.instance}, {entry.region})"

@@ -195,13 +195,12 @@ def cmd_cost(args) -> int:
             "cloud_per_microsecond", {"instance_hours": value}, currency=args.currency
         )
     elif args.cost_command == "fe":
-        runs = args.replicas * args.directions
+        runs = (args.replicas, args.directions)
+        complex_runs = costmodel.cost_per_fe(args.complex_runtime_h, args.complex_rate, 0.0, 0.0, *runs)
+        ligand_runs = costmodel.cost_per_fe(0.0, 0.0, args.ligand_runtime_h, args.ligand_rate, *runs)
         entry = costmodel.make_entry(
             "cost_per_fe_difference",
-            {
-                "complex_runs": runs * args.complex_runtime_h * args.complex_rate,
-                "ligand_runs": runs * args.ligand_runtime_h * args.ligand_rate,
-            },
+            {"complex_runs": complex_runs, "ligand_runs": ligand_runs},
             currency=args.currency,
         )
     else:

@@ -82,13 +82,21 @@ def round_currency(amount: float) -> float:
 def node_overhead_per_year(overheads: OverheadSpec, rack_u: int = 1) -> float:
     """Yearly operating overhead of one node occupying ``rack_u`` rack units."""
     if rack_u < 1:
-        raise ValueError("rack_u must be >= 1")
+        raise ValidationError("rack_u must be >= 1")
     return (
         overheads.rack_per_u_year * rack_u
         + overheads.staff_per_node_year
         + overheads.room_per_node_year
         + overheads.mgmt_per_node_year
     )
+
+
+def _overhead_per_microsecond(node: OnPremNodeSpec, overheads: OverheadSpec, utilization: float) -> float:
+    """Operating overhead per microsecond of trajectory, before dividing by ``utilization``."""
+    if not 0 < utilization <= 1:
+        raise ValidationError("utilization must be in (0, 1]")
+    days_per_us = NS_PER_MICROSECOND / node.ns_per_day
+    return days_per_us / DAYS_PER_YEAR * node_overhead_per_year(overheads, node.rack_u)
 
 
 def onprem_cost_per_microsecond(
@@ -104,13 +112,7 @@ def onprem_cost_per_microsecond(
     produce a microsecond.  A utilization below 1 inflates both parts,
     since idle time is paid for either way.
     """
-    if node.ns_per_day <= 0:
-        raise ValueError("node throughput must be > 0")
-    if not 0 < utilization <= 1:
-        raise ValueError("utilization must be in (0, 1]")
-    days_per_us = NS_PER_MICROSECOND / node.ns_per_day
-    overhead_per_us = days_per_us / DAYS_PER_YEAR * node_overhead_per_year(overheads, node.rack_u)
-    return (base_cost_per_us + overhead_per_us) / utilization
+    return (base_cost_per_us + _overhead_per_microsecond(node, overheads, utilization)) / utilization
 
 
 def make_entry(label: str, basis: Dict[str, float], currency: str = "USD") -> CostReportEntry:
@@ -129,8 +131,7 @@ def onprem_cost_entry(
     currency: str = "EUR",
 ) -> CostReportEntry:
     """Same as onprem_cost_per_microsecond, with the breakdown attached."""
-    days_per_us = NS_PER_MICROSECOND / node.ns_per_day
-    overhead = days_per_us / DAYS_PER_YEAR * node_overhead_per_year(overheads, node.rack_u)
+    overhead = _overhead_per_microsecond(node, overheads, utilization)
     return make_entry(
         "onprem_per_microsecond",
         {
@@ -144,9 +145,9 @@ def onprem_cost_entry(
 def cloud_cost_per_microsecond(rate_per_hour: float, ns_per_day: float) -> float:
     """Cost of one microsecond of trajectory on an instance billed hourly."""
     if rate_per_hour <= 0:
-        raise ValueError("rate_per_hour must be > 0")
+        raise ValidationError("rate_per_hour must be > 0")
     if ns_per_day <= 0:
-        raise ValueError("ns_per_day must be > 0")
+        raise ValidationError("ns_per_day must be > 0")
     return NS_PER_MICROSECOND / ns_per_day * 24.0 * rate_per_hour
 
 
@@ -164,7 +165,7 @@ def cost_per_fe(
     protein-ligand complex plus the same number of ligand-in-water runs.
     """
     if replicas < 1 or directions < 1:
-        raise ValueError("replicas and directions must be >= 1")
+        raise ValidationError("replicas and directions must be >= 1")
     per_run = complex_runtime_h * complex_rate + ligand_runtime_h * ligand_rate
     return replicas * directions * per_run
 
@@ -176,5 +177,5 @@ def to_report_currency(amount_usd: float, currency_per_dollar: float) -> float:
     unit (1.20 dollars per euro by default), so conversion divides.
     """
     if currency_per_dollar <= 0:
-        raise ValueError("currency_per_dollar must be > 0")
+        raise ValidationError("currency_per_dollar must be > 0")
     return amount_usd / currency_per_dollar

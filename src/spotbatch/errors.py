@@ -9,7 +9,7 @@ class ParseError(SpotbatchError):
     """An input file is malformed (bad JSON, wrong CSV header, ...)."""
 
 
-class ValidationError(SpotbatchError):
+class ValidationError(SpotbatchError, ValueError):
     """A loaded object violates one of its declared invariants."""
 
 

@@ -207,9 +207,13 @@ class MetricsSample:
     gpus_in_use: int
 
 
-@dataclass
+def _invalid(key: str, rule: str, value) -> ValidationError:
+    return ValidationError(f"{key} must be {rule}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class EngineConfig:
-    """Everything that shapes one simulation besides catalog and jobs."""
+    """Everything that shapes one simulation besides catalog and jobs, checked once at construction."""
 
     routing: RoutingPolicy
     allowed_types: Dict[str, List[str]]
@@ -224,9 +228,21 @@ class EngineConfig:
     scripted_preemptions: Dict[str, float] = field(default_factory=dict)
     waves: List[Tuple[float, Tuple[str, ...]]] = field(default_factory=list)
     pool_overrides: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    n_fe_differences: Optional[int] = None
     record_events: bool = False
     strict_checks: bool = False
+
+    def __post_init__(self):
+        if self.payment not in cat.PAYMENT_MODELS:
+            raise _invalid("payment", f"one of {cat.PAYMENT_MODELS}", self.payment)
+        if not 0 < self.transition_slowdown < math.inf:
+            raise _invalid("transition_slowdown", "a finite number > 0", self.transition_slowdown)
+        per_minute = self.acquisitions_per_region_minute
+        if per_minute is not None and not 0 < per_minute < math.inf:
+            raise _invalid("acquisitions_per_region_minute", "null or a finite number > 0", per_minute)
+        for region, families in self.pool_overrides.items():
+            for family, count in families.items():
+                if not (isinstance(count, int) and count >= 0):
+                    raise _invalid(f"pool_overrides.{region}.{family}", "a whole number >= 0", count)
 
 
 @dataclass
@@ -585,7 +601,7 @@ class Engine:
         job = self.jobs[ev.job_id]
         job.submissions += 1
         self.n_submissions += 1
-        job.region = self.router.route(job.spec)
+        job.region = self.router.route()
         outcome = self._place(job, now)
         if outcome == "queued":
             self._enqueue(job)
@@ -815,9 +831,7 @@ class Engine:
     def summary(self) -> SummaryReport:
         n_done = sum(1 for j in self.jobs.values() if j.status == ST_DONE)
         n_failed = sum(1 for j in self.jobs.values() if j.status == ST_FAILED)
-        n_fe = self.config.n_fe_differences
-        if n_fe is None:
-            n_fe = len({j.spec.fe_label for j in self.jobs.values()})
+        n_fe = len({j.spec.fe_label for j in self.jobs.values()})
         cost_per_fe = self.ledger.total_cost / n_fe if n_fe else None
         return SummaryReport(
             seed=self.config.seed,

@@ -47,7 +47,7 @@ class Router:
         self._total = float(sum(self._weights))
         self._credits = [0.0] * len(self._regions)
 
-    def route(self, job=None) -> str:
+    def route(self) -> str:
         if self.policy.mode == WEIGHTED_RANDOM:
             x = self.rng.random() * self._total
             acc = 0.0
@@ -65,10 +65,3 @@ class Router:
                 best = i
         self._credits[best] -= self._total
         return self._regions[best]
-
-
-def route_job(job, policy: RoutingPolicy, router: Router) -> str:
-    """Route one job according to the policy, advancing the router state."""
-    if router.policy is not policy:
-        raise ValidationError("router was built for a different policy")
-    return router.route(job)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -22,33 +21,34 @@ from .. import catalog as cat
 from .. import perfmodel
 from ..errors import ParseError, ValidationError
 from ..jsonfile import read_json
-from ..workload import load_workload, n_fe_differences
+from ..workload import load_workload
 from .engine import Engine, EngineConfig, MetricsSample, SummaryReport
 from .preemption import PreemptionModel
-from .routing import RoutingPolicy
+from .routing import WEIGHTED_RANDOM, RoutingPolicy
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     catalog_path: Path
     workload_path: Path
     benchmark_paths: List[Path]
-    routing: RoutingPolicy
-    allowed_types: Dict[str, List[str]]
-    payment: str = cat.SPOT
-    hazards: Dict[str, float] = field(default_factory=dict)
-    grace_period_s: Optional[float] = 120.0
-    seed: int = 0
-    metrics_interval_s: float = 60.0
-    transition_slowdown: float = 1.0
-    acquisition_latency_s: float = 0.0
-    acquisitions_per_region_minute: Optional[float] = None
-    scripted_preemptions: Dict[str, float] = field(default_factory=dict)
-    waves: List[Tuple[float, Tuple[str, ...]]] = field(default_factory=list)
-    pool_overrides: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    config: EngineConfig
 
 
-def _number(path: Path, key: str, value, whole: bool = False):
+_SHAPES = {dict: "a JSON object", list: "a list", str: "a string"}
+
+
+def _shaped(value, kind: type, key: str, required: Tuple[str, ...] = ()):
+    """``value`` when it is a ``kind`` holding every ``required`` key; otherwise a ParseError naming ``key``."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{key} must be {_SHAPES[kind]}, got {value!r}")
+    for name in required:
+        if name not in value:
+            raise ParseError(f"{key} is missing the {name!r} key")
+    return value
+
+
+def _number(key: str, value, whole: bool = False):
     """``value`` as a float, or as an int when ``whole``; anything else names ``key`` in a ValidationError."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if whole:
@@ -57,75 +57,86 @@ def _number(path: Path, key: str, value, whole: bool = False):
         elif abs(value) <= sys.float_info.max:  # a JSON integer literal may exceed every float
             return float(value)
     kind = "a whole number" if whole else "a number"
-    raise ValidationError(f"{path}: {key} must be {kind}, got {value!r}")
+    raise ValidationError(f"{key} must be {kind}, got {value!r}")
 
 
-def _positive(path: Path, key: str, value) -> float:
-    value = _number(path, key, value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{path}: {key} must be a finite number > 0, got {value!r}")
-    return value
+def _numbers(value, key: str, whole: bool = False) -> Dict[str, float]:
+    return {k: _number(f"{key}.{k}", v, whole) for k, v in _shaped(value, dict, key).items()}
 
 
-def _pool_count(path: Path, region: str, family: str, value) -> int:
-    key = f"pool_overrides.{region}.{family}"
-    count = _number(path, key, value, whole=True)
-    if count < 0:
-        raise ValidationError(f"{path}: {key} must be >= 0, got {value!r}")
-    return count
+def _strings(value, key: str) -> List[str]:
+    return [_shaped(s, str, f"{key}[{i}]") for i, s in enumerate(_shaped(value, list, key))]
+
+
+def _file(base: Path, value, key: str) -> Path:
+    path = base / _shaped(value, str, key)
+    if not path.is_file():
+        raise ParseError(f"{key} names no file: {path}")
+    return path
+
+
+def _entries(data: dict, key: str, required: Tuple[str, ...]):
+    """``(key[i], entry)`` for each object listed under the optional ``key``."""
+    for i, entry in enumerate(_shaped(data.get(key, []), list, key)):
+        yield f"{key}[{i}]", _shaped(entry, dict, f"{key}[{i}]", required)
+
+
+# The numeric knobs a scenario may set; their defaults live in EngineConfig.  For the
+# nullable ones null is a setting: no idle termination, no acquisition rate limit.
+_NULLABLE_KNOBS = ("grace_period_s", "acquisitions_per_region_minute")
+_NUMBER_KNOBS = ("seed", "metrics_interval_s", "transition_slowdown", "acquisition_latency_s") + _NULLABLE_KNOBS
+
+
+def _scenario(data, base: Path) -> Scenario:
+    _shaped(data, dict, "scenario", ("catalog", "workload", "benchmarks", "routing", "allowed_types"))
+    routing = _shaped(data["routing"], dict, "routing", ("weights",))
+    knobs = {
+        key: None if value is None and key in _NULLABLE_KNOBS else _number(key, value, whole=key == "seed")
+        for key, value in data.items()
+        if key in _NUMBER_KNOBS
+    }
+    if "payment" in data:
+        knobs["payment"] = data["payment"]
+    config = EngineConfig(
+        routing=RoutingPolicy(
+            weights=_numbers(routing["weights"], "routing.weights"),
+            mode=routing.get("mode", WEIGHTED_RANDOM),
+        ),
+        allowed_types={
+            kind: _strings(names, f"allowed_types.{kind}")
+            for kind, names in _shaped(data["allowed_types"], dict, "allowed_types").items()
+        },
+        preemption=PreemptionModel(_numbers(data.get("preemption_hazards", {}), "preemption_hazards")),
+        scripted_preemptions={
+            _shaped(p["instance_id"], str, f"{where}.instance_id"): _number(f"{where}.time_s", p["time_s"])
+            for where, p in _entries(data, "scripted_preemptions", ("instance_id", "time_s"))
+        },
+        waves=[
+            (_number(f"{where}.time_s", wave["time_s"]), tuple(_strings(wave["kinds"], f"{where}.kinds")))
+            for where, wave in _entries(data, "waves", ("time_s", "kinds"))
+        ],
+        pool_overrides={
+            region: _numbers(families, f"pool_overrides.{region}", whole=True)
+            for region, families in _shaped(data.get("pool_overrides", {}), dict, "pool_overrides").items()
+        },
+        **knobs,
+    )
+    return Scenario(
+        catalog_path=_file(base, data["catalog"], "catalog"),
+        workload_path=_file(base, data["workload"], "workload"),
+        benchmark_paths=[_file(base, p, "benchmarks") for p in _strings(data["benchmarks"], "benchmarks")],
+        config=config,
+    )
 
 
 def load_scenario(path) -> Scenario:
+    """Read a scenario file; a bad input raises ParseError or ValidationError naming the file and the key."""
     path = Path(path)
     data = read_json(path)
-    base = path.parent
-    for key in ("catalog", "workload", "benchmarks", "routing", "allowed_types"):
-        if key not in data:
-            raise ParseError(f"{path}: scenario is missing the {key!r} key")
-    routing_raw = data["routing"]
-    if "weights" not in routing_raw:
-        raise ParseError(f"{path}: routing is missing the 'weights' key")
-    routing = RoutingPolicy(
-        weights={str(k): _number(path, f"routing.weights.{k}", v) for k, v in routing_raw["weights"].items()},
-        mode=routing_raw.get("mode", "weighted_random"),
-    )
-    waves = []
-    for i, wave in enumerate(data.get("waves", [])):
-        for key in ("time_s", "kinds"):
-            if key not in wave:
-                raise ParseError(f"{path}: wave {i} is missing the {key!r} key")
-        waves.append((_number(path, f"waves[{i}].time_s", wave["time_s"]), tuple(wave["kinds"])))
-    grace = data.get("grace_period_s", 120.0)
-    per_minute = data.get("acquisitions_per_region_minute")
-    return Scenario(
-        catalog_path=base / data["catalog"],
-        workload_path=base / data["workload"],
-        benchmark_paths=[base / p for p in data["benchmarks"]],
-        routing=routing,
-        allowed_types={k: list(v) for k, v in data["allowed_types"].items()},
-        payment=data.get("payment", cat.SPOT),
-        hazards={
-            str(k): _number(path, f"preemption_hazards.{k}", v)
-            for k, v in data.get("preemption_hazards", {}).items()
-        },
-        grace_period_s=None if grace is None else _number(path, "grace_period_s", grace),
-        seed=_number(path, "seed", data.get("seed", 0), whole=True),
-        metrics_interval_s=_number(path, "metrics_interval_s", data.get("metrics_interval_s", 60.0)),
-        transition_slowdown=_positive(path, "transition_slowdown", data.get("transition_slowdown", 1.0)),
-        acquisition_latency_s=_number(path, "acquisition_latency_s", data.get("acquisition_latency_s", 0.0)),
-        acquisitions_per_region_minute=(
-            None if per_minute is None else _positive(path, "acquisitions_per_region_minute", per_minute)
-        ),
-        scripted_preemptions={
-            str(p["instance_id"]): _number(path, f"scripted_preemptions[{i}].time_s", p["time_s"])
-            for i, p in enumerate(data.get("scripted_preemptions", []))
-        },
-        waves=waves,
-        pool_overrides={
-            str(r): {str(f): _pool_count(path, r, f, c) for f, c in fams.items()}
-            for r, fams in data.get("pool_overrides", {}).items()
-        },
-    )
+    try:
+        return _scenario(data, path.parent)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def build_engine(
@@ -136,24 +147,11 @@ def build_engine(
 ) -> Engine:
     """Wire catalog, workload, and benchmarks into a ready-to-run engine."""
     catalog = cat.load_catalog(scenario.catalog_path)
-    workload = load_workload(scenario.workload_path)
-    jobs = workload.expand()
+    jobs = load_workload(scenario.workload_path).expand()
     records = perfmodel.load_many_benchmarks(scenario.benchmark_paths)
-    config = EngineConfig(
-        routing=scenario.routing,
-        allowed_types=scenario.allowed_types,
-        payment=scenario.payment,
-        preemption=PreemptionModel(scenario.hazards),
-        grace_period_s=scenario.grace_period_s,
-        seed=scenario.seed if seed is None else seed,
-        metrics_interval_s=scenario.metrics_interval_s,
-        transition_slowdown=scenario.transition_slowdown,
-        acquisition_latency_s=scenario.acquisition_latency_s,
-        acquisitions_per_region_minute=scenario.acquisitions_per_region_minute,
-        scripted_preemptions=scenario.scripted_preemptions,
-        waves=scenario.waves,
-        pool_overrides=scenario.pool_overrides,
-        n_fe_differences=n_fe_differences(workload.spec),
+    config = replace(
+        scenario.config,
+        seed=scenario.config.seed if seed is None else seed,
         record_events=record_events,
         strict_checks=strict_checks,
     )

@@ -282,13 +282,6 @@ def predict_runtime_hours(
     return _runtime_hours(equil_ns, transition_ns, rates)
 
 
-def predict_job_runtime(job, instance: str, records, transition_slowdown: float = 1.0) -> float:
-    """Predict wall-clock hours for a job (anything exposing system/equil_ns/transition_ns)."""
-    return predict_runtime_hours(
-        job.system, job.equil_ns, job.transition_ns, instance, records, transition_slowdown
-    )
-
-
 def recommend(
     records: Iterable[BenchmarkRecord],
     catalog: cat.Catalog,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -194,6 +195,6 @@ def test_criterion_9_pareto_and_idle_overhead(plain_records, aws_catalog):
 
         toy = scen.load_scenario(spotbatch.data_path("scenarios/study2_toy.json"))
         _, finite_report = scen.run_scenario(toy, seed=42)
-        toy.grace_period_s = None
+        toy = replace(toy, config=replace(toy.config, grace_period_s=None))
         _, infinite_report = scen.run_scenario(toy, seed=42)
         assert infinite_report.total_cost > finite_report.total_cost

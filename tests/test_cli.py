@@ -164,6 +164,29 @@ def test_cost_fe(capsys):
     assert "11.21" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["fe", "--complex-runtime-h", "3.879", "--complex-rate", "0.3612",
+                      "--ligand-runtime-h", "4.582", "--ligand-rate", "0.102", "--replicas", replicas],
+                     id=f"fe-replicas-{replicas}")
+        for replicas in ("0", "-2")
+    ]
+    + [
+        pytest.param(["cloud", "--rate", "0", "--ns-per-day", "4.63"], id="cloud-zero-rate"),
+        pytest.param(["onprem", "--ns-per-day", "5.9", "--base-per-us", "500", "--utilization", "0"],
+                     id="onprem-zero-utilization"),
+        pytest.param(["onprem", "--ns-per-day", "5.9", "--base-per-us", "500", "--utilization", "2"],
+                     id="onprem-utilization-above-one"),
+    ],
+)
+def test_cost_rejects_bad_input(capsys, argv):
+    assert run_cli("cost", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cost_json_report(tmp_path, capsys):
     out = tmp_path / "fe.json"
     code = run_cli(
@@ -344,6 +367,21 @@ def test_simulate_first_fit_outputs_are_golden(tmp_path, seed):
                      id="fractional-pool-override"),
         pytest.param({"pool_overrides": {"us-east-1": {"c5": -3}}}, "pool_overrides.us-east-1.c5",
                      id="negative-pool-override"),
+        pytest.param({"routing": {"weights": [1, 2]}}, "routing.weights must be a JSON object",
+                     id="list-routing-weights"),
+        pytest.param({"preemption_hazards": [0.5]}, "preemption_hazards must be a JSON object",
+                     id="list-hazards"),
+        pytest.param({"pool_overrides": {"us-east-1": 3}}, "pool_overrides.us-east-1 must be a JSON object",
+                     id="number-pool-override-region"),
+        pytest.param({"scripted_preemptions": [{"time_s": 10}]},
+                     "scripted_preemptions[0] is missing the 'instance_id'",
+                     id="scripted-preemption-without-id"),
+        pytest.param({"allowed_types": {"complex": "g4dn.4xl", "ligand": ["c5.2xl"]}},
+                     "allowed_types.complex must be a list", id="string-allowed-types"),
+        pytest.param({"waves": [{"time_s": 0, "kinds": "ligand"}]}, "waves[0].kinds must be a list",
+                     id="string-wave-kinds"),
+        pytest.param({"payment": "bogus"}, "payment must be one of", id="unknown-payment"),
+        pytest.param({"catalog": "missing.json"}, "catalog names no file", id="missing-catalog-file"),
     ],
 )
 def test_simulate_rejects_bad_scenario_at_load(tmp_path, capsys, override, named):
@@ -357,5 +395,5 @@ def test_simulate_rejects_bad_scenario_at_load(tmp_path, capsys, override, named
 
 def test_scenario_accepts_zero_pool_override_and_whole_float_seed(tmp_path):
     scenario = scen.load_scenario(toy_variant(tmp_path, seed=7.0, pool_overrides={"us-east-1": {"c5": 0}}))
-    assert scenario.seed == 7 and isinstance(scenario.seed, int)
-    assert scenario.pool_overrides == {"us-east-1": {"c5": 0}}
+    assert scenario.config.seed == 7 and isinstance(scenario.config.seed, int)
+    assert scenario.config.pool_overrides == {"us-east-1": {"c5": 0}}

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
 from spotbatch import catalog as cat
 from spotbatch import perfmodel as pm
 from spotbatch import workload as wl
-from spotbatch.errors import SimulationError
+from spotbatch.errors import SimulationError, ValidationError
 from spotbatch.orchestrator.engine import (
     Engine,
     EngineConfig,
@@ -419,11 +420,28 @@ def test_waves_stagger_submission_by_kind():
     assert submits["l1"] == 500.0
 
 
-def test_negative_work_duration_rejected():
-    # With no transition record, a transition runs at the equilibration rate
-    # times the slowdown; a negative slowdown gives a negative duration,
-    # which would complete the item before it started.
-    config = micro_config(transition_slowdown=-1.0)
-    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+def test_negative_work_duration_rejected(monkeypatch):
+    # A negative duration would complete a work item before it started.
+    # EngineConfig rejects the slowdown that used to produce one, so the
+    # duration is forced here to reach the guard on work items.
+    monkeypatch.setattr(Engine, "_item_duration", lambda self, spec, item, type_name: -1.0)
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
     with pytest.raises(SimulationError, match="clock is already at"):
         engine.run()
+
+
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        pytest.param({"transition_slowdown": 0}, "transition_slowdown", id="zero-slowdown"),
+        pytest.param({"transition_slowdown": -1}, "transition_slowdown", id="negative-slowdown"),
+        pytest.param({"acquisitions_per_region_minute": 0}, "acquisitions_per_region_minute", id="zero-rate"),
+        pytest.param({"pool_overrides": {"r1": {"t1": -1}}}, "pool_overrides.r1.t1", id="negative-pool"),
+        pytest.param({"pool_overrides": {"r1": {"t1": 1.5}}}, "pool_overrides.r1.t1", id="fractional-pool"),
+        pytest.param({"payment": "bogus"}, "payment", id="unknown-payment"),
+        pytest.param({"transition_slowdown": math.nan}, "transition_slowdown", id="nan-slowdown"),
+    ],
+)
+def test_engine_config_rejects_bad_values_at_construction(override, named):
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        micro_config(**override)

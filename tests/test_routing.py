@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from spotbatch.errors import ValidationError
-from spotbatch.orchestrator.routing import Router, RoutingPolicy, route_job
+from spotbatch.orchestrator.routing import Router, RoutingPolicy
 
 STUDY_WEIGHTS = {
     "us-east-1": 6,
@@ -72,11 +72,3 @@ def test_weighted_random_seed_reproducible():
     a = Router(RoutingPolicy(STUDY_WEIGHTS), random.Random(7))
     b = Router(RoutingPolicy(STUDY_WEIGHTS), random.Random(7))
     assert [a.route() for _ in range(500)] == [b.route() for _ in range(500)]
-
-
-def test_route_job_function_checks_policy_identity():
-    policy = RoutingPolicy({"a": 1.0})
-    router = Router(policy, random.Random(0))
-    assert route_job(None, policy, router) == "a"
-    with pytest.raises(ValidationError):
-        route_job(None, RoutingPolicy({"a": 1.0}), router)
