@@ -12,9 +12,7 @@ Catalogs are immutable after load and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Optional
 
 from .errors import MissingRecordError, ParseError, ValidationError
@@ -304,41 +302,3 @@ def build_catalog(data: dict) -> Catalog:
 def load_catalog(path) -> Catalog:
     """Load and validate a catalog JSON file."""
     return build_catalog(read_json(path))
-
-
-def catalog_to_dict(catalog: Catalog) -> dict:
-    """Serialize a Catalog back to the document layout accepted by load_catalog."""
-    return {
-        "instances": [
-            {
-                "name": i.name,
-                "vcpus": i.vcpus,
-                "gpus": i.gpus,
-                "gpu_model": i.gpu_model,
-                "clock_ghz": i.clock_ghz,
-                "network_gbps": i.network_gbps,
-                "efa": i.efa,
-                "family": i.family,
-            }
-            for i in catalog.instances.values()
-        ],
-        "regions": [
-            {"name": r.name, "spot_pool": dict(r.spot_pool), "weight": r.weight}
-            for r in catalog.regions.values()
-        ],
-        "prices": [
-            {
-                "instance": p.instance,
-                "region": p.region,
-                "on_demand_per_hour": p.on_demand_per_hour,
-                "spot_fraction": p.spot_fraction,
-                "reserved_upfront_per_hour": p.reserved_upfront_per_hour,
-            }
-            for p in catalog.prices.values()
-        ],
-        "currency_per_dollar": catalog.currency_per_dollar,
-    }
-
-
-def save_catalog(catalog: Catalog, path) -> None:
-    Path(path).write_text(json.dumps(catalog_to_dict(catalog), indent=2) + "\n")

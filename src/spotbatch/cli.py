@@ -4,12 +4,14 @@ Subcommands: validate, bench, recommend, cost, simulate, report.
 Exit codes: 0 on success, 1 on validation/infeasibility errors, 2 on
 usage errors (bad flags, missing files).  Output tables always use ``.``
 as the decimal point regardless of locale, and output files are fully
-overwritten, never appended.
+overwritten, never appended.  ``simulate`` writes its event log while the
+run goes and puts it in place only when the run succeeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -214,13 +216,16 @@ def cmd_simulate(args) -> int:
     if code:
         return code
     scenario = scen.load_scenario(args.scenario)
-    engine, report = scen.run_scenario(scenario, seed=args.seed, record_events=args.event_log)
+    engine = scen.build_engine(scenario, seed=args.seed)
     out = Path(args.out)
+    with contextlib.ExitStack() as stack:
+        if args.event_log:
+            out.mkdir(parents=True, exist_ok=True)
+            engine.recorder = stack.enter_context(scen.write_event_log(out / "events.log"))
+        report = engine.run()
     out.mkdir(parents=True, exist_ok=True)
     scen.write_metrics_csv(engine.samples, out / "metrics.csv")
     scen.write_summary_json(report, out / "summary.json")
-    if args.event_log:
-        scen.write_event_log(engine.event_log, out / "events.log")
     print(f"seed: {report.seed}")
     print(f"makespan_s: {report.makespan_s:g}")
     print(f"total_cost: {report.total_cost:.2f}")

@@ -8,7 +8,8 @@ a given hourly rate, and the cost of a complete free-energy difference
 
 All functions are linear in their rate arguments and inversely linear in
 performance arguments; nothing here rounds internally.  Use
-``round_currency`` only when rendering report values.
+``round_currency`` only when rendering report values.  Every rate, runtime,
+throughput, cost and utilization must be a finite number in its range.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Dict
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_number
 
 DAYS_PER_YEAR = 365.0
 NS_PER_MICROSECOND = 1000.0
@@ -35,8 +36,7 @@ class OnPremNodeSpec:
 
     def __post_init__(self):
         for name in ("hardware_cost", "lifetime_years", "energy_cost_per_year", "ns_per_day"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"on-prem node: {name} must be > 0")
+            finite_number(name, getattr(self, name), 0, low_open=True)
         if self.rack_u < 1:
             raise ValidationError("on-prem node: rack_u must be >= 1")
 
@@ -52,8 +52,7 @@ class OverheadSpec:
 
     def __post_init__(self):
         for name in ("rack_per_u_year", "staff_per_node_year", "room_per_node_year", "mgmt_per_node_year"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"overheads: {name} must be >= 0")
+            finite_number(name, getattr(self, name), 0)
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,15 @@ def node_overhead_per_year(overheads: OverheadSpec, rack_u: int = 1) -> float:
     )
 
 
-def _overhead_per_microsecond(node: OnPremNodeSpec, overheads: OverheadSpec, utilization: float) -> float:
-    """Operating overhead per microsecond of trajectory, before dividing by ``utilization``."""
-    if not 0 < utilization <= 1:
-        raise ValidationError("utilization must be in (0, 1]")
+def _overhead_per_microsecond(
+    node: OnPremNodeSpec, overheads: OverheadSpec, base_cost_per_us: float, utilization: float
+) -> float:
+    """Operating overhead per microsecond of trajectory, before dividing by ``utilization``.
+
+    Also checks the base cost and the utilization, which both on-prem costs use.
+    """
+    finite_number("base_cost_per_us", base_cost_per_us, 0)
+    finite_number("utilization", utilization, 0, 1, low_open=True)
     days_per_us = NS_PER_MICROSECOND / node.ns_per_day
     return days_per_us / DAYS_PER_YEAR * node_overhead_per_year(overheads, node.rack_u)
 
@@ -112,7 +116,8 @@ def onprem_cost_per_microsecond(
     produce a microsecond.  A utilization below 1 inflates both parts,
     since idle time is paid for either way.
     """
-    return (base_cost_per_us + _overhead_per_microsecond(node, overheads, utilization)) / utilization
+    overhead = _overhead_per_microsecond(node, overheads, base_cost_per_us, utilization)
+    return (base_cost_per_us + overhead) / utilization
 
 
 def make_entry(label: str, basis: Dict[str, float], currency: str = "USD") -> CostReportEntry:
@@ -131,7 +136,7 @@ def onprem_cost_entry(
     currency: str = "EUR",
 ) -> CostReportEntry:
     """Same as onprem_cost_per_microsecond, with the breakdown attached."""
-    overhead = _overhead_per_microsecond(node, overheads, utilization)
+    overhead = _overhead_per_microsecond(node, overheads, base_cost_per_us, utilization)
     return make_entry(
         "onprem_per_microsecond",
         {
@@ -144,10 +149,8 @@ def onprem_cost_entry(
 
 def cloud_cost_per_microsecond(rate_per_hour: float, ns_per_day: float) -> float:
     """Cost of one microsecond of trajectory on an instance billed hourly."""
-    if rate_per_hour <= 0:
-        raise ValidationError("rate_per_hour must be > 0")
-    if ns_per_day <= 0:
-        raise ValidationError("ns_per_day must be > 0")
+    finite_number("rate_per_hour", rate_per_hour, 0, low_open=True)
+    finite_number("ns_per_day", ns_per_day, 0, low_open=True)
     return NS_PER_MICROSECOND / ns_per_day * 24.0 * rate_per_hour
 
 
@@ -166,6 +169,10 @@ def cost_per_fe(
     """
     if replicas < 1 or directions < 1:
         raise ValidationError("replicas and directions must be >= 1")
+    finite_number("complex_runtime_h", complex_runtime_h, 0)
+    finite_number("complex_rate", complex_rate, 0)
+    finite_number("ligand_runtime_h", ligand_runtime_h, 0)
+    finite_number("ligand_rate", ligand_rate, 0)
     per_run = complex_runtime_h * complex_rate + ligand_runtime_h * ligand_rate
     return replicas * directions * per_run
 

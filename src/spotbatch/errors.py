@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for input numbers."""
+
+import math
 
 
 class SpotbatchError(Exception):
@@ -19,3 +21,29 @@ class MissingRecordError(SpotbatchError, LookupError):
 
 class SimulationError(SpotbatchError):
     """The simulation cannot proceed (time regression, deadlocked queue)."""
+
+
+def finite_number(key: str, value, low: float = -math.inf, high: float = math.inf, low_open: bool = False):
+    """``value`` when it is a finite number in [low, high], or (low, high] when ``low_open``.
+
+    Anything else (NaN, an infinity, a value out of range, a boolean or a
+    non-number) raises a ValidationError naming ``key``.
+    """
+    try:
+        ok = (
+            not isinstance(value, bool)
+            and math.isfinite(value)
+            and (low < value if low_open else low <= value)
+            and value <= high
+        )
+    except (TypeError, OverflowError):  # not a number, or an int beyond every float
+        ok = False
+    if not ok:
+        if high < math.inf:
+            rule = f" in {'(' if low_open else '['}{low:g}, {high:g}]"
+        elif low > -math.inf:
+            rule = f" {'>' if low_open else '>='} {low:g}"
+        else:
+            rule = ""
+        raise ValidationError(f"{key} must be a finite number{rule}, got {value!r}")
+    return value

@@ -12,5 +12,6 @@ from .engine import (  # noqa: F401
     work_items,
 )
 from .preemption import PreemptionModel  # noqa: F401
+from .recorder import MemoryRecorder, RunRecorder  # noqa: F401
 from .routing import Router, RoutingPolicy  # noqa: F401
 from .scenario import Scenario, load_scenario, run_scenario  # noqa: F401

@@ -32,6 +32,11 @@ fill, free up and terminate, so a placement never sorts.  Metrics samples
 read per-(region, type) usage counters that activation, boarding,
 completion and termination keep up to date.
 
+The engine keeps no row of its output: it hands each event row, instance
+bill and preemption waste row to its recorder (see ``recorder``) as the row
+happens.  Without a recorder it builds no rows at all; the ledger keeps only
+running totals, and metrics samples stay in ``samples``.
+
 Determinism: a single seeded RNG drives routing draws and preemption
 draws; events are processed in (time, seq) order with seq assigned at
 scheduling time, and scheduling an event before the clock is an error.
@@ -57,9 +62,10 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import catalog as cat
 from .. import perfmodel
-from ..errors import SimulationError, ValidationError
+from ..errors import SimulationError, ValidationError, finite_number
 from ..workload import JobProgress, JobSpec, PhasePlan
 from .preemption import PreemptionModel
+from .recorder import BillRow, RunRecorder
 from .routing import Router, RoutingPolicy
 
 EV_JOB_SUBMITTED = "job_submitted"
@@ -165,16 +171,8 @@ class InstanceState:
 
 
 @dataclass
-class LedgerEntry:
-    instance_id: str
-    duration_seconds: float
-    rate_per_hour: float
-    cost: float
-
-
-@dataclass
 class BillingLedger:
-    """Per-instance billing plus the productive/wasted compute split.
+    """Running totals of billing and of the productive/wasted compute split.
 
     Core-seconds are counted in vCPU-seconds (the rentable unit).
     Productive time is work that reached a persisted boundary; wasted time
@@ -182,19 +180,18 @@ class BillingLedger:
     up only in the billed totals.
     """
 
-    entries: List[LedgerEntry] = field(default_factory=list)
     total_cost: float = 0.0
     productive_core_seconds: float = 0.0
     wasted_core_seconds: float = 0.0
     billed_core_seconds: float = 0.0
 
-    def bill(self, instance: InstanceState, until: float) -> LedgerEntry:
+    def bill(self, instance: InstanceState, until: float) -> BillRow:
+        """Add the instance's bill up to ``until`` to the totals and return it as a row."""
         duration = until - instance.acquired_at
-        entry = LedgerEntry(instance.id, duration, instance.rate, duration / 3600.0 * instance.rate)
-        self.entries.append(entry)
-        self.total_cost += entry.cost
+        cost = duration / 3600.0 * instance.rate
+        self.total_cost += cost
         self.billed_core_seconds += duration * instance.vcpus
-        return entry
+        return (instance.id, duration, instance.rate, cost)
 
 
 @dataclass
@@ -213,7 +210,14 @@ def _invalid(key: str, rule: str, value) -> ValidationError:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Everything that shapes one simulation besides catalog and jobs, checked once at construction."""
+    """Everything that shapes one simulation besides catalog and jobs, checked once at construction.
+
+    Every number must be finite.  ``None`` keeps its meaning where it has
+    one: no idle termination, no acquisition rate limit.  A non-positive
+    ``metrics_interval_s`` turns sampling off.  Negative delays and times
+    pass here; the clock guard stops the run when one would schedule an
+    event before the clock.
+    """
 
     routing: RoutingPolicy
     allowed_types: Dict[str, List[str]]
@@ -228,17 +232,23 @@ class EngineConfig:
     scripted_preemptions: Dict[str, float] = field(default_factory=dict)
     waves: List[Tuple[float, Tuple[str, ...]]] = field(default_factory=list)
     pool_overrides: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    record_events: bool = False
     strict_checks: bool = False
 
     def __post_init__(self):
         if self.payment not in cat.PAYMENT_MODELS:
             raise _invalid("payment", f"one of {cat.PAYMENT_MODELS}", self.payment)
-        if not 0 < self.transition_slowdown < math.inf:
-            raise _invalid("transition_slowdown", "a finite number > 0", self.transition_slowdown)
+        finite_number("transition_slowdown", self.transition_slowdown, 0, low_open=True)
         per_minute = self.acquisitions_per_region_minute
-        if per_minute is not None and not 0 < per_minute < math.inf:
-            raise _invalid("acquisitions_per_region_minute", "null or a finite number > 0", per_minute)
+        if per_minute is not None:
+            finite_number("acquisitions_per_region_minute", per_minute, 0, low_open=True)
+        if self.grace_period_s is not None:
+            finite_number("grace_period_s", self.grace_period_s)
+        finite_number("metrics_interval_s", self.metrics_interval_s)
+        finite_number("acquisition_latency_s", self.acquisition_latency_s)
+        for i, (time_s, _) in enumerate(self.waves):
+            finite_number(f"waves[{i}].time_s", time_s)
+        for instance_id, time_s in self.scripted_preemptions.items():
+            finite_number(f"scripted_preemptions.{instance_id}", time_s)
         for region, families in self.pool_overrides.items():
             for family, count in families.items():
                 if not (isinstance(count, int) and count >= 0):
@@ -308,17 +318,18 @@ class Engine:
         jobs: Sequence[JobSpec],
         records: Iterable[perfmodel.BenchmarkRecord],
         config: EngineConfig,
+        recorder: Optional[RunRecorder] = None,
     ):
         self.catalog = catalog
         self.config = config
+        # Takes the run's rows as they happen; may be replaced before the run starts.
+        self.recorder = recorder
         self.records = list(records)
         self.rng = random.Random(config.seed)
         self.router = Router(config.routing, self.rng)
         self.clock = 0.0
         self.ledger = BillingLedger()
         self.samples: List[MetricsSample] = []
-        self.event_log: List[Tuple[float, int, str, str, str]] = []
-        self.preemption_waste: List[Tuple[str, str, float, str, float]] = []
         self.n_preemptions = 0
         self.n_submissions = 0
         self.n_events = 0
@@ -592,7 +603,9 @@ class Engine:
         usage[1] -= inst.vcpus - inst.free_vcpus
         usage[2] -= inst.gpus - inst.free_gpus
         self._close(inst)
-        self.ledger.bill(inst, now)
+        bill = self.ledger.bill(inst, now)
+        if self.recorder is not None:
+            self.recorder.record_bill(bill)
         self._pool[(inst.region, inst.family)] = self._pool_remaining(inst.region, inst.family) + 1
 
     # -- event handlers -----------------------------------------------------
@@ -666,8 +679,9 @@ class Engine:
             job = self.jobs[job_id]
             wasted = now - job.work_started_at
             self.ledger.wasted_core_seconds += wasted * job.spec.vcpu_demand
-            item, _, duration = job.work[job.cursor]
-            self.preemption_waste.append((inst.id, job_id, wasted, item.kind, duration))
+            if self.recorder is not None:
+                item, _, duration = job.work[job.cursor]
+                self.recorder.record_waste((inst.id, job_id, wasted, item.kind, duration))
             job.epoch += 1  # invalidates the in-flight completion event
             job.instance_id = None
             job.work = ()
@@ -729,9 +743,10 @@ class Engine:
             EV_PREEMPTION: self._on_preemption,
             EV_IDLE_TIMEOUT: self._on_idle_timeout,
         }
-        heap, preheap, ledger, event_log = self._heap, self._preheap, self.ledger, self.event_log
+        heap, preheap, ledger = self._heap, self._preheap, self.ledger
         heappop, heapreplace = heapq.heappop, heapq.heapreplace
-        record_events, strict_checks = self.config.record_events, self.config.strict_checks
+        record_event = None if self.recorder is None else self.recorder.record_event
+        strict_checks = self.config.strict_checks
         while True:
             if heap:
                 entry = heap[0]
@@ -768,8 +783,8 @@ class Engine:
                 self.n_events += 1
                 cursor = job.cursor
                 kind = job.work[cursor][1]
-                if record_events:
-                    event_log.append((t_next, seq, kind, job.spec.id, job.instance_id))
+                if record_event is not None:
+                    record_event((t_next, seq, kind, job.spec.id, job.instance_id))
                 if kind == EV_JOB_COMPLETED:
                     heappop(heap)
                     self._on_job_completed(job, t_next)
@@ -800,8 +815,8 @@ class Engine:
                     continue
                 self.clock = ev.time
                 self.n_events += 1
-                if record_events:
-                    event_log.append(ev.log_row())
+                if record_event is not None:
+                    record_event(ev.log_row())
                 handlers[ev.kind](ev, ev.time)
             if strict_checks:
                 self._check_invariants()
@@ -852,25 +867,7 @@ class Engine:
             billed_core_hours=self.ledger.billed_core_seconds / 3600.0,
         )
 
-    # -- introspection helpers -------------------------------------------------
-
-    def job_status(self, job_id: str) -> str:
-        return self.jobs[job_id].status
-
-    def job_progress(self, job_id: str) -> JobProgress:
-        return self.jobs[job_id].progress
-
-    def counts(self) -> Dict[str, int]:
-        """Submitted/completed/failed/in-flight partition, for conservation checks."""
-        submitted = sum(1 for j in self.jobs.values() if j.submissions > 0)
-        done = sum(1 for j in self.jobs.values() if j.status == ST_DONE)
-        failed = sum(1 for j in self.jobs.values() if j.status == ST_FAILED)
-        return {
-            "submitted": submitted,
-            "completed": done,
-            "failed": failed,
-            "in_flight": submitted - done - failed,
-        }
+    # -- strict checks -----------------------------------------------------------
 
     def _check_invariants(self) -> None:
         expected_open: Dict[str, List[str]] = {r: [] for r in self._region_free}

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..errors import ValidationError
+from ..errors import ValidationError, finite_number
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class PreemptionModel:
 
     def __post_init__(self):
         for key, rate in self.rates_per_instance_hour.items():
-            if rate < 0:
-                raise ValidationError(f"preemption hazard for {key!r} must be >= 0")
+            finite_number(f"preemption_hazards.{key}", rate, 0)
             if key.count("/") != 1:
                 raise ValidationError(f"preemption hazard key {key!r} must look like 'region/family'")
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..errors import ValidationError
+from ..errors import ValidationError, finite_number
 
 WEIGHTED_RANDOM = "weighted_random"
 PROPORTIONAL_ROUNDROBIN = "proportional_roundrobin"
@@ -30,8 +30,8 @@ class RoutingPolicy:
             raise ValidationError(f"unknown routing mode {self.mode!r}")
         if not self.weights:
             raise ValidationError("routing policy needs at least one region weight")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValidationError("routing weights must be >= 0")
+        for region, weight in self.weights.items():
+            finite_number(f"routing.weights.{region}", weight, 0)
         if not any(w > 0 for w in self.weights.values()):
             raise ValidationError("routing policy needs at least one positive weight")
 

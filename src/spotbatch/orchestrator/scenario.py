@@ -6,16 +6,21 @@ allowed instance types per job kind, payment model, preemption hazards,
 idle grace period, seed, metrics cadence, optional submission waves, pool
 overrides, and scripted preemptions.  Relative paths are resolved against
 the scenario file's directory.
+
+The writers here hold the output formats of a run: ``metrics.csv``,
+``summary.json`` and, through a streaming recorder, ``events.log``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import catalog as cat
 from .. import perfmodel
@@ -24,6 +29,7 @@ from ..jsonfile import read_json
 from ..workload import load_workload
 from .engine import Engine, EngineConfig, MetricsSample, SummaryReport
 from .preemption import PreemptionModel
+from .recorder import EventRow, MemoryRecorder, RunRecorder
 from .routing import WEIGHTED_RANDOM, RoutingPolicy
 
 
@@ -145,17 +151,20 @@ def build_engine(
     record_events: bool = False,
     strict_checks: bool = False,
 ) -> Engine:
-    """Wire catalog, workload, and benchmarks into a ready-to-run engine."""
+    """Wire catalog, workload, and benchmarks into a ready-to-run engine.
+
+    With ``record_events`` the engine's recorder is a ``MemoryRecorder``;
+    otherwise it has none, and builds no rows.
+    """
     catalog = cat.load_catalog(scenario.catalog_path)
     jobs = load_workload(scenario.workload_path).expand()
     records = perfmodel.load_many_benchmarks(scenario.benchmark_paths)
     config = replace(
         scenario.config,
         seed=scenario.config.seed if seed is None else seed,
-        record_events=record_events,
         strict_checks=strict_checks,
     )
-    return Engine(catalog, jobs, records, config)
+    return Engine(catalog, jobs, records, config, MemoryRecorder() if record_events else None)
 
 
 def run_scenario(
@@ -182,11 +191,35 @@ def write_metrics_csv(samples: List[MetricsSample], path) -> None:
             )
 
 
-def write_event_log(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("time_s,seq,kind,job_id,instance_id\n")
-        for time_s, seq, kind, job_id, instance_id in rows:
-            fh.write(f"{time_s:g},{seq},{kind},{job_id},{instance_id}\n")
+class _EventLogWriter(RunRecorder):
+    """Writes each event row to an open text file as it comes; drops bills and waste."""
+
+    def __init__(self, fh):
+        self._write = fh.write
+
+    def record_event(self, row: EventRow) -> None:
+        time_s, seq, kind, job_id, instance_id = row
+        self._write(f"{time_s:g},{seq},{kind},{job_id},{instance_id}\n")
+
+
+@contextlib.contextmanager
+def write_event_log(path) -> Iterator[RunRecorder]:
+    """A recorder that streams a run's event rows to ``path`` while the ``with`` block runs.
+
+    The rows go to ``<path>.partial``, which replaces ``path`` only when the
+    block ends without an exception; otherwise it is removed, and a file
+    already at ``path`` stays as it was.
+    """
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w") as fh:
+            fh.write("time_s,seq,kind,job_id,instance_id\n")
+            yield _EventLogWriter(fh)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
 
 
 def write_summary_json(report: SummaryReport, path) -> None:

@@ -27,25 +27,6 @@ PHASES = (PHASE_PLAIN, PHASE_EQUILIBRATION, PHASE_TRANSITION)
 
 BENCH_CSV_HEADER = ["system", "instance", "ranks", "threads", "pme_ranks", "phase", "ns_per_day"]
 SCALING_CSV_HEADER = ["system", "instance", "n_instances", "ns_per_day"]
-SYSTEMS_CSV_HEADER = ["name", "atoms", "timestep_fs", "cutoff_nm", "grid_spacing_nm", "perturbed_atoms"]
-
-
-@dataclass(frozen=True)
-class BenchSystem:
-    """One benchmark input system (size, integration step, PME settings)."""
-
-    name: str
-    atoms: int
-    timestep_fs: float
-    cutoff_nm: float = 1.0
-    grid_spacing_nm: float = 0.12
-    perturbed_atoms: int = 0
-
-    def __post_init__(self):
-        if self.atoms <= 0:
-            raise ValidationError(f"system {self.name}: atoms must be > 0")
-        if self.timestep_fs <= 0:
-            raise ValidationError(f"system {self.name}: timestep_fs must be > 0")
 
 
 @dataclass(frozen=True)
@@ -381,18 +362,3 @@ def load_scaling(path) -> List[ScalingSeries]:
         points.sort(key=lambda p: p[0])
         series.append(ScalingSeries(system=system, instance=instance, points=tuple(points)))
     return series
-
-
-def load_systems(path) -> List[BenchSystem]:
-    rows = _read_csv(path, SYSTEMS_CSV_HEADER)
-    return [
-        BenchSystem(
-            name=row["name"].strip(),
-            atoms=int(row["atoms"]),
-            timestep_fs=float(row["timestep_fs"]),
-            cutoff_nm=float(row["cutoff_nm"]),
-            grid_spacing_nm=float(row["grid_spacing_nm"]),
-            perturbed_atoms=int(row["perturbed_atoms"]),
-        )
-        for row in rows
-    ]

@@ -142,7 +142,7 @@ def test_criterion_7_simulator_property_suite():
             test_scenario_props.check_invariants(engine)
             again = test_scenario_props.build_case(case_seed)
             again.run()
-            assert again.event_log == engine.event_log
+            assert again.recorder.events == engine.recorder.events
 
         weights = {
             "us-east-1": 6,
@@ -168,10 +168,10 @@ def test_criterion_7_simulator_property_suite():
 def test_criterion_8_hand_computed_micro_scenario():
     with criterion(8, "three-job micro scenario matches the hand-computed oracle"):
         engine, report = test_engine.run_micro_scenario()
-        assert engine.event_log == test_engine.EXPECTED_MICRO_EVENTS
+        assert engine.recorder.events == test_engine.EXPECTED_MICRO_EVENTS
         assert report.makespan_s == pytest.approx(3500.0)
         assert report.total_cost == pytest.approx(7.24)
-        got = [(e.instance_id, e.duration_seconds, e.cost) for e in engine.ledger.entries]
+        got = [(instance_id, duration, cost) for instance_id, duration, _, cost in engine.recorder.bills]
         want = [(i, d, c) for i, d, _, c in test_engine.EXPECTED_MICRO_LEDGER]
         assert got == [(i, d, pytest.approx(c)) for i, d, c in want]
 

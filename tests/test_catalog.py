@@ -111,13 +111,6 @@ def test_unknown_payment_model_raises():
         cat.lookup_rate(c, "g4dn.4xl", "us-east-1", "barter")
 
 
-def test_round_trip_identical(tmp_path, aws_catalog):
-    out = tmp_path / "roundtrip.json"
-    cat.save_catalog(aws_catalog, out)
-    again = cat.load_catalog(out)
-    assert again == aws_catalog
-
-
 def test_bundled_catalog_spot_never_above_on_demand(aws_catalog):
     for entry in aws_catalog.prices.values():
         spot = cat.lookup_rate(aws_catalog, entry.instance, entry.region, cat.SPOT)

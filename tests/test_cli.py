@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -178,6 +179,16 @@ def test_cost_fe(capsys):
                      id="onprem-zero-utilization"),
         pytest.param(["onprem", "--ns-per-day", "5.9", "--base-per-us", "500", "--utilization", "2"],
                      id="onprem-utilization-above-one"),
+        pytest.param(["cloud", "--rate", "nan", "--ns-per-day", "4"], id="cloud-nan-rate"),
+        pytest.param(["cloud", "--rate", "1", "--ns-per-day", "inf"], id="cloud-infinite-throughput"),
+        pytest.param(["fe", "--complex-runtime-h", "-1", "--complex-rate", "0.3612",
+                      "--ligand-runtime-h", "4.582", "--ligand-rate", "0.102"], id="fe-negative-runtime"),
+        pytest.param(["fe", "--complex-runtime-h", "3.879", "--complex-rate", "nan",
+                      "--ligand-runtime-h", "4.582", "--ligand-rate", "0.102"], id="fe-nan-rate"),
+        pytest.param(["onprem", "--ns-per-day", "5.9", "--base-per-us", "-500"], id="onprem-negative-base"),
+        pytest.param(["onprem", "--ns-per-day", "nan", "--base-per-us", "500"], id="onprem-nan-throughput"),
+        pytest.param(["onprem", "--ns-per-day", "5.9", "--base-per-us", "500", "--hardware-cost", "nan"],
+                     id="onprem-nan-hardware-cost"),
     ],
 )
 def test_cost_rejects_bad_input(capsys, argv):
@@ -274,6 +285,43 @@ def test_simulate_rejects_events_before_the_clock(tmp_path, capsys, override):
     scenario = toy_variant(tmp_path, **override)
     assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
     assert "clock is already at" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_no_partial_event_log(tmp_path, capsys):
+    # events.log is written while the run goes; a run that raises must leave
+    # the directory as it was, and a finished run replaces the old log.
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = b"time_s,seq,kind,job_id,instance_id\n0,0,job_submitted,j1,\n"
+    (out / "events.log").write_bytes(earlier)
+    failing = toy_variant(tmp_path, grace_period_s=-500)
+    assert run_cli("simulate", "--scenario", failing, "--out", str(out), "--event-log") == 1
+    assert "clock is already at" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["events.log"]
+    assert (out / "events.log").read_bytes() == earlier
+
+    assert run_cli("simulate", "--scenario", TOY_SCENARIO, "--out", str(out), "--event-log") == 0
+    assert sorted(p.name for p in out.iterdir()) == ["events.log", "metrics.csv", "summary.json"]
+    assert (out / "events.log").read_bytes() != earlier
+
+
+def traced_peak_bytes(*argv):
+    """Peak bytes allocated by Python while ``spotbatch`` runs ``argv`` in this process."""
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_event_log_is_streamed_not_held(tmp_path, capsys):
+    # With the log the run may not hold its event rows: the peak stays within
+    # 0.5 MiB of the run without it (holding the 21,841 rows adds about 2.8 MiB).
+    run = ("simulate", "--scenario", TOY_SCENARIO, "--out", str(tmp_path / "out"), "--seed", "42")
+    with_log = traced_peak_bytes(*run, "--event-log")
+    without_log = traced_peak_bytes(*run)
+    assert with_log <= without_log + 0.5 * 2**20
 
 
 # SHA-256 of the outputs of study2_toy with two g4dn and two c5 instances

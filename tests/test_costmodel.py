@@ -130,3 +130,22 @@ def test_make_entry_rounds_components_consistently():
     entry = cm.make_entry("x", {"a": 1.00499, "b": 2.00499})
     assert entry.basis == {"a": 1.0, "b": 2.0}
     assert entry.cost == 3.0
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        pytest.param(lambda: cm.cost_per_fe(1.0, 1.0, float("nan"), 1.0), "ligand_runtime_h", id="fe-nan-runtime"),
+        pytest.param(lambda: cm.cost_per_fe(1.0, -0.1, 1.0, 1.0), "complex_rate", id="fe-negative-rate"),
+        pytest.param(lambda: cm.cloud_cost_per_microsecond(float("inf"), 4.0), "rate_per_hour", id="cloud-inf-rate"),
+        pytest.param(lambda: cm.OverheadSpec(staff_per_node_year=float("nan")), "staff_per_node_year",
+                     id="nan-overhead"),
+        pytest.param(lambda: cm.OnPremNodeSpec(2000.0, float("inf"), 300.0, 1, 5.9), "lifetime_years",
+                     id="infinite-lifetime"),
+        pytest.param(lambda: cm.onprem_cost_entry(RTX_NODE, STANDARD_OVERHEADS, float("inf")), "base_cost_per_us",
+                     id="infinite-base-cost"),
+    ],
+)
+def test_cost_inputs_must_be_finite_and_in_range(call, named):
+    with pytest.raises(ValidationError, match=named):
+        call()

@@ -17,6 +17,7 @@ from spotbatch.orchestrator.engine import (
     work_items,
 )
 from spotbatch.orchestrator.preemption import PreemptionModel
+from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
 
 # Rate chosen so one 500-step chunk at 2 fs takes exactly 1000 s and one
@@ -75,7 +76,6 @@ def micro_config(**kwargs):
         grace_period_s=120.0,
         seed=0,
         metrics_interval_s=0.0,
-        record_events=True,
         strict_checks=True,
     )
     defaults.update(kwargs)
@@ -156,21 +156,21 @@ EXPECTED_MICRO_LEDGER = [
 def run_micro_scenario():
     jobs = [micro_job("j1"), micro_job("j2"), micro_job("j3")]
     config = micro_config(scripted_preemptions={"i0001": 1500.0})
-    engine = Engine(micro_catalog(), jobs, micro_records(), config)
+    engine = Engine(micro_catalog(), jobs, micro_records(), config, MemoryRecorder())
     report = engine.run()
     return engine, report
 
 
 def test_micro_event_log_matches_hand_table():
     engine, _ = run_micro_scenario()
-    assert engine.event_log == EXPECTED_MICRO_EVENTS
+    assert engine.recorder.events == EXPECTED_MICRO_EVENTS
 
 
 def test_micro_ledger_matches_hand_table():
     engine, report = run_micro_scenario()
     got = [
-        (e.instance_id, e.duration_seconds, e.rate_per_hour, round(e.cost, 10))
-        for e in engine.ledger.entries
+        (instance_id, duration, rate, round(cost, 10))
+        for instance_id, duration, rate, cost in engine.recorder.bills
     ]
     assert got == [
         (i, d, r, pytest.approx(c)) for i, d, r, c in EXPECTED_MICRO_LEDGER
@@ -192,8 +192,12 @@ def test_micro_summary_matches_hand_table():
 
 def test_micro_event_log_sorted_by_time_then_seq():
     engine, _ = run_micro_scenario()
-    keys = [(t, s) for t, s, *_ in engine.event_log]
+    keys = [(t, s) for t, s, *_ in engine.recorder.events]
     assert keys == sorted(keys)
+
+
+def n_completed(engine):
+    return sum(1 for job in engine.jobs.values() if job.status == "done")
 
 
 # -- packing -------------------------------------------------------------------
@@ -223,7 +227,7 @@ def test_big_instance_packs_one_48_plus_six_8_then_acquires():
     assert first.free_vcpus == 0
     assert engine.instances["i0002"].resident_jobs == ["narrow6"]
     engine.advance(math.inf)
-    assert engine.counts()["completed"] == 8
+    assert n_completed(engine) == 8
 
 
 def test_gpu_job_without_gpu_types_is_infeasible():
@@ -231,7 +235,7 @@ def test_gpu_job_without_gpu_types_is_infeasible():
     engine = Engine(micro_catalog(), jobs, micro_records(), micro_config())
     engine.submit_all()
     engine.advance(math.inf)
-    assert engine.job_status("g") == "failed"
+    assert engine.jobs["g"].status == "failed"
     report = engine.run()
     assert report.n_failed == 1 and report.n_completed == 0
 
@@ -243,10 +247,10 @@ def test_pool_exhausted_queues_until_capacity_frees():
     engine = Engine(micro_catalog(pool_r1=1), jobs, micro_records(), config)
     engine.submit_all()
     engine.advance(0.0)
-    statuses = [engine.job_status(f"j{i}") for i in range(4)]
+    statuses = [engine.jobs[f"j{i}"].status for i in range(4)]
     assert statuses == ["running", "queued", "queued", "queued"]
     engine.advance(math.inf)
-    assert engine.counts()["completed"] == 4
+    assert n_completed(engine) == 4
 
 
 def test_zero_pool_everywhere_stalls_with_error():
@@ -265,16 +269,16 @@ def test_preemption_at_chunk_boundary_counts_chunk_as_done():
         routing=RoutingPolicy({"r1": 1}),
         scripted_preemptions={"i0001": 1000.0},  # exactly the first chunk boundary
     )
-    engine = Engine(micro_catalog(), jobs, micro_records(), config)
+    engine = Engine(micro_catalog(), jobs, micro_records(), config, MemoryRecorder())
     report = engine.run()
-    kinds_at_1000 = [(k, j) for t, s, k, j, i in engine.event_log if t == 1000.0]
+    kinds_at_1000 = [(k, j) for t, s, k, j, i in engine.recorder.events if t == 1000.0]
     assert kinds_at_1000[0] == ("chunk_done", "j1")
     assert ("preemption", "") in kinds_at_1000
     # The finished chunk was persisted, so nothing is recomputed: the job
     # resumes at chunk 1 and the preempted sliver of chunk 1 is zero long.
     assert engine.ledger.wasted_core_seconds == pytest.approx(0.0)
     assert report.n_completed == 1
-    assert engine.job_progress("j1").as_tuple() == (2, 2, True)
+    assert engine.jobs["j1"].progress.as_tuple() == (2, 2, True)
 
 
 def test_preemption_with_no_residents_just_closes_billing():
@@ -294,7 +298,7 @@ def test_preemption_with_no_residents_just_closes_billing():
 def test_preempted_instance_work_is_recomputed_elsewhere():
     engine, _ = run_micro_scenario()
     # j1 lost the first attempt at chunk 1; wasted time is under one chunk.
-    for inst_id, job_id, wasted, item_kind, item_duration in engine.preemption_waste:
+    for inst_id, job_id, wasted, item_kind, item_duration in engine.recorder.waste:
         assert wasted < item_duration
         assert item_kind == "chunk"
 
@@ -352,7 +356,7 @@ def test_billing_identity_recomputed_from_instances():
         (i.terminated_at - i.acquired_at) * i.rate / 3600.0 for i in engine.instances.values()
     )
     assert report.total_cost == pytest.approx(recomputed, abs=1e-9)
-    assert report.total_cost == pytest.approx(sum(e.cost for e in engine.ledger.entries), abs=1e-12)
+    assert report.total_cost == pytest.approx(sum(cost for *_, cost in engine.recorder.bills), abs=1e-12)
 
 
 def test_time_regression_rejected():
@@ -378,13 +382,13 @@ def test_equal_seeds_identical_event_logs():
             preemption=PreemptionModel({"*/*": 2.5}),
             seed=1234,
         )
-        return Engine(micro_catalog(pool_r1=3, pool_r2=3), jobs, micro_records(), config)
+        return Engine(micro_catalog(pool_r1=3, pool_r2=3), jobs, micro_records(), config, MemoryRecorder())
 
     first = build()
     first_report = first.run()
     second = build()
     second_report = second.run()
-    assert first.event_log == second.event_log
+    assert first.recorder.events == second.recorder.events
     assert first_report.to_dict() == second_report.to_dict()
     assert first_report.n_preemptions > 0  # the hazard actually fired
 
@@ -397,9 +401,9 @@ def test_different_seeds_differ():
             preemption=PreemptionModel({"*/*": 2.5}),
             seed=seed,
         )
-        engine = Engine(micro_catalog(pool_r1=3, pool_r2=3), jobs, micro_records(), config)
+        engine = Engine(micro_catalog(pool_r1=3, pool_r2=3), jobs, micro_records(), config, MemoryRecorder())
         engine.run()
-        return engine.event_log
+        return engine.recorder.events
 
     assert build(1) != build(2)
 
@@ -413,9 +417,9 @@ def test_waves_stagger_submission_by_kind():
         routing=RoutingPolicy({"r1": 1}),
         waves=[(0.0, ("complex",)), (500.0, ("ligand",))],
     )
-    engine = Engine(micro_catalog(pool_r1=2), jobs, micro_records(), config)
+    engine = Engine(micro_catalog(pool_r1=2), jobs, micro_records(), config, MemoryRecorder())
     engine.run()
-    submits = {j: t for t, s, k, j, i in engine.event_log if k == "job_submitted"}
+    submits = {j: t for t, s, k, j, i in engine.recorder.events if k == "job_submitted"}
     assert submits["c1"] == 0.0
     assert submits["l1"] == 500.0
 
@@ -440,8 +444,30 @@ def test_negative_work_duration_rejected(monkeypatch):
         pytest.param({"pool_overrides": {"r1": {"t1": 1.5}}}, "pool_overrides.r1.t1", id="fractional-pool"),
         pytest.param({"payment": "bogus"}, "payment", id="unknown-payment"),
         pytest.param({"transition_slowdown": math.nan}, "transition_slowdown", id="nan-slowdown"),
+        pytest.param({"grace_period_s": math.nan}, "grace_period_s", id="nan-grace-period"),
+        pytest.param({"grace_period_s": math.inf}, "grace_period_s", id="infinite-grace-period"),
+        pytest.param({"acquisition_latency_s": math.nan}, "acquisition_latency_s", id="nan-latency"),
+        pytest.param({"metrics_interval_s": math.nan}, "metrics_interval_s", id="nan-metrics-interval"),
+        pytest.param({"waves": [(0.0, ("complex",)), (math.nan, ("ligand",))]}, "waves[1].time_s",
+                     id="nan-wave-time"),
+        pytest.param({"scripted_preemptions": {"i0001": math.nan}}, "scripted_preemptions.i0001",
+                     id="nan-scripted-preemption"),
     ],
 )
 def test_engine_config_rejects_bad_values_at_construction(override, named):
     with pytest.raises(ValidationError, match=re.escape(named)):
         micro_config(**override)
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        pytest.param(lambda: RoutingPolicy({"r1": math.nan, "r2": 1}), "routing.weights.r1", id="nan-weight"),
+        pytest.param(lambda: RoutingPolicy({"r1": math.inf}), "routing.weights.r1", id="infinite-weight"),
+        pytest.param(lambda: PreemptionModel({"*/*": math.nan}), "preemption_hazards.*/*", id="nan-hazard"),
+        pytest.param(lambda: PreemptionModel({"r1/t1": -0.5}), "preemption_hazards.r1/t1", id="negative-hazard"),
+    ],
+)
+def test_routing_weights_and_hazards_must_be_finite(build, named):
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        build()

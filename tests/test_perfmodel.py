@@ -382,10 +382,3 @@ def test_scaling_csv_groups_series(tmp_path):
     series = {s.system: s for s in pm.load_scaling(path)}
     assert series["rib"].points == ((1, 5.0), (2, 9.0))
     assert series["mem"].points == ((1, 89.0),)
-
-
-def test_bundled_systems_table():
-    systems = {s.name: s for s in pm.load_systems(__import__("spotbatch").data_path("systems.csv"))}
-    assert systems["cmet_complex"].atoms == 67291
-    assert systems["rib"].timestep_fs == 4.0
-    assert systems["cmet_ligand"].perturbed_atoms == 61

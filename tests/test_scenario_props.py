@@ -18,6 +18,7 @@ from spotbatch import perfmodel as pm
 from spotbatch import workload as wl
 from spotbatch.orchestrator.engine import Engine, EngineConfig
 from spotbatch.orchestrator.preemption import PreemptionModel
+from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
 
 N_CASES = 200
@@ -145,15 +146,22 @@ def build_case(case_seed: int) -> Engine:
         grace_period_s=rng.choice([60.0, 300.0, None]),
         seed=case_seed,
         metrics_interval_s=rng.choice([0.0, 600.0]),
-        record_events=True,
         strict_checks=True,
     )
-    return Engine(catalog, jobs, records, config)
+    return Engine(catalog, jobs, records, config, MemoryRecorder())
+
+
+def job_counts(engine: Engine) -> dict:
+    """Submitted/completed/failed/in-flight partition of the engine's jobs, for conservation checks."""
+    submitted = sum(1 for j in engine.jobs.values() if j.submissions > 0)
+    done = sum(1 for j in engine.jobs.values() if j.status == "done")
+    failed = sum(1 for j in engine.jobs.values() if j.status == "failed")
+    return {"submitted": submitted, "completed": done, "failed": failed, "in_flight": submitted - done - failed}
 
 
 def check_invariants(engine: Engine) -> None:
     report = engine.summary()
-    counts = engine.counts()
+    counts = job_counts(engine)
 
     # Conservation: every job was submitted and ended in exactly one bucket.
     assert counts["submitted"] == report.n_jobs
@@ -166,15 +174,15 @@ def check_invariants(engine: Engine) -> None:
     )
     slack = sum(i.rate / 3600.0 for i in engine.instances.values())
     assert abs(report.total_cost - recomputed) <= slack + 1e-9
-    assert report.total_cost == pytest.approx(sum(e.cost for e in engine.ledger.entries), abs=1e-9)
+    assert report.total_cost == pytest.approx(sum(cost for *_, cost in engine.recorder.bills), abs=1e-9)
 
     # Wasted work per preempted resident stays under one work item.
-    for _, _, wasted, item_kind, item_duration in engine.preemption_waste:
+    for _, _, wasted, item_kind, item_duration in engine.recorder.waste:
         assert item_kind in ("chunk", "transition")
         assert 0.0 <= wasted < item_duration
 
     # Event log is (time, seq)-sorted with unique seq.
-    keys = [(t, s) for t, s, *_ in engine.event_log]
+    keys = [(t, s) for t, s, *_ in engine.recorder.events]
     assert keys == sorted(keys)
     seqs = [s for _, s in keys]
     assert len(set(seqs)) == len(seqs)
@@ -200,7 +208,7 @@ def test_random_scenario_invariants(case_seed):
     # Bitwise determinism: same construction, same seed, same everything.
     again = build_case(case_seed)
     again.run()
-    assert again.event_log == engine.event_log
+    assert again.recorder.events == engine.recorder.events
     assert again.summary().to_dict() == engine.summary().to_dict()
 
 
@@ -247,13 +255,12 @@ def test_liveness_under_heavy_preemption():
         grace_period_s=120.0,
         seed=99,
         metrics_interval_s=0.0,
-        record_events=True,
         strict_checks=True,
     )
-    engine = Engine(catalog, jobs, records, config)
+    engine = Engine(catalog, jobs, records, config, MemoryRecorder())
     report = engine.run()
     assert report.n_completed == 10
-    assert len(engine.preemption_waste) >= 3 * 10
+    assert len(engine.recorder.waste) >= 3 * 10
     check_invariants(engine)
 
 
@@ -261,10 +268,10 @@ def test_conservation_holds_at_intermediate_times():
     engine = build_case(3)
     engine.submit_all()
     t = 0.0
-    while engine.counts()["in_flight"] > 0 or engine.counts()["submitted"] == 0:
+    while job_counts(engine)["in_flight"] > 0 or job_counts(engine)["submitted"] == 0:
         t += 900.0
         engine.advance(t)
-        counts = engine.counts()
+        counts = job_counts(engine)
         assert counts["completed"] + counts["failed"] + counts["in_flight"] == counts["submitted"]
         assert counts["in_flight"] >= 0
         if t > 1e9:
