@@ -13,10 +13,10 @@ Catalogs are immutable after load and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
-from .errors import MissingRecordError, ParseError, ValidationError
-from .jsonfile import read_json
+from .errors import MissingRecordError, ParseError, ValidationError, finite_number
+from .jsonfile import load, number, numbers, shaped, within
 
 ON_DEMAND = "on_demand"
 SPOT = "spot"
@@ -41,12 +41,10 @@ class InstanceTypeSpec:
     family: str = ""
 
     def __post_init__(self):
-        if self.vcpus < 1:
-            raise ValidationError(f"instance {self.name}: vcpus must be >= 1")
-        if self.gpus < 0:
-            raise ValidationError(f"instance {self.name}: gpus must be >= 0")
-        if self.network_gbps <= 0:
-            raise ValidationError(f"instance {self.name}: network_gbps must be > 0")
+        finite_number("vcpus", self.vcpus, 1)
+        finite_number("gpus", self.gpus, 0)
+        finite_number("clock_ghz", self.clock_ghz, 0)
+        finite_number("network_gbps", self.network_gbps, 0, low_open=True)
         if not self.family:
             object.__setattr__(self, "family", self.name.split(".", 1)[0])
 
@@ -67,13 +65,10 @@ class PriceEntry:
     reserved_upfront_per_hour: Optional[float] = None
 
     def __post_init__(self):
-        where = f"price ({self.instance}, {self.region})"
-        if self.on_demand_per_hour <= 0:
-            raise ValidationError(f"{where}: on_demand_per_hour must be > 0")
-        if not 0 < self.spot_fraction <= 1:
-            raise ValidationError(f"{where}: spot_fraction must be in (0, 1]")
-        if self.reserved_upfront_per_hour is not None and self.reserved_upfront_per_hour <= 0:
-            raise ValidationError(f"{where}: reserved_upfront_per_hour must be > 0")
+        finite_number("on_demand_per_hour", self.on_demand_per_hour, 0, low_open=True)
+        finite_number("spot_fraction", self.spot_fraction, 0, 1, low_open=True)
+        if self.reserved_upfront_per_hour is not None:
+            finite_number("reserved_upfront_per_hour", self.reserved_upfront_per_hour, 0, low_open=True)
 
 
 @dataclass(frozen=True)
@@ -91,10 +86,9 @@ class RegionSpec:
 
     def __post_init__(self):
         for family, cap in self.spot_pool.items():
-            if cap < 0:
-                raise ValidationError(f"region {self.name}: pool capacity for {family!r} must be >= 0")
-        if self.weight is not None and self.weight < 0:
-            raise ValidationError(f"region {self.name}: weight must be >= 0")
+            finite_number(f"spot_pool.{family}", cap, 0)
+        if self.weight is not None:
+            finite_number("weight", self.weight, 0)
 
     def pool_capacity(self, family: str) -> int:
         if family in self.spot_pool:
@@ -110,6 +104,9 @@ class Catalog:
     regions: Mapping[str, RegionSpec]
     prices: Mapping[tuple, PriceEntry]
     currency_per_dollar: float = DEFAULT_CURRENCY_PER_DOLLAR
+
+    def __post_init__(self):
+        finite_number("currency_per_dollar", self.currency_per_dollar, 0, low_open=True)
 
     def instance(self, name: str) -> InstanceTypeSpec:
         try:
@@ -151,154 +148,102 @@ def lookup_rate(catalog: Catalog, instance: str, region: str, model: str) -> flo
     raise ValueError(f"unknown payment model {model!r}; expected one of {PAYMENT_MODELS}")
 
 
-def validate_catalog_dict(data: dict) -> list:
-    """Collect every invariant violation in a parsed catalog document.
+def _instance(raw: dict) -> InstanceTypeSpec:
+    gpu_model = raw.get("gpu_model")
+    return InstanceTypeSpec(
+        name=shaped(raw["name"], str, "name"),
+        vcpus=number("vcpus", raw["vcpus"], whole=True),
+        gpus=number("gpus", raw.get("gpus", 0), whole=True),
+        gpu_model=None if gpu_model is None else shaped(gpu_model, str, "gpu_model"),
+        clock_ghz=number("clock_ghz", raw.get("clock_ghz", 0.0)),
+        network_gbps=number("network_gbps", raw.get("network_gbps", 10.0)),
+        efa=shaped(raw.get("efa", False), bool, "efa"),
+        family=shaped(raw.get("family", ""), str, "family"),
+    )
 
-    Returns a list of human-readable problem strings (empty when valid).
-    Unlike build_catalog, which stops at the first violation, this checks
-    each instance, region, and price entry independently so the CLI
-    ``validate`` command can report all problems at once.
+
+def _region(raw: dict) -> RegionSpec:
+    weight = raw.get("weight")
+    return RegionSpec(
+        name=shaped(raw["name"], str, "name"),
+        spot_pool=numbers(raw.get("spot_pool", {}), "spot_pool", whole=True),
+        weight=None if weight is None else number("weight", weight),
+    )
+
+
+def _price(raw: dict) -> PriceEntry:
+    reserved = raw.get("reserved_upfront_per_hour")
+    return PriceEntry(
+        instance=shaped(raw["instance"], str, "instance"),
+        region=shaped(raw["region"], str, "region"),
+        on_demand_per_hour=number("on_demand_per_hour", raw["on_demand_per_hour"]),
+        spot_fraction=number("spot_fraction", raw.get("spot_fraction", DEFAULT_SPOT_FRACTION)),
+        reserved_upfront_per_hour=None if reserved is None else number("reserved_upfront_per_hour", reserved),
+    )
+
+
+def _each(data: dict, key: str, required: Tuple[str, ...], parse, problems: List[str]):
+    """``(key[i], parse(entry))`` per entry under ``key`` that parses; the rest add their problem to ``problems``."""
+    for i, raw in enumerate(shaped(data[key], list, key)):
+        where = f"{key}[{i}]"
+        try:
+            item = within(where, parse, shaped(raw, dict, where, required))
+        except (ParseError, ValidationError) as exc:
+            problems.append(str(exc))
+        else:
+            yield where, item
+
+
+def build_catalog(data) -> Catalog:
+    """Construct a Catalog from a parsed JSON document, checking every entry.
+
+    A document that is not an object, or lacks ``instances``, ``regions`` or
+    ``prices``, raises ParseError at once.  Otherwise each entry is parsed on
+    its own, and the problems of all of them raise one ValidationError that
+    lists them one per line, each naming its key path.  Entries keep their
+    order: ``recommend`` ranks instances in catalog order, and the first
+    region is the default one.
     """
-    problems = []
-    if not isinstance(data, dict):
-        return ["catalog document must be a JSON object"]
-    for key in ("instances", "regions", "prices"):
-        if key not in data:
-            problems.append(f"catalog document is missing the {key!r} key")
-    if problems:
-        return problems
-
-    instance_names = set()
-    for i, raw in enumerate(data["instances"]):
-        try:
-            spec = InstanceTypeSpec(
-                name=raw["name"],
-                vcpus=int(raw["vcpus"]),
-                gpus=int(raw.get("gpus", 0)),
-                network_gbps=float(raw.get("network_gbps", 10.0)),
-            )
-            if spec.name in instance_names:
-                problems.append(f"instances[{i}]: duplicate instance name {spec.name!r}")
-            instance_names.add(spec.name)
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"instances[{i}]: {exc}")
-
-    region_names = set()
-    for i, raw in enumerate(data["regions"]):
-        try:
-            spec = RegionSpec(
-                name=raw["name"],
-                spot_pool={str(k): int(v) for k, v in raw.get("spot_pool", {}).items()},
-                weight=raw.get("weight"),
-            )
-            if spec.name in region_names:
-                problems.append(f"regions[{i}]: duplicate region name {spec.name!r}")
-            region_names.add(spec.name)
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"regions[{i}]: {exc}")
-    if not region_names:
-        problems.append("catalog must declare at least one region")
-
-    price_keys = set()
-    for i, raw in enumerate(data["prices"]):
-        try:
-            entry = PriceEntry(
-                instance=raw["instance"],
-                region=raw["region"],
-                on_demand_per_hour=float(raw["on_demand_per_hour"]),
-                spot_fraction=float(raw.get("spot_fraction", DEFAULT_SPOT_FRACTION)),
-                reserved_upfront_per_hour=(
-                    float(raw["reserved_upfront_per_hour"])
-                    if raw.get("reserved_upfront_per_hour") is not None
-                    else None
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"prices[{i}]: {exc}")
-            continue
-        where = f"prices[{i}] ({entry.instance}, {entry.region})"
-        if entry.instance not in instance_names:
-            problems.append(f"{where}: references unknown instance {entry.instance!r}")
-        if entry.region not in region_names:
-            problems.append(f"{where}: references unknown region {entry.region!r}")
-        key = (entry.instance, entry.region)
-        if key in price_keys:
-            problems.append(f"{where}: duplicate price entry")
-        price_keys.add(key)
-    return problems
-
-
-def build_catalog(data: dict) -> Catalog:
-    """Construct and validate a Catalog from a parsed JSON document."""
-    if not isinstance(data, dict):
-        raise ParseError("catalog document must be a JSON object")
-    for key in ("instances", "regions", "prices"):
-        if key not in data:
-            raise ParseError(f"catalog document is missing the {key!r} key")
+    shaped(data, dict, "catalog", ("instances", "regions", "prices"))
+    problems: List[str] = []
 
     instances = {}
-    for raw in data["instances"]:
-        spec = InstanceTypeSpec(
-            name=raw["name"],
-            vcpus=int(raw["vcpus"]),
-            gpus=int(raw.get("gpus", 0)),
-            gpu_model=raw.get("gpu_model"),
-            clock_ghz=float(raw.get("clock_ghz", 0.0)),
-            network_gbps=float(raw.get("network_gbps", 10.0)),
-            efa=bool(raw.get("efa", False)),
-            family=raw.get("family", ""),
-        )
+    for where, spec in _each(data, "instances", ("name", "vcpus"), _instance, problems):
         if spec.name in instances:
-            raise ValidationError(f"duplicate instance name {spec.name!r}")
-        instances[spec.name] = spec
+            problems.append(f"{where}: duplicate instance name {spec.name!r}")
+        instances.setdefault(spec.name, spec)
 
     regions = {}
-    for raw in data["regions"]:
-        spec = RegionSpec(
-            name=raw["name"],
-            spot_pool={str(k): int(v) for k, v in raw.get("spot_pool", {}).items()},
-            weight=raw.get("weight"),
-        )
+    for where, spec in _each(data, "regions", ("name",), _region, problems):
         if spec.name in regions:
-            raise ValidationError(f"duplicate region name {spec.name!r}")
-        regions[spec.name] = spec
+            problems.append(f"{where}: duplicate region name {spec.name!r}")
+        regions.setdefault(spec.name, spec)
     if not regions:
-        raise ValidationError("catalog must declare at least one region")
+        problems.append("regions must list at least one region")
 
     prices = {}
-    for raw in data["prices"]:
-        entry = PriceEntry(
-            instance=raw["instance"],
-            region=raw["region"],
-            on_demand_per_hour=float(raw["on_demand_per_hour"]),
-            spot_fraction=float(raw.get("spot_fraction", DEFAULT_SPOT_FRACTION)),
-            reserved_upfront_per_hour=(
-                float(raw["reserved_upfront_per_hour"])
-                if raw.get("reserved_upfront_per_hour") is not None
-                else None
-            ),
-        )
+    for where, entry in _each(data, "prices", ("instance", "region", "on_demand_per_hour"), _price, problems):
         if entry.instance not in instances:
-            raise ValidationError(
-                f"price ({entry.instance}, {entry.region}) references unknown instance {entry.instance!r}"
-            )
+            problems.append(f"{where}.instance references unknown instance {entry.instance!r}")
         if entry.region not in regions:
-            raise ValidationError(
-                f"price ({entry.instance}, {entry.region}) references unknown region {entry.region!r}"
-            )
+            problems.append(f"{where}.region references unknown region {entry.region!r}")
         key = (entry.instance, entry.region)
         if key in prices:
-            raise ValidationError(f"duplicate price entry for {key}")
-        prices[key] = entry
+            problems.append(f"{where}: duplicate price entry for {key}")
+        prices.setdefault(key, entry)
 
+    if problems:
+        raise ValidationError("\n".join(problems))
     return Catalog(
         instances=instances,
         regions=regions,
         prices=prices,
-        currency_per_dollar=float(data.get("currency_per_dollar", DEFAULT_CURRENCY_PER_DOLLAR)),
+        currency_per_dollar=number(
+            "currency_per_dollar", data.get("currency_per_dollar", DEFAULT_CURRENCY_PER_DOLLAR)
+        ),
     )
 
 
 def load_catalog(path) -> Catalog:
-    """Load and validate a catalog JSON file."""
-    return build_catalog(read_json(path))
+    """Load and check a catalog JSON file; each problem names the file and its key path."""
+    return load(path, build_catalog)

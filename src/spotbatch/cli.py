@@ -18,8 +18,7 @@ from pathlib import Path
 
 from . import catalog as cat
 from . import costmodel, perfmodel, workload
-from .errors import ParseError, SpotbatchError
-from .jsonfile import read_json
+from .errors import SpotbatchError
 from .orchestrator import scenario as scen
 
 EXIT_OK = 0
@@ -56,17 +55,14 @@ def cmd_validate(args) -> int:
         return code
     problems = []
     try:
-        data = read_json(args.catalog)
-    except ParseError as exc:
-        problems.append(str(exc))
-    else:
-        problems += [f"{args.catalog}: {p}" for p in cat.validate_catalog_dict(data)]
+        cat.load_catalog(args.catalog)
+    except SpotbatchError as exc:
+        problems += str(exc).splitlines()
     if args.workload:
         try:
-            load = workload.load_workload(args.workload)
-            load.expand()
+            workload.load_workload(args.workload).expand()
         except SpotbatchError as exc:
-            problems.append(f"{args.workload}: {exc}")
+            problems += str(exc).splitlines()
     if problems:
         for p in problems:
             print(p)

@@ -30,20 +30,20 @@ def finite_number(key: str, value, low: float = -math.inf, high: float = math.in
     non-number) raises a ValidationError naming ``key``.
     """
     try:
-        ok = (
-            not isinstance(value, bool)
-            and math.isfinite(value)
-            and (low < value if low_open else low <= value)
+        # The cheap range comparisons go first: every loaded number passes through here.
+        if (
+            (low < value if low_open else low <= value)
             and value <= high
-        )
+            and math.isfinite(value)
+            and value.__class__ is not bool
+        ):
+            return value
     except (TypeError, OverflowError):  # not a number, or an int beyond every float
-        ok = False
-    if not ok:
-        if high < math.inf:
-            rule = f" in {'(' if low_open else '['}{low:g}, {high:g}]"
-        elif low > -math.inf:
-            rule = f" {'>' if low_open else '>='} {low:g}"
-        else:
-            rule = ""
-        raise ValidationError(f"{key} must be a finite number{rule}, got {value!r}")
-    return value
+        pass
+    if high < math.inf:
+        rule = f" in {'(' if low_open else '['}{low:g}, {high:g}]"
+    elif low > -math.inf:
+        rule = f" {'>' if low_open else '>='} {low:g}"
+    else:
+        rule = ""
+    raise ValidationError(f"{key} must be a finite number{rule}, got {value!r}")

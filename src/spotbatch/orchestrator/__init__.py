@@ -14,4 +14,4 @@ from .engine import (  # noqa: F401
 from .preemption import PreemptionModel  # noqa: F401
 from .recorder import MemoryRecorder, RunRecorder  # noqa: F401
 from .routing import Router, RoutingPolicy  # noqa: F401
-from .scenario import Scenario, load_scenario, run_scenario  # noqa: F401
+from .scenario import Scenario, load_scenario  # noqa: F401

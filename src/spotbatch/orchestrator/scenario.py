@@ -17,15 +17,14 @@ import contextlib
 import csv
 import json
 import os
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from .. import catalog as cat
 from .. import perfmodel
-from ..errors import ParseError, ValidationError
-from ..jsonfile import read_json
+from ..errors import ParseError
+from ..jsonfile import entries, load, number, numbers, shaped, strings
 from ..workload import load_workload
 from .engine import Engine, EngineConfig, MetricsSample, SummaryReport
 from .preemption import PreemptionModel
@@ -41,50 +40,11 @@ class Scenario:
     config: EngineConfig
 
 
-_SHAPES = {dict: "a JSON object", list: "a list", str: "a string"}
-
-
-def _shaped(value, kind: type, key: str, required: Tuple[str, ...] = ()):
-    """``value`` when it is a ``kind`` holding every ``required`` key; otherwise a ParseError naming ``key``."""
-    if not isinstance(value, kind):
-        raise ParseError(f"{key} must be {_SHAPES[kind]}, got {value!r}")
-    for name in required:
-        if name not in value:
-            raise ParseError(f"{key} is missing the {name!r} key")
-    return value
-
-
-def _number(key: str, value, whole: bool = False):
-    """``value`` as a float, or as an int when ``whole``; anything else names ``key`` in a ValidationError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if whole:
-            if isinstance(value, int) or value.is_integer():
-                return int(value)
-        elif abs(value) <= sys.float_info.max:  # a JSON integer literal may exceed every float
-            return float(value)
-    kind = "a whole number" if whole else "a number"
-    raise ValidationError(f"{key} must be {kind}, got {value!r}")
-
-
-def _numbers(value, key: str, whole: bool = False) -> Dict[str, float]:
-    return {k: _number(f"{key}.{k}", v, whole) for k, v in _shaped(value, dict, key).items()}
-
-
-def _strings(value, key: str) -> List[str]:
-    return [_shaped(s, str, f"{key}[{i}]") for i, s in enumerate(_shaped(value, list, key))]
-
-
 def _file(base: Path, value, key: str) -> Path:
-    path = base / _shaped(value, str, key)
+    path = base / shaped(value, str, key)
     if not path.is_file():
         raise ParseError(f"{key} names no file: {path}")
     return path
-
-
-def _entries(data: dict, key: str, required: Tuple[str, ...]):
-    """``(key[i], entry)`` for each object listed under the optional ``key``."""
-    for i, entry in enumerate(_shaped(data.get(key, []), list, key)):
-        yield f"{key}[{i}]", _shaped(entry, dict, f"{key}[{i}]", required)
 
 
 # The numeric knobs a scenario may set; their defaults live in EngineConfig.  For the
@@ -94,10 +54,10 @@ _NUMBER_KNOBS = ("seed", "metrics_interval_s", "transition_slowdown", "acquisiti
 
 
 def _scenario(data, base: Path) -> Scenario:
-    _shaped(data, dict, "scenario", ("catalog", "workload", "benchmarks", "routing", "allowed_types"))
-    routing = _shaped(data["routing"], dict, "routing", ("weights",))
+    shaped(data, dict, "scenario", ("catalog", "workload", "benchmarks", "routing", "allowed_types"))
+    routing = shaped(data["routing"], dict, "routing", ("weights",))
     knobs = {
-        key: None if value is None and key in _NULLABLE_KNOBS else _number(key, value, whole=key == "seed")
+        key: None if value is None and key in _NULLABLE_KNOBS else number(key, value, whole=key == "seed")
         for key, value in data.items()
         if key in _NUMBER_KNOBS
     }
@@ -105,32 +65,32 @@ def _scenario(data, base: Path) -> Scenario:
         knobs["payment"] = data["payment"]
     config = EngineConfig(
         routing=RoutingPolicy(
-            weights=_numbers(routing["weights"], "routing.weights"),
+            weights=numbers(routing["weights"], "routing.weights"),
             mode=routing.get("mode", WEIGHTED_RANDOM),
         ),
         allowed_types={
-            kind: _strings(names, f"allowed_types.{kind}")
-            for kind, names in _shaped(data["allowed_types"], dict, "allowed_types").items()
+            kind: strings(names, f"allowed_types.{kind}")
+            for kind, names in shaped(data["allowed_types"], dict, "allowed_types").items()
         },
-        preemption=PreemptionModel(_numbers(data.get("preemption_hazards", {}), "preemption_hazards")),
+        preemption=PreemptionModel(numbers(data.get("preemption_hazards", {}), "preemption_hazards")),
         scripted_preemptions={
-            _shaped(p["instance_id"], str, f"{where}.instance_id"): _number(f"{where}.time_s", p["time_s"])
-            for where, p in _entries(data, "scripted_preemptions", ("instance_id", "time_s"))
+            shaped(p["instance_id"], str, f"{where}.instance_id"): number(f"{where}.time_s", p["time_s"])
+            for where, p in entries(data, "scripted_preemptions", ("instance_id", "time_s"))
         },
         waves=[
-            (_number(f"{where}.time_s", wave["time_s"]), tuple(_strings(wave["kinds"], f"{where}.kinds")))
-            for where, wave in _entries(data, "waves", ("time_s", "kinds"))
+            (number(f"{where}.time_s", wave["time_s"]), tuple(strings(wave["kinds"], f"{where}.kinds")))
+            for where, wave in entries(data, "waves", ("time_s", "kinds"))
         ],
         pool_overrides={
-            region: _numbers(families, f"pool_overrides.{region}", whole=True)
-            for region, families in _shaped(data.get("pool_overrides", {}), dict, "pool_overrides").items()
+            region: numbers(families, f"pool_overrides.{region}", whole=True)
+            for region, families in shaped(data.get("pool_overrides", {}), dict, "pool_overrides").items()
         },
         **knobs,
     )
     return Scenario(
         catalog_path=_file(base, data["catalog"], "catalog"),
         workload_path=_file(base, data["workload"], "workload"),
-        benchmark_paths=[_file(base, p, "benchmarks") for p in _strings(data["benchmarks"], "benchmarks")],
+        benchmark_paths=[_file(base, p, "benchmarks") for p in strings(data["benchmarks"], "benchmarks")],
         config=config,
     )
 
@@ -138,11 +98,7 @@ def _scenario(data, base: Path) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read a scenario file; a bad input raises ParseError or ValidationError naming the file and the key."""
     path = Path(path)
-    data = read_json(path)
-    try:
-        return _scenario(data, path.parent)
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return load(path, lambda data: _scenario(data, path.parent))
 
 
 def build_engine(
@@ -165,17 +121,6 @@ def build_engine(
         strict_checks=strict_checks,
     )
     return Engine(catalog, jobs, records, config, MemoryRecorder() if record_events else None)
-
-
-def run_scenario(
-    scenario: Scenario,
-    seed: Optional[int] = None,
-    record_events: bool = False,
-    strict_checks: bool = False,
-) -> Tuple[Engine, SummaryReport]:
-    engine = build_engine(scenario, seed=seed, record_events=record_events, strict_checks=strict_checks)
-    report = engine.run()
-    return engine, report
 
 
 METRICS_HEADER = ["time_s", "region", "instance_type", "active_instances", "vcpus_in_use", "gpus_in_use"]

@@ -12,11 +12,12 @@ All operations are pure functions over immutable records.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import catalog as cat
-from .errors import MissingRecordError, ParseError, ValidationError
+from .errors import MissingRecordError, ParseError, ValidationError, finite_number
 
 HOURS_PER_DAY = 24.0
 
@@ -42,15 +43,16 @@ class BenchmarkRecord:
     ns_per_day: float
 
     def __post_init__(self):
-        where = f"benchmark ({self.system}, {self.instance}, {self.ranks}x{self.threads})"
-        if self.ns_per_day <= 0:
-            raise ValidationError(f"{where}: ns_per_day must be > 0")
-        if self.ranks < 1 or self.threads < 1:
-            raise ValidationError(f"{where}: ranks and threads must be >= 1")
-        if self.pme_ranks < 0:
-            raise ValidationError(f"{where}: pme_ranks must be >= 0")
-        if self.phase not in PHASES:
-            raise ValidationError(f"{where}: unknown phase {self.phase!r}")
+        try:
+            finite_number("ns_per_day", self.ns_per_day, 0, low_open=True)
+            finite_number("ranks", self.ranks, 1)
+            finite_number("threads", self.threads, 1)
+            finite_number("pme_ranks", self.pme_ranks, 0)
+            if self.phase not in PHASES:
+                raise ValidationError(f"unknown phase {self.phase!r}")
+        except ValidationError as exc:
+            where = f"benchmark ({self.system}, {self.instance}, {self.ranks}x{self.threads})"
+            raise ValidationError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,9 @@ class ScalingSeries:
             raise ValidationError(f"{where}: first point must have n = 1")
         last_n = 0
         for n, perf in self.points:
-            if n <= last_n:
+            if finite_number(f"{where}: n", n) <= last_n:
                 raise ValidationError(f"{where}: instance counts must be strictly increasing")
-            if perf <= 0:
-                raise ValidationError(f"{where}: performance at n={n} must be > 0")
+            finite_number(f"{where}: ns_per_day at n={n}", perf, 0, low_open=True)
             last_n = n
 
     def performance_at(self, n: int) -> float:
@@ -95,8 +96,11 @@ class PerfPoint:
     ns_per_day: float
 
     def __post_init__(self):
-        if self.price_per_hour <= 0 or self.ns_per_day <= 0:
-            raise ValidationError(f"perf point {self.label}: price and performance must be > 0")
+        try:
+            finite_number("price_per_hour", self.price_per_hour, 0, low_open=True)
+            finite_number("ns_per_day", self.ns_per_day, 0, low_open=True)
+        except ValidationError as exc:
+            raise ValidationError(f"perf point {self.label}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -281,10 +285,17 @@ def recommend(
     the system and a price in the chosen region (default: the catalog's
     first region).  Instances whose predicted runtime exceeds
     ``max_runtime_h`` are dropped.  An empty list means no instance
-    satisfies the constraints; that is a result, not an error.
+    satisfies the constraints; that is a result, not an error.  The job's
+    durations must be finite numbers >= 0, and the deadline (unless ``None``)
+    and ``transition_slowdown`` finite numbers > 0.
     """
     if objective not in ("min_cost", "min_time"):
         raise ValueError(f"unknown objective {objective!r}")
+    finite_number("equil_ns", equil_ns, 0)
+    finite_number("transition_ns", transition_ns, 0)
+    if max_runtime_h is not None:
+        finite_number("max_runtime_h", max_runtime_h, 0, low_open=True)
+    finite_number("transition_slowdown", transition_slowdown, 0, low_open=True)
     if region is None:
         region = next(iter(catalog.regions))
     best = best_configs(records, system)
@@ -311,35 +322,53 @@ def recommend(
     return out
 
 
-def _read_csv(path, expected_header: List[str]):
+def _read_csv(path, expected_header: List[str]) -> List[Tuple[str, Dict[str, str]]]:
+    """``(path:line, row)`` per data row of the CSV at ``path``; its header must be ``expected_header``."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected_header:
             raise ParseError(
                 f"{path}: expected header {','.join(expected_header)!r}, got {reader.fieldnames}"
             )
-        return list(reader)
+        rows = [(f"{path}:{reader.line_num}", row) for row in reader]
+    for where, row in rows:
+        if None in row or None in row.values():  # more or fewer cells than the header
+            raise ParseError(f"{where}: expected {len(expected_header)} cells")
+    return rows
+
+
+def _cell(where: str, row: Dict[str, str], column: str, kind=float):
+    """The finite number in ``row[column]``, read by ``kind``; any other cell is a ParseError naming both."""
+    text = row[column]
+    try:
+        value = kind(text)
+    except ValueError:
+        pass
+    else:
+        if math.isfinite(value):
+            return value
+    rule = "a whole number" if kind is int else "a finite number"
+    raise ParseError(f"{where}: {column} must be {rule}, got {text!r}")
 
 
 def load_benchmarks(path) -> List[BenchmarkRecord]:
     """Load benchmark records from CSV (header: system,instance,ranks,threads,pme_ranks,phase,ns_per_day)."""
-    rows = _read_csv(path, BENCH_CSV_HEADER)
     records = []
-    for i, row in enumerate(rows, start=2):
+    for where, row in _read_csv(path, BENCH_CSV_HEADER):
         try:
             records.append(
                 BenchmarkRecord(
                     system=row["system"].strip(),
                     instance=row["instance"].strip(),
-                    ranks=int(row["ranks"]),
-                    threads=int(row["threads"]),
-                    pme_ranks=int(row["pme_ranks"]),
+                    ranks=_cell(where, row, "ranks", int),
+                    threads=_cell(where, row, "threads", int),
+                    pme_ranks=_cell(where, row, "pme_ranks", int),
                     phase=row["phase"].strip(),
-                    ns_per_day=float(row["ns_per_day"]),
+                    ns_per_day=_cell(where, row, "ns_per_day"),
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}:{i}: malformed row: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
     return records
 
 
@@ -352,11 +381,11 @@ def load_many_benchmarks(paths) -> List[BenchmarkRecord]:
 
 def load_scaling(path) -> List[ScalingSeries]:
     """Load scaling series from CSV (header: system,instance,n_instances,ns_per_day)."""
-    rows = _read_csv(path, SCALING_CSV_HEADER)
     grouped = {}
-    for row in rows:
+    for where, row in _read_csv(path, SCALING_CSV_HEADER):
         key = (row["system"].strip(), row["instance"].strip())
-        grouped.setdefault(key, []).append((int(row["n_instances"]), float(row["ns_per_day"])))
+        point = (_cell(where, row, "n_instances", int), _cell(where, row, "ns_per_day"))
+        grouped.setdefault(key, []).append(point)
     series = []
     for (system, instance), points in grouped.items():
         points.sort(key=lambda p: p[0])

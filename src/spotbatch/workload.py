@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ParseError, ValidationError
-from .jsonfile import read_json
+from .errors import ValidationError, finite_number
+from .jsonfile import entries, load, number, shaped, within
 
 KIND_COMPLEX = "complex"
 KIND_LIGAND = "ligand"
@@ -41,15 +41,14 @@ class TargetSpec:
     edges: int
 
     def __post_init__(self):
-        if self.edges < 0:
-            raise ValidationError(f"target {self.name}: edges must be >= 0")
-        if self.complex_atoms <= 0 or self.ligand_atoms <= 0:
-            raise ValidationError(f"target {self.name}: atom counts must be > 0")
+        finite_number("complex_atoms", self.complex_atoms, 0, low_open=True)
+        finite_number("ligand_atoms", self.ligand_atoms, 0, low_open=True)
+        finite_number("edges", self.edges, 0)
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A full screening ensemble: targets plus multiplicities and job shape."""
+    """A full screening ensemble: targets plus multiplicities and job shape, checked by its phase plan."""
 
     targets: Tuple[TargetSpec, ...]
     replicas: int = 3
@@ -62,14 +61,14 @@ class EnsembleSpec:
     chunk_steps: int = DEFAULT_CHUNK_STEPS
 
     def __post_init__(self):
-        if self.replicas < 1 or self.directions < 1 or self.forcefields < 1:
-            raise ValidationError("replicas, directions, and forcefields must be >= 1")
-        if self.equil_ns <= 0 or self.transition_ps <= 0 or self.timestep_fs <= 0:
-            raise ValidationError("equil_ns, transition_ps, and timestep_fs must be > 0")
-        if self.n_transitions < 0:
-            raise ValidationError("n_transitions must be >= 0")
-        if self.chunk_steps < 1:
-            raise ValidationError("chunk_steps must be >= 1")
+        for key in ("replicas", "directions", "forcefields"):
+            finite_number(key, getattr(self, key), 1)
+        self.phase_plan()
+
+    def phase_plan(self) -> PhasePlan:
+        return make_phase_plan(
+            self.equil_ns, self.timestep_fs, self.chunk_steps, self.n_transitions, self.transition_ps
+        )
 
     @property
     def total_edges(self) -> int:
@@ -90,10 +89,11 @@ class KindPolicy:
     proxy_systems: Tuple[Tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if self.vcpus < 1:
-            raise ValidationError("kind policy: vcpus must be >= 1")
+        finite_number("vcpus", self.vcpus, 1)
         if self.gpus not in (0, 1):
-            raise ValidationError("kind policy: gpus must be 0 or 1")
+            raise ValidationError(f"gpus must be 0 or 1, got {self.gpus!r}")
+        for i, (_, atoms) in enumerate(self.proxy_systems):
+            finite_number(f"proxy_systems[{i}].atoms", atoms, 0, low_open=True)
 
 
 DEFAULT_POLICY: Dict[str, KindPolicy] = {
@@ -149,14 +149,17 @@ def make_phase_plan(
     n_transitions: int = 80,
     transition_ps: float = 50.0,
 ) -> PhasePlan:
-    """Derive a phase plan from physical durations and the integration step."""
-    if equil_ns <= 0 or timestep_fs <= 0 or chunk_steps <= 0 or transition_ps <= 0:
-        raise ValueError("phase plan inputs must be > 0")
-    if n_transitions < 0:
-        raise ValueError("n_transitions must be >= 0")
-    total_equil_steps = round(equil_ns * 1e6 / timestep_fs)
+    """Derive a phase plan from physical durations and the integration step; every number must be finite."""
+    finite_number("equil_ns", equil_ns, 0, low_open=True)
+    finite_number("timestep_fs", timestep_fs, 0, low_open=True)
+    finite_number("chunk_steps", chunk_steps, 0, low_open=True)
+    finite_number("transition_ps", transition_ps, 0, low_open=True)
+    finite_number("n_transitions", n_transitions, 0)
+    total_equil_steps = round(finite_number("equil_ns * 1e6 / timestep_fs", equil_ns * 1e6 / timestep_fs))
     equil_chunks = math.ceil(total_equil_steps / chunk_steps)
-    transition_steps = round(transition_ps * 1e3 / timestep_fs)
+    transition_steps = round(
+        finite_number("transition_ps * 1e3 / timestep_fs", transition_ps * 1e3 / timestep_fs)
+    )
     return PhasePlan(
         equil_chunks=equil_chunks,
         chunk_steps=chunk_steps,
@@ -194,6 +197,7 @@ class JobSpec:
             raise ValidationError(f"job {self.id}: vcpu_demand must be >= 1")
         if self.gpu_demand not in (0, 1):
             raise ValidationError(f"job {self.id}: gpu_demand must be 0 or 1")
+        finite_number("timestep_fs", self.timestep_fs, 0, low_open=True)
         if not self.input_ref:
             object.__setattr__(self, "input_ref", f"in/{self.id}")
         if not self.output_ref:
@@ -260,9 +264,7 @@ def expand_ensemble(
     for kind in JOB_KINDS:
         if kind not in policy:
             raise ValidationError(f"resource policy missing kind {kind!r}")
-    plan = make_phase_plan(
-        spec.equil_ns, spec.timestep_fs, spec.chunk_steps, spec.n_transitions, spec.transition_ps
-    )
+    plan = spec.phase_plan()
     jobs: List[JobSpec] = []
     seen_ids = set()
     for target in spec.targets:
@@ -307,44 +309,50 @@ class Workload:
         return expand_ensemble(self.spec, self.policy)
 
 
-def _parse_policy(data: dict) -> Dict[str, KindPolicy]:
+def _target(raw: dict) -> TargetSpec:
+    return TargetSpec(
+        name=shaped(raw["name"], str, "name"),
+        complex_atoms=number("complex_atoms", raw["complex_atoms"], whole=True),
+        ligand_atoms=number("ligand_atoms", raw["ligand_atoms"], whole=True),
+        edges=number("edges", raw["edges"], whole=True),
+    )
+
+
+def _kind_policy(raw: dict) -> KindPolicy:
+    proxies = tuple(
+        (shaped(p["name"], str, f"{where}.name"), number(f"{where}.atoms", p["atoms"], whole=True))
+        for where, p in entries(raw, "proxy_systems", ("name", "atoms"))
+    )
+    return KindPolicy(
+        vcpus=number("vcpus", raw["vcpus"], whole=True),
+        gpus=number("gpus", raw.get("gpus", 0), whole=True),
+        proxy_systems=proxies,
+    )
+
+
+# The knobs an ensemble may set, with their defaults in EnsembleSpec; the counts must be whole numbers.
+_COUNTS = ("replicas", "directions", "forcefields", "n_transitions", "chunk_steps")
+_DURATIONS = ("equil_ns", "transition_ps", "timestep_fs")
+
+
+def _workload(data) -> Workload:
+    shaped(data, dict, "workload", ("targets",))
+    targets = entries(data, "targets", ("name", "complex_atoms", "ligand_atoms", "edges"))
+    knobs = {k: number(k, v, k in _COUNTS) for k, v in data.items() if k in _COUNTS + _DURATIONS}
     policy = {}
-    for kind in JOB_KINDS:
-        raw = data.get(kind)
-        if raw is None:
-            policy[kind] = DEFAULT_POLICY[kind]
-            continue
-        proxies = tuple((str(p["name"]), int(p["atoms"])) for p in raw.get("proxy_systems", []))
-        policy[kind] = KindPolicy(
-            vcpus=int(raw["vcpus"]), gpus=int(raw.get("gpus", 0)), proxy_systems=proxies
-        )
-    return policy
+    for kind, raw in shaped(data.get("resource_policy", {}), dict, "resource_policy").items():
+        if kind in JOB_KINDS and raw is not None:
+            where = f"resource_policy.{kind}"
+            policy[kind] = within(where, _kind_policy, shaped(raw, dict, where, ("vcpus",)))
+    return Workload(
+        spec=EnsembleSpec(targets=tuple(within(where, _target, t) for where, t in targets), **knobs),
+        policy={kind: policy.get(kind, DEFAULT_POLICY[kind]) for kind in JOB_KINDS},
+    )
 
 
 def load_workload(path) -> Workload:
-    """Load an ensemble specification plus resource policy from JSON."""
-    data = read_json(path)
-    if "targets" not in data:
-        raise ParseError(f"{path}: workload document is missing the 'targets' key")
-    targets = tuple(
-        TargetSpec(
-            name=t["name"],
-            complex_atoms=int(t["complex_atoms"]),
-            ligand_atoms=int(t["ligand_atoms"]),
-            edges=int(t["edges"]),
-        )
-        for t in data["targets"]
-    )
-    spec = EnsembleSpec(
-        targets=targets,
-        replicas=int(data.get("replicas", 3)),
-        directions=int(data.get("directions", 2)),
-        forcefields=int(data.get("forcefields", 1)),
-        equil_ns=float(data.get("equil_ns", 6.0)),
-        n_transitions=int(data.get("n_transitions", 80)),
-        transition_ps=float(data.get("transition_ps", 50.0)),
-        timestep_fs=float(data.get("timestep_fs", 2.0)),
-        chunk_steps=int(data.get("chunk_steps", DEFAULT_CHUNK_STEPS)),
-    )
-    policy = _parse_policy(data.get("resource_policy", {}))
-    return Workload(spec=spec, policy=policy)
+    """Load an ensemble specification plus resource policy from JSON.
+
+    A bad input raises ParseError or ValidationError naming the file and the key.
+    """
+    return load(path, _workload)

@@ -125,12 +125,12 @@ def test_criterion_6_cost_per_fe_band(fe_records, aws_catalog):
         assert complex_h < 15.0
 
         toy = scen.load_scenario(spotbatch.data_path("scenarios/study2_toy.json"))
-        _, report = scen.run_scenario(toy, seed=42)
+        report = scen.build_engine(toy, seed=42).run()
         assert report.n_completed == report.n_jobs
         assert report.cost_per_fe == pytest.approx(closed_form, rel=0.10)
 
         mixed = scen.load_scenario(spotbatch.data_path("scenarios/study1_toy.json"))
-        _, mixed_report = scen.run_scenario(mixed, seed=42)
+        mixed_report = scen.build_engine(mixed, seed=42).run()
         assert report.total_cost < mixed_report.total_cost
 
 
@@ -194,7 +194,7 @@ def test_criterion_9_pareto_and_idle_overhead(plain_records, aws_catalog):
         assert "g4dn.xl" in labels
 
         toy = scen.load_scenario(spotbatch.data_path("scenarios/study2_toy.json"))
-        _, finite_report = scen.run_scenario(toy, seed=42)
+        finite_report = scen.build_engine(toy, seed=42).run()
         toy = replace(toy, config=replace(toy.config, grace_period_s=None))
-        _, infinite_report = scen.run_scenario(toy, seed=42)
+        infinite_report = scen.build_engine(toy, seed=42).run()
         assert infinite_report.total_cost > finite_report.total_cost

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -135,3 +136,39 @@ def test_lookup_rate_is_pure(aws_catalog):
     first = cat.lookup_rate(aws_catalog, "c5.2xl", "eu-west-1", cat.SPOT)
     for _ in range(3):
         assert cat.lookup_rate(aws_catalog, "c5.2xl", "eu-west-1", cat.SPOT) == first
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        pytest.param(lambda: cat.InstanceTypeSpec("a.big", vcpus=NAN), "vcpus", id="instance-vcpus"),
+        pytest.param(lambda: cat.InstanceTypeSpec("a.big", vcpus=4, network_gbps=NAN), "network_gbps",
+                     id="instance-network"),
+        pytest.param(lambda: cat.PriceEntry("a", "r", on_demand_per_hour=NAN), "on_demand_per_hour",
+                     id="price-on-demand"),
+        pytest.param(lambda: cat.PriceEntry("a", "r", 1.0, spot_fraction=NAN), "spot_fraction",
+                     id="price-spot"),
+        pytest.param(lambda: cat.RegionSpec("r", spot_pool={"c5": NAN}), "spot_pool.c5", id="region-pool"),
+        pytest.param(lambda: cat.RegionSpec("r", weight=NAN), "weight", id="region-weight"),
+    ],
+)
+def test_entries_reject_nan(make, named):
+    with pytest.raises(ValidationError, match=re.escape(f"{named} must be a finite number")):
+        make()
+
+
+def test_catalog_reports_every_bad_entry_at_once():
+    doc = minimal_doc()
+    doc["instances"].append({"name": "c5.big", "vcpus": "abc"})
+    doc["regions"].append({"name": "eu-west-1", "spot_pool": {"c5": -1}})
+    doc["prices"].append({"instance": "g4dn.4xl", "region": "us-east-1", "on_demand_per_hour": 1.0})
+    with pytest.raises(ValidationError) as raised:
+        cat.build_catalog(doc)
+    assert str(raised.value).splitlines() == [
+        "instances[1].vcpus must be a whole number, got 'abc'",
+        "regions[1].spot_pool.c5 must be a finite number >= 0, got -1",
+        "prices[1]: duplicate price entry for ('g4dn.4xl', 'us-east-1')",
+    ]

@@ -445,3 +445,119 @@ def test_scenario_accepts_zero_pool_override_and_whole_float_seed(tmp_path):
     scenario = scen.load_scenario(toy_variant(tmp_path, seed=7.0, pool_overrides={"us-east-1": {"c5": 0}}))
     assert scenario.config.seed == 7 and isinstance(scenario.config.seed, int)
     assert scenario.config.pool_overrides == {"us-east-1": {"c5": 0}}
+
+
+def edited_json(tmp_path, name, edit):
+    """The bundled JSON file ``name`` after ``edit(document)``, written under ``tmp_path``; its path."""
+    doc = json.loads(spotbatch.data_path(name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def edited_csv(tmp_path, name, column, value):
+    """The bundled CSV ``name`` with ``column`` of its first data row (line 2) set to ``value``; its path."""
+    lines = spotbatch.data_path(name).read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[1] = ",".join(cells)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, edit, named",
+    [
+        pytest.param("catalog_aws.json", lambda d: d["instances"][3].pop("name"),
+                     "instances[3] is missing the 'name' key", id="instance-without-name"),
+        pytest.param("catalog_aws.json", lambda d: d["instances"][3].update(vcpus="abc"),
+                     "instances[3].vcpus must be a whole number", id="string-vcpus"),
+        pytest.param("catalog_aws.json", lambda d: d["instances"][3].update(vcpus=16.7),
+                     "instances[3].vcpus must be a whole number", id="fractional-vcpus"),
+        pytest.param("catalog_aws.json", lambda d: d.update(instances=5),
+                     "instances must be a list", id="number-instances"),
+        pytest.param("catalog_aws.json", lambda d: d["regions"][1].update(spot_pool=[1]),
+                     "regions[1].spot_pool must be a JSON object", id="list-spot-pool"),
+        pytest.param("catalog_aws.json", lambda d: d["regions"][1].update(weight="x"),
+                     "regions[1].weight must be a number", id="string-region-weight"),
+        pytest.param("catalog_aws.json", lambda d: d["prices"][5].update(spot_fraction=None),
+                     "prices[5].spot_fraction must be a number", id="null-spot-fraction"),
+        pytest.param("catalog_aws.json", lambda d: d["prices"][5].update(on_demand_per_hour="1"),
+                     "prices[5].on_demand_per_hour must be a number", id="string-price"),
+        pytest.param("catalog_aws.json", lambda d: d.update(currency_per_dollar=-1),
+                     "currency_per_dollar must be a finite number > 0", id="negative-currency"),
+        pytest.param("workload_toy.json", lambda d: d["targets"][0].pop("edges"),
+                     "targets[0] is missing the 'edges' key", id="target-without-edges"),
+        pytest.param("workload_toy.json", lambda d: d["resource_policy"]["complex"].pop("vcpus"),
+                     "resource_policy.complex is missing the 'vcpus' key", id="policy-without-vcpus"),
+        pytest.param("workload_toy.json", lambda d: d.update(targets={"a": 1}),
+                     "targets must be a list", id="object-targets"),
+        pytest.param("workload_toy.json", lambda d: d.update(timestep_fs=1e-310),
+                     "equil_ns * 1e6 / timestep_fs must be a finite number", id="tiny-timestep"),
+        pytest.param("workload_toy.json", lambda d: d.update(transition_ps=1e308),
+                     "transition_ps * 1e3 / timestep_fs must be a finite number", id="huge-transition"),
+        pytest.param("workload_toy.json", lambda d: d["targets"][0].update(edges=2.9),
+                     "targets[0].edges must be a whole number", id="fractional-edges"),
+        pytest.param("workload_toy.json", lambda d: d.update(replicas="3"),
+                     "replicas must be a whole number", id="string-replicas"),
+    ],
+)
+def test_simulate_rejects_bad_catalog_or_workload_naming_file_and_key(tmp_path, capsys, name, edit, named):
+    path = edited_json(tmp_path, name, edit)
+    scenario = toy_variant(tmp_path, **{"catalog" if name.startswith("catalog") else "workload": path})
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        pytest.param(lambda d: d.update(instances=5), "instances must be a list", id="number-instances"),
+        pytest.param(lambda d: d["regions"][1].update(spot_pool=[1]),
+                     "regions[1].spot_pool must be a JSON object", id="list-spot-pool"),
+    ],
+)
+def test_validate_reports_bad_catalog_shapes(tmp_path, capsys, edit, named):
+    path = edited_json(tmp_path, "catalog_aws.json", edit)
+    assert run_cli("validate", "--catalog", path) == 1
+    assert f"{path}: {named}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, column, value, message",
+    [
+        pytest.param("bench_fe_gpu.csv", "ranks", "x", "ranks must be a whole number, got 'x'", id="bench-x"),
+        pytest.param("bench_fe_gpu.csv", "ns_per_day", "nan",
+                     "ns_per_day must be a finite number, got 'nan'", id="bench-nan"),
+        pytest.param("scaling_c5n18xl.csv", "n_instances", "x", "n_instances must be a whole number, got 'x'",
+                     id="scaling-x"),
+        pytest.param("scaling_c5n18xl.csv", "ns_per_day", "nan",
+                     "ns_per_day must be a finite number, got 'nan'", id="scaling-nan"),
+    ],
+)
+def test_bad_benchmark_cell_exits_1_naming_line_and_column(tmp_path, capsys, name, column, value, message):
+    path = edited_csv(tmp_path, name, column, value)
+    if name.startswith("bench"):
+        scenario = toy_variant(tmp_path, benchmarks=[path, FE_CPU])
+        argv = ["simulate", "--scenario", scenario, "--out", str(tmp_path / "out")]
+    else:
+        argv = ["bench", "--scaling", path]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--equil-ns", "-5", "equil_ns"),
+        ("--deadline-h", "nan", "max_runtime_h"),
+        ("--transition-ns", "inf", "transition_ns"),
+    ],
+)
+def test_recommend_rejects_bad_numbers(capsys, flag, value, named):
+    argv = ["recommend", "--bench", FE_GPU, "--catalog", CATALOG, "--system", "cmet_complex", flag, value]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named} must be a finite number")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -382,3 +383,25 @@ def test_scaling_csv_groups_series(tmp_path):
     series = {s.system: s for s in pm.load_scaling(path)}
     assert series["rib"].points == ((1, 5.0), (2, 9.0))
     assert series["mem"].points == ((1, 89.0),)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        pytest.param(lambda: pm.BenchmarkRecord("s", "i", 1, 8, 0, "equilibration", NAN), "ns_per_day",
+                     id="record-ns-per-day"),
+        pytest.param(lambda: pm.BenchmarkRecord("s", "i", NAN, 8, 0, "equilibration", 1.0), "ranks",
+                     id="record-ranks"),
+        pytest.param(lambda: pm.ScalingSeries("s", "i", ((1, 5.0), (2, NAN))), "ns_per_day at n=2",
+                     id="series-point"),
+        pytest.param(lambda: pm.ScalingSeries("s", "i", ((1, 5.0), (NAN, 9.0))), ": n", id="series-count"),
+        pytest.param(lambda: pm.PerfPoint("p", 1.0, NAN), "ns_per_day", id="point-ns-per-day"),
+        pytest.param(lambda: pm.PerfPoint("p", NAN, 1.0), "price_per_hour", id="point-price"),
+    ],
+)
+def test_records_reject_nan(make, named):
+    with pytest.raises(ValidationError, match=re.escape(f"{named} must be a finite number")):
+        make()

@@ -1,17 +1,19 @@
-"""Fuzzed scenario documents load and build cleanly or fail with an input error.
+"""Fuzzed input documents load and build cleanly or fail with an input error.
 
-One value anywhere in a scenario document is replaced with an arbitrary
-JSON value.  Loading and building an engine must then either succeed or
-raise one of the package's input errors, which ``spotbatch simulate``
-reports as exit code 1 with an ``error:`` line; any other exception would
-escape as a traceback.  The runs themselves are not started: a tiny
-``metrics_interval_s`` is a valid value whose run takes very long.
+One value anywhere in a scenario document, or in the catalog or workload
+document it names, is replaced with an arbitrary JSON value.  Loading and
+building an engine must then either succeed or raise one of the package's
+input errors, which ``spotbatch simulate`` reports as exit code 1 with an
+``error:`` line; any other exception would escape as a traceback.  The
+runs themselves are not started: a tiny ``metrics_interval_s`` is a valid
+value whose run takes very long.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 import spotbatch
 from spotbatch.errors import MissingRecordError, ParseError, ValidationError
 from spotbatch.orchestrator.scenario import build_engine, load_scenario
+from spotbatch.workload import load_workload
 
 
 def _base_document() -> dict:
@@ -59,6 +62,13 @@ def _key_paths(value, prefix=()):
 
 KEY_PATHS = list(_key_paths(BASE))
 
+# The catalog and workload documents of BASE, by the scenario key that names them.
+NAMED = {role: json.loads(Path(BASE[role]).read_text()) for role in ("catalog", "workload")}
+NAMED_KEY_PATHS = {role: list(_key_paths(doc)) for role, doc in NAMED.items()}
+
+# A workload is expanded, and an engine built for it, only up to this many jobs, to keep the test fast.
+MAX_FUZZED_JOBS = 10_000
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -75,6 +85,16 @@ def scenario_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "scenario.json"
 
 
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced by ``value``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
 def test_base_document_builds(scenario_file):
     scenario_file.write_text(json.dumps(BASE))
     build_engine(load_scenario(scenario_file))
@@ -83,14 +103,27 @@ def test_base_document_builds(scenario_file):
 @settings(max_examples=250, deadline=None)
 @given(path=st.sampled_from(KEY_PATHS), value=JSON_VALUES)
 def test_fuzzed_scenario_builds_or_raises_an_input_error(scenario_file, path, value):
-    doc = copy.deepcopy(BASE)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    scenario_file.write_text(json.dumps(doc))
+    scenario_file.write_text(json.dumps(_replaced(BASE, path, value)))
     try:
         build_engine(load_scenario(scenario_file))
     except (ParseError, ValidationError, MissingRecordError):
         # MissingRecordError: an instance type the catalog does not list.
+        pass
+
+
+@pytest.mark.parametrize("role", sorted(NAMED))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_fuzzed_catalog_or_workload_builds_or_raises_an_input_error(scenario_file, role, data, value):
+    path = data.draw(st.sampled_from(NAMED_KEY_PATHS[role]), label="path")
+    named_file = scenario_file.with_name(f"{role}.json")
+    named_file.write_text(json.dumps(_replaced(NAMED[role], path, value)))
+    scenario_file.write_text(json.dumps(dict(BASE, **{role: str(named_file)})))
+    try:
+        if role == "workload":
+            spec = load_workload(named_file).spec
+            if 2 * spec.replicas * spec.directions * spec.forcefields * spec.total_edges > MAX_FUZZED_JOBS:
+                return
+        build_engine(load_scenario(scenario_file))
+    except (ParseError, ValidationError, MissingRecordError):
         pass

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,3 +206,41 @@ def test_load_workload_rejects_nan(tmp_path):
     path.write_text(spotbatch.data_path("workload_toy.json").read_text().replace("{", '{"equil_ns": NaN, ', 1))
     with pytest.raises(ParseError, match="NaN is not a finite number"):
         wl.load_workload(path)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        pytest.param(lambda: wl.TargetSpec("t", NAN, 6000, 2), "complex_atoms", id="target-atoms"),
+        pytest.param(lambda: wl.TargetSpec("t", 50000, 6000, NAN), "edges", id="target-edges"),
+        pytest.param(lambda: small_spec(replicas=NAN), "replicas", id="ensemble-replicas"),
+        pytest.param(lambda: small_spec(equil_ns=NAN), "equil_ns", id="ensemble-equil-ns"),
+        pytest.param(lambda: small_spec(transition_ps=NAN), "transition_ps", id="ensemble-transition-ps"),
+        pytest.param(lambda: wl.KindPolicy(vcpus=NAN), "vcpus", id="policy-vcpus"),
+        pytest.param(lambda: wl.KindPolicy(vcpus=8, proxy_systems=(("p", NAN),)), "proxy_systems[0].atoms",
+                     id="policy-proxy-atoms"),
+        pytest.param(
+            lambda: wl.JobSpec("j", "t", "complex", "s", 16, 1, wl.make_phase_plan(6.0, 2.0), NAN, "fe"),
+            "timestep_fs",
+            id="job-timestep",
+        ),
+    ],
+)
+def test_specs_reject_nan(make, named):
+    with pytest.raises(ValidationError, match=re.escape(f"{named} must be a finite number")):
+        make()
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        pytest.param({"timestep_fs": 1e-310}, "equil_ns * 1e6 / timestep_fs", id="tiny-timestep"),
+        pytest.param({"transition_ps": 1e308}, "transition_ps * 1e3 / timestep_fs", id="huge-transition"),
+    ],
+)
+def test_spec_rejects_non_finite_step_counts(overrides, named):
+    with pytest.raises(ValidationError, match=re.escape(f"{named} must be a finite number, got inf")):
+        small_spec(**overrides)
