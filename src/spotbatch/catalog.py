@@ -13,7 +13,7 @@ Catalogs are immutable after load and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Set, Tuple
 
 from .errors import MissingRecordError, ParseError, ValidationError, finite_number
 from .jsonfile import load, number, numbers, shaped, within
@@ -194,6 +194,11 @@ def _each(data: dict, key: str, required: Tuple[str, ...], parse, problems: List
             yield where, item
 
 
+def _names(data: dict, key: str) -> Set[str]:
+    """The names the entries under ``key`` declare, whether or not each entry parses."""
+    return {raw["name"] for raw in data[key] if isinstance(raw, dict) and isinstance(raw.get("name"), str)}
+
+
 def build_catalog(data) -> Catalog:
     """Construct a Catalog from a parsed JSON document, checking every entry.
 
@@ -221,11 +226,13 @@ def build_catalog(data) -> Catalog:
     if not regions:
         problems.append("regions must list at least one region")
 
+    # A price naming a bad entry is not dangling: that entry's own problem is reported above.
+    instance_names, region_names = _names(data, "instances"), _names(data, "regions")
     prices = {}
     for where, entry in _each(data, "prices", ("instance", "region", "on_demand_per_hour"), _price, problems):
-        if entry.instance not in instances:
+        if entry.instance not in instance_names:
             problems.append(f"{where}.instance references unknown instance {entry.instance!r}")
-        if entry.region not in regions:
+        if entry.region not in region_names:
             problems.append(f"{where}.region references unknown region {entry.region!r}")
         key = (entry.instance, entry.region)
         if key in prices:

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import catalog as cat
 from . import costmodel, perfmodel, workload
 from .errors import SpotbatchError
+from .jsonfile import load, shaped
 from .orchestrator import scenario as scen
 
 EXIT_OK = 0
@@ -237,7 +238,7 @@ def cmd_report(args) -> int:
     code = _require_files(args.summary)
     if code:
         return code
-    data = json.loads(Path(args.summary).read_text())
+    data = load(args.summary, lambda doc: shaped(doc, dict, "summary"))
     rows = [[k, f"{v:g}" if isinstance(v, float) else str(v)] for k, v in sorted(data.items())]
     print(_render_table(["field", "value"], rows))
     return EXIT_OK

@@ -8,7 +8,6 @@ from .engine import (  # noqa: F401
     SimEvent,
     SummaryReport,
     WorkItem,
-    resume_index,
     work_items,
 )
 from .preemption import PreemptionModel  # noqa: F401

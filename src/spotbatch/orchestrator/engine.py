@@ -17,14 +17,16 @@ GPUs) stays queued, the later jobs of that shape wait out the rest of the
 pass.  The queue is kept as one FIFO bucket per shape so that a pass costs
 O(placements + shapes), not O(queue length).
 
-A job's work items run in the order ``work_items`` defines.  When a job
-boards an instance, it takes that residency's table of (item, completion
-event, duration) for its phase plan, system and instance type, and a cursor
-into it at its resume index.  The completion of a work item is a plain heap
-entry ``(time, seq, job, epoch)``, not a ``SimEvent``; the event loop
-handles it inline: it credits the item, persists and validates the
-progress, advances the cursor and replaces the entry with the next item's
-in one heap operation.
+A job's work items run in the order ``work_items`` defines, and its
+progress is one count: the number of items it has persisted, which is also
+the index in ``work_items`` of the item that runs next.  The count only
+grows; a preemption loses the item in flight and leaves the count as it
+is.  When a job boards an instance, it takes that residency's table of
+(item, completion event, duration) for its phase plan, system and instance
+type, and resumes at its count.  The completion of a work item is a plain
+heap entry ``(time, seq, job, epoch)``, not a ``SimEvent``; the event loop
+handles it inline: it credits the item, adds one to the count and replaces
+the entry with the next item's in one heap operation.
 
 First-fit placement scans a region's open instances (those with a free
 vCPU) in acquisition order; the list is kept in that order as instances
@@ -63,7 +65,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 from .. import catalog as cat
 from .. import perfmodel
 from ..errors import SimulationError, ValidationError, finite_number
-from ..workload import JobProgress, JobSpec, PhasePlan
+from ..workload import JobSpec, PhasePlan
 from .preemption import PreemptionModel
 from .recorder import BillRow, RunRecorder
 from .routing import Router, RoutingPolicy
@@ -135,15 +137,6 @@ def work_items(plan: PhasePlan) -> List[WorkItem]:
     )
 
 
-def resume_index(progress: JobProgress) -> int:
-    """Where a job continues in ``work_items(plan)``: the count of items it has persisted.
-
-    Valid progress (see ``JobProgress.validate``) is always a prefix of the
-    work order, so the count alone locates the next item.
-    """
-    return progress.chunks_done + progress.transitions_done + progress.integrated
-
-
 @dataclass
 class InstanceState:
     """One acquired (or requested) instance and its current occupancy."""
@@ -213,10 +206,10 @@ class EngineConfig:
     """Everything that shapes one simulation besides catalog and jobs, checked once at construction.
 
     Every number must be finite.  ``None`` keeps its meaning where it has
-    one: no idle termination, no acquisition rate limit.  A non-positive
-    ``metrics_interval_s`` turns sampling off.  Negative delays and times
-    pass here; the clock guard stops the run when one would schedule an
-    event before the clock.
+    one: no idle termination, no metrics sampling, no acquisition rate
+    limit.  Samples are at least 1 s apart, so their count is bounded by the
+    makespan.  Negative delays and times pass here; the clock guard stops
+    the run when one would schedule an event before the clock.
     """
 
     routing: RoutingPolicy
@@ -225,7 +218,7 @@ class EngineConfig:
     preemption: PreemptionModel = field(default_factory=PreemptionModel)
     grace_period_s: Optional[float] = 120.0
     seed: int = 0
-    metrics_interval_s: float = 60.0
+    metrics_interval_s: Optional[float] = 60.0
     transition_slowdown: float = 1.0
     acquisition_latency_s: float = 0.0
     acquisitions_per_region_minute: Optional[float] = None
@@ -243,7 +236,8 @@ class EngineConfig:
             finite_number("acquisitions_per_region_minute", per_minute, 0, low_open=True)
         if self.grace_period_s is not None:
             finite_number("grace_period_s", self.grace_period_s)
-        finite_number("metrics_interval_s", self.metrics_interval_s)
+        if self.metrics_interval_s is not None:
+            finite_number("metrics_interval_s", self.metrics_interval_s, 1)
         finite_number("acquisition_latency_s", self.acquisition_latency_s)
         for i, (time_s, _) in enumerate(self.waves):
             finite_number(f"waves[{i}].time_s", time_s)
@@ -281,14 +275,13 @@ class SummaryReport:
 @dataclass(slots=True)
 class _Job:
     spec: JobSpec
-    progress: JobProgress = field(default_factory=JobProgress)
     status: str = ST_PENDING
     epoch: int = 0
     instance_id: Optional[str] = None
     region: Optional[str] = None
     work_started_at: float = 0.0
-    # The current residency's work table and the index of the running item,
-    # which is resume_index(progress) while the job runs.
+    # The current residency's work table, and the job's progress: the count of
+    # items it has persisted, which indexes its next item in work order.
     work: Sequence[WorkEntry] = ()
     cursor: int = 0
     submissions: int = 0
@@ -339,16 +332,13 @@ class Engine:
         # never compare past it.
         self._heap: List[tuple] = []
         self._preheap: List[Tuple[float, int, str]] = []  # planned reclaims, lazily invalidated
-        self._last_progress: Dict[str, Tuple[int, int, bool]] = {}
+        self._last_progress: Dict[str, int] = {}  # each job's count at the last strict check
         self._seq = 0
         self._instance_counter = 0
         self._arrivals = 0  # queue arrivals so far; orders the shape buckets
-        # A non-positive interval turns sampling off: no sample is ever due.
-        self._next_sample = math.inf if config.metrics_interval_s <= 0 else 0.0
-        self._last_completion = 0.0
+        # Without an interval no sample is ever due.
+        self._next_sample = math.inf if config.metrics_interval_s is None else 0.0
         self._region_next_slot: Dict[str, float] = {}
-        self._best_configs: Dict[str, Dict[Tuple[str, str], perfmodel.BenchmarkRecord]] = {}
-        self._rates: Dict[Tuple[str, str], Tuple[float, float]] = {}  # (equilibration, transition)
         self._work_tables: Dict[Tuple[PhasePlan, str, float, str], Tuple[WorkEntry, ...]] = {}
 
         for region in config.routing.weights:
@@ -406,29 +396,17 @@ class Engine:
             self._pool[key] = cap
         return self._pool[key]
 
-    def _rate_ns_per_day(self, system: str, type_name: str, phase: str) -> float:
-        rates = self._rates.get((system, type_name))
-        if rates is None:
-            best = self._best_configs.get(system)
-            if best is None:
-                best = self._best_configs[system] = perfmodel.best_configs(self.records, system)
-            rates = self._rates[(system, type_name)] = perfmodel.phase_rates(
-                best, system, type_name, self.config.transition_slowdown
-            )
-        return rates[1] if phase == perfmodel.PHASE_TRANSITION else rates[0]
-
-    def _item_duration(self, spec: JobSpec, item: WorkItem, type_name: str) -> float:
-        plan = spec.phase_plan
+    def _item_duration(self, spec: JobSpec, item: WorkItem, rates: Tuple[float, float]) -> float:
+        """Seconds ``item`` takes at ``rates``, the (equilibration, transition) ns/day."""
         if item.kind == "chunk":
-            steps = plan.chunk_length(item.index)
-            phase = perfmodel.PHASE_EQUILIBRATION
+            steps = spec.phase_plan.chunk_length(item.index)
+            rate = rates[0]
         elif item.kind == "transition":
-            steps = plan.transition_steps
-            phase = perfmodel.PHASE_TRANSITION
+            steps = spec.phase_plan.transition_steps
+            rate = rates[1]
         else:
             return 0.0
         ns = steps * spec.timestep_fs * 1e-6
-        rate = self._rate_ns_per_day(spec.system, type_name, phase)
         return ns / rate * SECONDS_PER_DAY
 
     def _work_table(self, spec: JobSpec, type_name: str) -> Tuple[WorkEntry, ...]:
@@ -436,8 +414,14 @@ class Engine:
         key = (spec.phase_plan, spec.system, spec.timestep_fs, type_name)
         table = self._work_tables.get(key)
         if table is None:
+            rates = perfmodel.phase_rates(
+                perfmodel.best_configs(self.records, spec.system),
+                spec.system,
+                type_name,
+                self.config.transition_slowdown,
+            )
             table = self._work_tables[key] = tuple(
-                (item, _ITEM_EVENTS[item.kind], self._item_duration(spec, item, type_name))
+                (item, _ITEM_EVENTS[item.kind], self._item_duration(spec, item, rates))
                 for item in work_items(spec.phase_plan)
             )
         return table
@@ -482,7 +466,6 @@ class Engine:
         job.instance_id = inst.id
         job.status = ST_RUNNING
         job.work = self._work_table(spec, inst.type_name)
-        job.cursor = resume_index(job.progress)
         if inst.active:
             usage = self._usage[(inst.region, inst.type_name)]
             usage[1] += spec.vcpu_demand
@@ -648,7 +631,6 @@ class Engine:
         job.status = ST_DONE
         job.completed_at = now
         job.work = ()
-        self._last_completion = max(self._last_completion, now)
         inst.resident_jobs.remove(spec.id)
         inst.free_vcpus += spec.vcpu_demand
         inst.free_gpus += spec.gpu_demand
@@ -789,17 +771,9 @@ class Engine:
                     heappop(heap)
                     self._on_job_completed(job, t_next)
                 else:
-                    # The item reached a persisted boundary: credit it, persist it
+                    # The item reached a persisted boundary: credit it, count it
                     # and start the next item in the same heap slot.
-                    spec, progress = job.spec, job.progress
-                    ledger.productive_core_seconds += (t_next - job.work_started_at) * spec.vcpu_demand
-                    if kind == EV_TRANSITION_DONE:
-                        progress.transitions_done += 1
-                    elif kind == EV_CHUNK_DONE:
-                        progress.chunks_done += 1
-                    else:
-                        progress.integrated = True
-                    progress.validate(spec.phase_plan)
+                    ledger.productive_core_seconds += (t_next - job.work_started_at) * job.spec.vcpu_demand
                     cursor += 1
                     job.cursor = cursor
                     _, next_kind, duration = job.work[cursor]
@@ -844,19 +818,19 @@ class Engine:
         return self.summary()
 
     def summary(self) -> SummaryReport:
-        n_done = sum(1 for j in self.jobs.values() if j.status == ST_DONE)
+        done = [j for j in self.jobs.values() if j.status == ST_DONE]
         n_failed = sum(1 for j in self.jobs.values() if j.status == ST_FAILED)
         n_fe = len({j.spec.fe_label for j in self.jobs.values()})
         cost_per_fe = self.ledger.total_cost / n_fe if n_fe else None
         return SummaryReport(
             seed=self.config.seed,
-            makespan_s=self._last_completion,
+            makespan_s=max((j.completed_at for j in done), default=0.0),
             final_time_s=self.clock,
             total_cost=self.ledger.total_cost,
             cost_per_fe=cost_per_fe,
             n_fe_differences=n_fe,
             n_jobs=len(self.jobs),
-            n_completed=n_done,
+            n_completed=len(done),
             n_failed=n_failed,
             n_submissions=self.n_submissions,
             n_instances=len(self.instances),
@@ -897,11 +871,9 @@ class Engine:
         if {key: usage for key, usage in self._usage.items() if any(usage)} != recount:
             raise SimulationError("usage counters disagree with the active instances")
         for job_id, job in self.jobs.items():
-            if job.status == ST_RUNNING and job.cursor != resume_index(job.progress):
-                raise SimulationError(f"job {job_id}: work cursor is not at the resume index")
-            job.progress.validate(job.spec.phase_plan)
-            now_tuple = job.progress.as_tuple()
-            before = self._last_progress.get(job_id, (0, 0, False))
-            if now_tuple < before:
+            count = job.cursor
+            if not 0 <= count < len(work_items(job.spec.phase_plan)):
+                raise SimulationError(f"job {job_id}: persisted item count {count} is out of range")
+            if count < self._last_progress.get(job_id, 0):
                 raise SimulationError(f"job {job_id}: persisted progress went backwards")
-            self._last_progress[job_id] = now_tuple
+            self._last_progress[job_id] = count

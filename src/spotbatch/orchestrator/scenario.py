@@ -48,9 +48,10 @@ def _file(base: Path, value, key: str) -> Path:
 
 
 # The numeric knobs a scenario may set; their defaults live in EngineConfig.  For the
-# nullable ones null is a setting: no idle termination, no acquisition rate limit.
-_NULLABLE_KNOBS = ("grace_period_s", "acquisitions_per_region_minute")
-_NUMBER_KNOBS = ("seed", "metrics_interval_s", "transition_slowdown", "acquisition_latency_s") + _NULLABLE_KNOBS
+# nullable ones null is a setting: no idle termination, no metrics sampling, no
+# acquisition rate limit.
+_NULLABLE_KNOBS = ("grace_period_s", "metrics_interval_s", "acquisitions_per_region_minute")
+_NUMBER_KNOBS = ("seed", "transition_slowdown", "acquisition_latency_s") + _NULLABLE_KNOBS
 
 
 def _scenario(data, base: Path) -> Scenario:

@@ -380,14 +380,20 @@ def load_many_benchmarks(paths) -> List[BenchmarkRecord]:
 
 
 def load_scaling(path) -> List[ScalingSeries]:
-    """Load scaling series from CSV (header: system,instance,n_instances,ns_per_day)."""
-    grouped = {}
+    """Load scaling series from CSV (header: system,instance,n_instances,ns_per_day).
+
+    A series' error is prefixed with the ``path:line`` of its first row.
+    """
+    grouped = {}  # (system, instance) -> (path:line of its first row, points)
     for where, row in _read_csv(path, SCALING_CSV_HEADER):
         key = (row["system"].strip(), row["instance"].strip())
         point = (_cell(where, row, "n_instances", int), _cell(where, row, "ns_per_day"))
-        grouped.setdefault(key, []).append(point)
+        grouped.setdefault(key, (where, []))[1].append(point)
     series = []
-    for (system, instance), points in grouped.items():
+    for (system, instance), (where, points) in grouped.items():
         points.sort(key=lambda p: p[0])
-        series.append(ScalingSeries(system=system, instance=instance, points=tuple(points)))
+        try:
+            series.append(ScalingSeries(system=system, instance=instance, points=tuple(points)))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
     return series

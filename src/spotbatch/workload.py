@@ -48,7 +48,10 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A full screening ensemble: targets plus multiplicities and job shape, checked by its phase plan."""
+    """A full screening ensemble: targets plus multiplicities and job shape, checked by its phase plan.
+
+    Target names are unique, so the job ids that expansion derives from them are too.
+    """
 
     targets: Tuple[TargetSpec, ...]
     replicas: int = 3
@@ -61,6 +64,11 @@ class EnsembleSpec:
     chunk_steps: int = DEFAULT_CHUNK_STEPS
 
     def __post_init__(self):
+        first: Dict[str, int] = {}
+        for i, target in enumerate(self.targets):
+            j = first.setdefault(target.name, i)
+            if j != i:
+                raise ValidationError(f"targets[{i}].name duplicates targets[{j}].name {target.name!r}")
         for key in ("replicas", "directions", "forcefields"):
             finite_number(key, getattr(self, key), 1)
         self.phase_plan()
@@ -216,28 +224,6 @@ class JobSpec:
         return trajectory_ns(self.phase_plan, self.timestep_fs)
 
 
-@dataclass
-class JobProgress:
-    """Persisted checkpoint state of one job; only ever moves forward."""
-
-    chunks_done: int = 0
-    transitions_done: int = 0
-    integrated: bool = False
-
-    def validate(self, plan: PhasePlan) -> None:
-        if not 0 <= self.chunks_done <= plan.equil_chunks:
-            raise ValidationError(f"progress: chunks_done {self.chunks_done} out of range")
-        if not 0 <= self.transitions_done <= plan.n_transitions:
-            raise ValidationError(f"progress: transitions_done {self.transitions_done} out of range")
-        if self.transitions_done > 0 and self.chunks_done != plan.equil_chunks:
-            raise ValidationError("progress: transitions started before equilibration finished")
-        if self.integrated and self.transitions_done != plan.n_transitions:
-            raise ValidationError("progress: integrated before all transitions finished")
-
-    def as_tuple(self) -> Tuple[int, int, bool]:
-        return (self.chunks_done, self.transitions_done, self.integrated)
-
-
 def _pick_proxy(policy: KindPolicy, target: TargetSpec, kind: str) -> str:
     if not policy.proxy_systems:
         return f"{target.name}_{kind}"
@@ -266,7 +252,6 @@ def expand_ensemble(
             raise ValidationError(f"resource policy missing kind {kind!r}")
     plan = spec.phase_plan()
     jobs: List[JobSpec] = []
-    seen_ids = set()
     for target in spec.targets:
         for kind in JOB_KINDS:
             kp = policy[kind]
@@ -281,9 +266,6 @@ def expand_ensemble(
                                 f"{target.name}/edge_{edge:04d}/ff{ff}"
                                 f"/r{replica}/state{state}/{kind}"
                             )
-                            if job_id in seen_ids:
-                                raise ValidationError(f"duplicate job id {job_id}")
-                            seen_ids.add(job_id)
                             jobs.append(
                                 JobSpec(
                                     id=job_id,

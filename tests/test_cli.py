@@ -272,6 +272,21 @@ def test_report_renders_summary(tmp_path, capsys):
     assert "total_cost" in rendered and "makespan_s" in rendered
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        pytest.param("{bad", "not valid JSON", id="malformed"),
+        pytest.param("[1, 2]", "summary must be a JSON object, got [1, 2]", id="list"),
+    ],
+)
+def test_report_rejects_bad_summary(tmp_path, capsys, text, named):
+    path = tmp_path / "summary.json"
+    path.write_text(text)
+    assert run_cli("report", "--summary", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err and "Traceback" not in err
+
+
 def test_simulate_missing_scenario_usage_error():
     assert run_cli("simulate", "--scenario", "/nope.json", "--out", "/tmp/x") == 2
 
@@ -502,6 +517,8 @@ def edited_csv(tmp_path, name, column, value):
                      "targets[0].edges must be a whole number", id="fractional-edges"),
         pytest.param("workload_toy.json", lambda d: d.update(replicas="3"),
                      "replicas must be a whole number", id="string-replicas"),
+        pytest.param("workload_toy.json", lambda d: d["targets"].append(d["targets"][0]),
+                     "targets[1].name duplicates targets[0].name 'cmet'", id="duplicate-target"),
     ],
 )
 def test_simulate_rejects_bad_catalog_or_workload_naming_file_and_key(tmp_path, capsys, name, edit, named):
@@ -518,12 +535,16 @@ def test_simulate_rejects_bad_catalog_or_workload_naming_file_and_key(tmp_path, 
         pytest.param(lambda d: d.update(instances=5), "instances must be a list", id="number-instances"),
         pytest.param(lambda d: d["regions"][1].update(spot_pool=[1]),
                      "regions[1].spot_pool must be a JSON object", id="list-spot-pool"),
+        # us-east-1 is priced 42 times; none of those prices is reported as dangling.
+        pytest.param(lambda d: d["regions"][0].update(spot_pool=[1]),
+                     "regions[0].spot_pool must be a JSON object", id="list-spot-pool-priced-region"),
     ],
 )
 def test_validate_reports_bad_catalog_shapes(tmp_path, capsys, edit, named):
     path = edited_json(tmp_path, "catalog_aws.json", edit)
     assert run_cli("validate", "--catalog", path) == 1
-    assert f"{path}: {named}" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{path}: {named}")
 
 
 @pytest.mark.parametrize(
@@ -536,6 +557,9 @@ def test_validate_reports_bad_catalog_shapes(tmp_path, capsys, edit, named):
                      id="scaling-x"),
         pytest.param("scaling_c5n18xl.csv", "ns_per_day", "nan",
                      "ns_per_day must be a finite number, got 'nan'", id="scaling-nan"),
+        pytest.param("scaling_c5n18xl.csv", "ns_per_day", "-9.0",
+                     "scaling series (mem, c5n.18xl): ns_per_day at n=1 must be a finite number > 0, got -9.0",
+                     id="scaling-series"),
     ],
 )
 def test_bad_benchmark_cell_exits_1_naming_line_and_column(tmp_path, capsys, name, column, value, message):

@@ -13,7 +13,6 @@ from spotbatch.orchestrator.engine import (
     Engine,
     EngineConfig,
     WorkItem,
-    resume_index,
     work_items,
 )
 from spotbatch.orchestrator.preemption import PreemptionModel
@@ -75,22 +74,18 @@ def micro_config(**kwargs):
         payment=cat.ON_DEMAND,
         grace_period_s=120.0,
         seed=0,
-        metrics_interval_s=0.0,
+        metrics_interval_s=None,
         strict_checks=True,
     )
     defaults.update(kwargs)
     return EngineConfig(**defaults)
 
 
-# -- the resume point: work_items order and resume_index ----------------------
-
-
-def resume_point(plan, progress):
-    return work_items(plan)[resume_index(progress)]
+# -- the resume point: work_items indexed by the count of persisted items --------
 
 
 def test_resume_point_fresh():
-    assert resume_point(micro_plan(), wl.JobProgress()) == WorkItem("chunk", 0)
+    assert work_items(micro_plan())[0] == WorkItem("chunk", 0)
     assert work_items(micro_plan()) == [
         WorkItem("chunk", 0),
         WorkItem("chunk", 1),
@@ -103,13 +98,13 @@ def test_resume_point_fresh():
 
 def test_resume_point_mid_transitions():
     plan = wl.make_phase_plan(6.0, 2.0, 500_000, 80, 50.0)
-    assert resume_point(plan, wl.JobProgress(6, 37, False)) == WorkItem("transition", 37)
+    assert work_items(plan)[6 + 37] == WorkItem("transition", 37)
 
 
 def test_resume_point_integrate_and_done():
     plan = wl.make_phase_plan(6.0, 2.0, 500_000, 80, 50.0)
-    assert resume_point(plan, wl.JobProgress(6, 80, False)) == WorkItem("integrate")
-    assert resume_point(plan, wl.JobProgress(6, 80, True)) == WorkItem("done")
+    assert work_items(plan)[6 + 80] == WorkItem("integrate")
+    assert work_items(plan)[6 + 80 + 1] == WorkItem("done")
 
 
 # -- the hand-computed micro scenario (tests/data/micro_scenario_oracle.md) ----
@@ -278,7 +273,7 @@ def test_preemption_at_chunk_boundary_counts_chunk_as_done():
     # resumes at chunk 1 and the preempted sliver of chunk 1 is zero long.
     assert engine.ledger.wasted_core_seconds == pytest.approx(0.0)
     assert report.n_completed == 1
-    assert engine.jobs["j1"].progress.as_tuple() == (2, 2, True)
+    assert work_items(micro_plan())[engine.jobs["j1"].cursor] == WorkItem("done")
 
 
 def test_preemption_with_no_residents_just_closes_billing():
@@ -424,11 +419,22 @@ def test_waves_stagger_submission_by_kind():
     assert submits["l1"] == 500.0
 
 
+def test_strict_checks_reject_persisted_count_going_backwards():
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
+    engine.submit_all()
+    engine.advance(2200.0)  # both chunks persisted; transition 0 runs until 2500
+    job = engine.jobs["j1"]
+    assert job.cursor == 2
+    job.cursor = 0
+    with pytest.raises(SimulationError, match="j1: persisted progress went backwards"):
+        engine.advance()
+
+
 def test_negative_work_duration_rejected(monkeypatch):
     # A negative duration would complete a work item before it started.
     # EngineConfig rejects the slowdown that used to produce one, so the
     # duration is forced here to reach the guard on work items.
-    monkeypatch.setattr(Engine, "_item_duration", lambda self, spec, item, type_name: -1.0)
+    monkeypatch.setattr(Engine, "_item_duration", lambda self, spec, item, rates: -1.0)
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
     with pytest.raises(SimulationError, match="clock is already at"):
         engine.run()
@@ -448,6 +454,8 @@ def test_negative_work_duration_rejected(monkeypatch):
         pytest.param({"grace_period_s": math.inf}, "grace_period_s", id="infinite-grace-period"),
         pytest.param({"acquisition_latency_s": math.nan}, "acquisition_latency_s", id="nan-latency"),
         pytest.param({"metrics_interval_s": math.nan}, "metrics_interval_s", id="nan-metrics-interval"),
+        pytest.param({"metrics_interval_s": 0.5}, "metrics_interval_s", id="sub-second-metrics-interval"),
+        pytest.param({"metrics_interval_s": 0}, "metrics_interval_s", id="zero-metrics-interval"),
         pytest.param({"waves": [(0.0, ("complex",)), (math.nan, ("ligand",))]}, "waves[1].time_s",
                      id="nan-wave-time"),
         pytest.param({"scripted_preemptions": {"i0001": math.nan}}, "scripted_preemptions.i0001",

@@ -5,8 +5,8 @@ document it names, is replaced with an arbitrary JSON value.  Loading and
 building an engine must then either succeed or raise one of the package's
 input errors, which ``spotbatch simulate`` reports as exit code 1 with an
 ``error:`` line; any other exception would escape as a traceback.  The
-runs themselves are not started: a tiny ``metrics_interval_s`` is a valid
-value whose run takes very long.
+runs themselves are not started: under a very high preemption hazard, a
+valid value, no job ever finishes.
 """
 
 from __future__ import annotations

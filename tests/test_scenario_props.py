@@ -16,7 +16,7 @@ import pytest
 from spotbatch import catalog as cat
 from spotbatch import perfmodel as pm
 from spotbatch import workload as wl
-from spotbatch.orchestrator.engine import Engine, EngineConfig
+from spotbatch.orchestrator.engine import Engine, EngineConfig, WorkItem, work_items
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
@@ -145,7 +145,7 @@ def build_case(case_seed: int) -> Engine:
         preemption=PreemptionModel({"*/*": hazard}),
         grace_period_s=rng.choice([60.0, 300.0, None]),
         seed=case_seed,
-        metrics_interval_s=rng.choice([0.0, 600.0]),
+        metrics_interval_s=rng.choice([None, 600.0]),
         strict_checks=True,
     )
     return Engine(catalog, jobs, records, config, MemoryRecorder())
@@ -187,12 +187,12 @@ def check_invariants(engine: Engine) -> None:
     seqs = [s for _, s in keys]
     assert len(set(seqs)) == len(seqs)
 
-    # Completed jobs reached full progress; failed ones never started.
+    # Completed jobs persisted every item up to "done"; failed ones never started.
     for job_id, job in engine.jobs.items():
         if job.status == "done":
-            assert job.progress.integrated
+            assert work_items(job.spec.phase_plan)[job.cursor] == WorkItem("done")
         elif job.status == "failed":
-            assert job.progress.as_tuple() == (0, 0, False)
+            assert job.cursor == 0
 
     assert report.wasted_core_hours >= 0.0
     if report.n_preemptions == 0:
@@ -254,7 +254,7 @@ def test_liveness_under_heavy_preemption():
         preemption=PreemptionModel({"*/*": 2.5}),
         grace_period_s=120.0,
         seed=99,
-        metrics_interval_s=0.0,
+        metrics_interval_s=None,
         strict_checks=True,
     )
     engine = Engine(catalog, jobs, records, config, MemoryRecorder())

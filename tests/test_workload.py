@@ -181,26 +181,6 @@ def test_study1_total_trajectory():
     assert total_us == pytest.approx(198.72, abs=1e-9)
 
 
-# -- progress -------------------------------------------------------------------
-
-
-def test_progress_validation():
-    plan = wl.make_phase_plan(6.0, 2.0, 500_000, 80, 50.0)
-    wl.JobProgress(6, 37, False).validate(plan)
-    with pytest.raises(ValidationError):
-        wl.JobProgress(5, 1, False).validate(plan)  # transitions before chunks done
-    with pytest.raises(ValidationError):
-        wl.JobProgress(7, 0, False).validate(plan)  # more chunks than the plan has
-    with pytest.raises(ValidationError):
-        wl.JobProgress(6, 79, True).validate(plan)  # integrated too early
-
-
-def test_progress_tuple_ordering():
-    assert wl.JobProgress(1, 0, False).as_tuple() < wl.JobProgress(2, 0, False).as_tuple()
-    assert wl.JobProgress(6, 3, False).as_tuple() < wl.JobProgress(6, 4, False).as_tuple()
-    assert wl.JobProgress(6, 80, False).as_tuple() < wl.JobProgress(6, 80, True).as_tuple()
-
-
 def test_load_workload_rejects_nan(tmp_path):
     path = tmp_path / "workload.json"
     path.write_text(spotbatch.data_path("workload_toy.json").read_text().replace("{", '{"equil_ns": NaN, ', 1))
