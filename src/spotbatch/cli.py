@@ -293,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_cost)
 
     q = costsub.add_parser("cloud", help="instance cost per microsecond of trajectory")
-    q.add_argument("--rate", type=float, required=True, help="hourly rate")
+    q.add_argument("--rate", type=float, required=True, help="hourly rate, as in the catalog")
     q.add_argument("--ns-per-day", type=float, required=True)
-    q.add_argument("--currency", default="EUR")
+    q.add_argument("--currency", default="USD")
     q.add_argument("--json", help="also write the entries as a JSON report")
     q.set_defaults(func=cmd_cost)
 

@@ -5,7 +5,6 @@ from .engine import (  # noqa: F401
     Engine,
     EngineConfig,
     InstanceState,
-    SimEvent,
     SummaryReport,
     WorkItem,
     work_items,

@@ -23,10 +23,12 @@ the index in ``work_items`` of the item that runs next.  The count only
 grows; a preemption loses the item in flight and leaves the count as it
 is.  When a job boards an instance, it takes that residency's table of
 (item, completion event, duration) for its phase plan, system and instance
-type, and resumes at its count.  The completion of a work item is a plain
-heap entry ``(time, seq, job, epoch)``, not a ``SimEvent``; the event loop
-handles it inline: it credits the item, adds one to the count and replaces
-the entry with the next item's in one heap operation.
+type, and resumes at its count.  The completion of a work item is the heap
+entry ``(time, seq, job, epoch)``; the event loop handles it inline: it
+credits the item, adds one to the count and replaces the entry with the
+next item's in one heap operation.  Every other scheduled event is the entry
+``(time, seq, kind, subject, epoch)``, whose subject is the job or instance
+the event is about.
 
 First-fit placement scans a region's open instances (those with a free
 vCPU) in acquisition order; the list is kept in that order as instances
@@ -42,10 +44,12 @@ running totals, and metrics samples stay in ``samples``.
 Determinism: a single seeded RNG drives routing draws and preemption
 draws; events are processed in (time, seq) order with seq assigned at
 scheduling time, and scheduling an event before the clock is an error.
-Planned preemptions are only materialized into events once no
-earlier-or-equal-time event remains, so a completion and a preemption
-falling on the same timestamp always resolve in the job's favor.  Equal
-inputs and seed reproduce the event log bit for bit.
+Each instance has at most one planned reclaim, kept apart from the event
+heap.  It runs only when it is strictly earlier than every pending event,
+and takes the next seq when it runs.  So a completion and a reclaim falling
+on the same timestamp always resolve in the job's favor, and a second
+reclaim at the same instant waits for the events the first one scheduled
+there.  Equal inputs and seed reproduce the event log bit for bit.
 
 The engine is strictly single-threaded; independent engines may run
 concurrently but must never share state.
@@ -86,21 +90,6 @@ ST_QUEUED = "queued"
 ST_RUNNING = "running"
 ST_DONE = "done"
 ST_FAILED = "failed"
-
-
-@dataclass(slots=True)
-class SimEvent:
-    """One scheduled event other than a work item's completion; processed in (time, seq) order."""
-
-    time: float
-    seq: int
-    kind: str
-    job_id: Optional[str] = None
-    instance_id: Optional[str] = None
-    epoch: int = 0
-
-    def log_row(self) -> Tuple[float, int, str, str, str]:
-        return (self.time, self.seq, self.kind, self.job_id or "", self.instance_id or "")
 
 
 @dataclass(frozen=True)
@@ -151,11 +140,10 @@ class InstanceState:
     family: str
     active: bool = False
     terminated_at: Optional[float] = None
-    resident_jobs: List[str] = field(default_factory=list)
+    resident_jobs: List[_Job] = field(default_factory=list)
     free_vcpus: int = 0
     free_gpus: int = 0
     idle_epoch: int = 0
-    planned_preemption: Optional[float] = None
     created_seq: int = 0
 
     @property
@@ -272,12 +260,12 @@ class SummaryReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Job:
     spec: JobSpec
     status: str = ST_PENDING
     epoch: int = 0
-    instance_id: Optional[str] = None
+    instance: Optional[InstanceState] = None
     region: Optional[str] = None
     work_started_at: float = 0.0
     # The current residency's work table, and the job's progress: the count of
@@ -327,11 +315,14 @@ class Engine:
         self.n_submissions = 0
         self.n_events = 0
 
-        # Entries are (time, seq, SimEvent), or (time, seq, job, epoch) for the
+        # Entries are (time, seq, kind, subject, epoch), the subject being the
+        # job or instance the event is about, or (time, seq, job, epoch) for the
         # completion of a job's current work item; seq is unique, so entries
         # never compare past it.
         self._heap: List[tuple] = []
-        self._preheap: List[Tuple[float, int, str]] = []  # planned reclaims, lazily invalidated
+        # Planned reclaims (time, created_seq, instance), one per activated
+        # instance; an entry is stale once its instance has terminated.
+        self._preheap: List[Tuple[float, int, InstanceState]] = []
         self._last_progress: Dict[str, int] = {}  # each job's count at the last strict check
         self._seq = 0
         self._instance_counter = 0
@@ -374,14 +365,11 @@ class Engine:
 
     # -- scheduling primitives -------------------------------------------
 
-    def _schedule(self, time: float, kind: str, job_id=None, instance_id=None, epoch=0) -> SimEvent:
+    def _schedule(self, time: float, kind: str, subject: _Job | InstanceState, epoch: int = 0) -> None:
         if time < self.clock:
             raise _clock_error(kind, time, self.clock)
-        seq = self._seq
-        ev = SimEvent(time, seq, kind, job_id, instance_id, epoch)
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, ev))
-        return ev
+        heapq.heappush(self._heap, (time, self._seq, kind, subject, epoch))
+        self._seq += 1
 
     def _pool_remaining(self, region: str, family: str) -> int:
         key = (region, family)
@@ -439,8 +427,8 @@ class Engine:
         if self._submitted:
             raise SimulationError("jobs were already submitted")
         self._submitted = True
-        for job_id, job in self.jobs.items():
-            self._schedule(self._submission_time(job.spec), EV_JOB_SUBMITTED, job_id=job_id)
+        for job in self.jobs.values():
+            self._schedule(self._submission_time(job.spec), EV_JOB_SUBMITTED, job)
 
     # -- placement --------------------------------------------------------
 
@@ -459,11 +447,11 @@ class Engine:
         spec = job.spec
         inst.free_vcpus -= spec.vcpu_demand
         inst.free_gpus -= spec.gpu_demand
-        inst.resident_jobs.append(spec.id)
+        inst.resident_jobs.append(job)
         inst.idle_epoch += 1  # cancels any pending idle timeout
         if inst.free_vcpus < 1:
             self._close(inst)
-        job.instance_id = inst.id
+        job.instance = inst
         job.status = ST_RUNNING
         job.work = self._work_table(spec, inst.type_name)
         if inst.active:
@@ -498,7 +486,7 @@ class Engine:
         )
         self.instances[inst.id] = inst
         self._region_free[region].append(inst)  # the newest instance sorts last
-        self._schedule(activation, EV_INSTANCE_ACQUIRED, instance_id=inst.id)
+        self._schedule(activation, EV_INSTANCE_ACQUIRED, inst)
         self._board(job, inst, now)
         return inst
 
@@ -579,7 +567,6 @@ class Engine:
 
     def _terminate_instance(self, inst: InstanceState, now: float) -> None:
         inst.terminated_at = now
-        inst.planned_preemption = None
         del self._active[inst.id]
         usage = self._usage[(inst.region, inst.type_name)]
         usage[0] -= 1
@@ -593,8 +580,7 @@ class Engine:
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_job_submitted(self, ev: SimEvent, now: float) -> None:
-        job = self.jobs[ev.job_id]
+    def _on_job_submitted(self, job: _Job, now: float) -> None:
         job.submissions += 1
         self.n_submissions += 1
         job.region = self.router.route()
@@ -605,33 +591,34 @@ class Engine:
             # Leftover capacity on the fresh instance may fit queued jobs.
             self._retry_queue(job.region, now)
 
-    def _on_instance_acquired(self, ev: SimEvent, now: float) -> None:
-        inst = self.instances[ev.instance_id]
+    def _on_instance_acquired(self, inst: InstanceState, now: float) -> None:
         inst.active = True
         self._active[inst.id] = inst
         usage = self._usage.setdefault((inst.region, inst.type_name), [0, 0, 0])
         usage[0] += 1
         usage[1] += inst.vcpus - inst.free_vcpus
         usage[2] += inst.gpus - inst.free_gpus
-        draw = self.config.preemption.draw_seconds_until_preemption(self.rng, inst.region, inst.family)
-        planned = None if draw is None else now + draw
+        planned = None
+        if self.config.payment == cat.SPOT:  # only Spot capacity is reclaimed at random
+            draw = self.config.preemption.draw_seconds_until_preemption(self.rng, inst.region, inst.family)
+            if draw is not None:
+                planned = now + draw
         scripted = self.config.scripted_preemptions.get(inst.id)
         if scripted is not None:
             scripted = max(scripted, now)
             planned = scripted if planned is None else min(planned, scripted)
-        inst.planned_preemption = planned
         if planned is not None:
-            heapq.heappush(self._preheap, (planned, inst.created_seq, inst.id))
-        for job_id in list(inst.resident_jobs):
-            self._start_next_item(self.jobs[job_id], now)
+            heapq.heappush(self._preheap, (planned, inst.created_seq, inst))
+        for job in inst.resident_jobs:
+            self._start_next_item(job, now)
 
     def _on_job_completed(self, job: _Job, now: float) -> None:
         spec = job.spec
-        inst = self.instances[job.instance_id]
+        inst = job.instance
         job.status = ST_DONE
         job.completed_at = now
         job.work = ()
-        inst.resident_jobs.remove(spec.id)
+        inst.resident_jobs.remove(job)
         inst.free_vcpus += spec.vcpu_demand
         inst.free_gpus += spec.gpu_demand
         usage = self._usage[(inst.region, inst.type_name)]
@@ -640,54 +627,34 @@ class Engine:
         open_list, i, present = self._open_position(inst)
         if not present and inst.free_vcpus >= 1:
             open_list.insert(i, inst)
-        job.instance_id = None
+        job.instance = None
         inst.idle_epoch += 1
         if not inst.resident_jobs and self.config.grace_period_s is not None:
-            self._schedule(
-                now + self.config.grace_period_s,
-                EV_IDLE_TIMEOUT,
-                instance_id=inst.id,
-                epoch=inst.idle_epoch,
-            )
+            self._schedule(now + self.config.grace_period_s, EV_IDLE_TIMEOUT, inst, inst.idle_epoch)
         self._retry_queue(inst.region, now)
 
-    def _on_preemption(self, ev: SimEvent, now: float) -> None:
-        inst = self.instances[ev.instance_id]
-        if inst.terminated:
-            return
+    def _on_preemption(self, inst: InstanceState, now: float) -> None:
         self.n_preemptions += 1
         self._terminate_instance(inst, now)
-        for job_id in list(inst.resident_jobs):
-            job = self.jobs[job_id]
+        for job in inst.resident_jobs:
             wasted = now - job.work_started_at
             self.ledger.wasted_core_seconds += wasted * job.spec.vcpu_demand
             if self.recorder is not None:
                 item, _, duration = job.work[job.cursor]
-                self.recorder.record_waste((inst.id, job_id, wasted, item.kind, duration))
+                self.recorder.record_waste((inst.id, job.spec.id, wasted, item.kind, duration))
             job.epoch += 1  # invalidates the in-flight completion event
-            job.instance_id = None
+            job.instance = None
             job.work = ()
             job.status = ST_PENDING
-            self._schedule(now, EV_JOB_SUBMITTED, job_id=job_id)
+            self._schedule(now, EV_JOB_SUBMITTED, job)
         inst.resident_jobs.clear()
         inst.free_vcpus = inst.vcpus
         inst.free_gpus = inst.gpus
         self._retry_queue(inst.region, now)
 
-    def _on_idle_timeout(self, ev: SimEvent, now: float) -> None:
-        inst = self.instances[ev.instance_id]
+    def _on_idle_timeout(self, inst: InstanceState, now: float) -> None:
         self._terminate_instance(inst, now)
         self._retry_queue(inst.region, now)
-
-    # -- staleness ----------------------------------------------------------
-
-    def _is_stale(self, ev: SimEvent) -> bool:
-        if ev.kind == EV_IDLE_TIMEOUT:
-            inst = self.instances[ev.instance_id]
-            return inst.terminated or inst.resident_jobs != [] or inst.idle_epoch != ev.epoch
-        if ev.kind == EV_PREEMPTION:
-            return self.instances[ev.instance_id].terminated
-        return False
 
     # -- metrics --------------------------------------------------------------
 
@@ -704,25 +671,13 @@ class Engine:
 
     # -- main loop -------------------------------------------------------------
 
-    def _earliest_planned_preemption(self) -> Optional[InstanceState]:
-        while self._preheap:
-            time, _, inst_id = self._preheap[0]
-            inst = self.instances[inst_id]
-            if inst.terminated or inst.planned_preemption != time:
-                heapq.heappop(self._preheap)
-                continue
-            return inst
-        return None
-
-    def advance(self, until: float = math.inf) -> List[MetricsSample]:
-        """Process every event with time <= until; return the new metrics samples."""
+    def advance(self, until: float = math.inf) -> None:
+        """Process every event with time <= until, taking the metrics samples due on the way."""
         if until < self.clock:
             raise SimulationError(f"cannot advance to {until}: clock is already at {self.clock}")
-        sample_start = len(self.samples)
         handlers = {
             EV_JOB_SUBMITTED: self._on_job_submitted,
             EV_INSTANCE_ACQUIRED: self._on_instance_acquired,
-            EV_PREEMPTION: self._on_preemption,
             EV_IDLE_TIMEOUT: self._on_idle_timeout,
         }
         heap, preheap, ledger = self._heap, self._preheap, self.ledger
@@ -735,27 +690,29 @@ class Engine:
                 t_next = entry[0]
             else:
                 t_next = math.inf
-            pre_inst = None
-            # A stale reclaim stays stale, so only one planned before the
-            # next event needs checking.
-            if preheap and preheap[0][0] < t_next:
-                pre_inst = self._earliest_planned_preemption()
-                if pre_inst is not None and pre_inst.planned_preemption < t_next:
-                    t_next = pre_inst.planned_preemption
+            # Only a reclaim strictly earlier than every pending event runs;
+            # events that share its timestamp run first.
+            reclaimed = None
+            while preheap and preheap[0][0] < t_next:
+                if preheap[0][2].terminated:
+                    heappop(preheap)
                 else:
-                    pre_inst = None
+                    t_next, _, reclaimed = preheap[0]
+                    break
             if t_next > until or t_next == math.inf:
                 break
             if self._next_sample < t_next:
                 self._flush_samples(t_next)
-            if pre_inst is not None:
-                # No earlier-or-equal event is pending, so the reclaim can
-                # now be turned into a real event; completions that share
-                # its timestamp have already been processed.
-                pre_inst.planned_preemption = None
-                self._schedule(t_next, EV_PREEMPTION, instance_id=pre_inst.id)
-                continue
-            if len(entry) == 4:
+            if reclaimed is not None:
+                heappop(preheap)
+                seq = self._seq
+                self._seq = seq + 1
+                self.clock = t_next
+                self.n_events += 1
+                if record_event is not None:
+                    record_event((t_next, seq, EV_PREEMPTION, "", reclaimed.id))
+                self._on_preemption(reclaimed, t_next)
+            elif len(entry) == 4:
                 # The completion of a job's current work item.
                 _, seq, job, epoch = entry
                 if job.epoch != epoch:  # the job was preempted since
@@ -766,7 +723,7 @@ class Engine:
                 cursor = job.cursor
                 kind = job.work[cursor][1]
                 if record_event is not None:
-                    record_event((t_next, seq, kind, job.spec.id, job.instance_id))
+                    record_event((t_next, seq, kind, job.spec.id, job.instance.id))
                 if kind == EV_JOB_COMPLETED:
                     heappop(heap)
                     self._on_job_completed(job, t_next)
@@ -784,19 +741,23 @@ class Engine:
                     heapreplace(heap, (time, self._seq, job, epoch))
                     self._seq += 1
             else:
-                ev = heappop(heap)[2]
-                if self._is_stale(ev):
+                _, seq, kind, subject, epoch = heappop(heap)
+                # An idle timeout is stale once its instance has terminated or
+                # has been boarded since (every boarding bumps idle_epoch).
+                if kind == EV_IDLE_TIMEOUT and (subject.terminated or subject.idle_epoch != epoch):
                     continue
-                self.clock = ev.time
+                self.clock = t_next
                 self.n_events += 1
                 if record_event is not None:
-                    record_event(ev.log_row())
-                handlers[ev.kind](ev, ev.time)
+                    if isinstance(subject, _Job):
+                        record_event((t_next, seq, kind, subject.spec.id, ""))
+                    else:
+                        record_event((t_next, seq, kind, "", subject.id))
+                handlers[kind](subject, t_next)
             if strict_checks:
                 self._check_invariants()
         if until != math.inf and until > self.clock:
             self.clock = until
-        return self.samples[sample_start:]
 
     def run(self) -> SummaryReport:
         """Submit everything, drain the event queue, and close the books."""
@@ -848,8 +809,8 @@ class Engine:
         for inst in self.instances.values():  # in acquisition order
             if inst.terminated:
                 continue
-            used_v = sum(self.jobs[j].spec.vcpu_demand for j in inst.resident_jobs)
-            used_g = sum(self.jobs[j].spec.gpu_demand for j in inst.resident_jobs)
+            used_v = sum(job.spec.vcpu_demand for job in inst.resident_jobs)
+            used_g = sum(job.spec.gpu_demand for job in inst.resident_jobs)
             if inst.free_vcpus != inst.vcpus - used_v or inst.free_vcpus < 0:
                 raise SimulationError(f"instance {inst.id}: vcpu accounting broken")
             if inst.free_gpus != inst.gpus - used_g or inst.free_gpus < 0:

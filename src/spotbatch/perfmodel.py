@@ -120,10 +120,8 @@ def pp_ratio(ns_per_day: float, price_per_hour: float) -> float:
     Uses a 24 h/day conversion so the value matches spreadsheet-style
     ``ns_per_day / (24 * hourly_price)`` columns.
     """
-    if ns_per_day <= 0:
-        raise ValueError("ns_per_day must be > 0")
-    if price_per_hour <= 0:
-        raise ValueError("price_per_hour must be > 0")
+    finite_number("ns_per_day", ns_per_day, 0, low_open=True)
+    finite_number("price_per_hour", price_per_hour, 0, low_open=True)
     return ns_per_day / (HOURS_PER_DAY * price_per_hour)
 
 
@@ -133,8 +131,6 @@ def parallel_efficiency(series: ScalingSeries) -> List[Tuple[int, float]]:
     The single-instance point yields exactly 1.0.  Values above 1 (superlinear
     scaling) are returned as measured, never clamped.
     """
-    if series.points[0][0] != 1:
-        raise ValidationError("scaling series lacks the n = 1 baseline")
     base = series.points[0][1]
     out = []
     for n, perf in series.points:

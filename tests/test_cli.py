@@ -155,6 +155,12 @@ def test_cost_cloud(capsys):
     assert "5183.59" in capsys.readouterr().out
 
 
+def test_cost_cloud_labels_catalog_rates_usd(tmp_path):
+    report = tmp_path / "cloud.json"
+    assert run_cli("cost", "cloud", "--rate", "1", "--ns-per-day", "24", "--json", str(report)) == 0
+    assert [entry["currency"] for entry in json.loads(report.read_text())["entries"]] == ["USD"]
+
+
 def test_cost_fe(capsys):
     code = run_cli(
         "cost", "fe",

@@ -218,9 +218,9 @@ def test_big_instance_packs_one_48_plus_six_8_then_acquires():
     first = engine.instances["i0001"]
     # 48 + 6 x 8 = 96 exhausts the first instance; the seventh 8-vCPU job
     # triggers a second acquisition.
-    assert set(first.resident_jobs) == {"wide"} | {f"narrow{i}" for i in range(6)}
+    assert {j.spec.id for j in first.resident_jobs} == {"wide"} | {f"narrow{i}" for i in range(6)}
     assert first.free_vcpus == 0
-    assert engine.instances["i0002"].resident_jobs == ["narrow6"]
+    assert [j.spec.id for j in engine.instances["i0002"].resident_jobs] == ["narrow6"]
     engine.advance(math.inf)
     assert n_completed(engine) == 8
 
@@ -288,6 +288,29 @@ def test_preemption_with_no_residents_just_closes_billing():
     assert report.n_preemptions == 1
     assert report.n_submissions == 1  # nothing requeued
     assert report.total_cost == pytest.approx(4000.0 * 3.6 / 3600.0)
+
+
+def test_same_instant_reclaims_run_one_after_another():
+    # Both instances are reclaimed at 1500.  The second reclaim waits for the
+    # events the first one scheduled at that instant: the resubmissions of
+    # j1 and j3 and the acquisition of i0003.  So j1, routed to r2, first
+    # boards i0002 beside j2 and is reclaimed again within the same instant.
+    jobs = [micro_job("j1"), micro_job("j2"), micro_job("j3")]
+    config = micro_config(scripted_preemptions={"i0001": 1500.0, "i0002": 1500.0})
+    engine = Engine(micro_catalog(), jobs, micro_records(), config, MemoryRecorder())
+    report = engine.run()
+    assert [row for row in engine.recorder.events if row[0] == 1500.0] == [
+        (1500.0, 11, "preemption", "", "i0001"),
+        (1500.0, 12, "job_submitted", "j1", ""),
+        (1500.0, 13, "job_submitted", "j3", ""),
+        (1500.0, 15, "instance_acquired", "", "i0003"),
+        (1500.0, 17, "preemption", "", "i0002"),
+        (1500.0, 18, "job_submitted", "j2", ""),
+        (1500.0, 19, "job_submitted", "j1", ""),
+        (1500.0, 20, "instance_acquired", "", "i0004"),
+    ]
+    assert report.n_preemptions == 2
+    assert report.total_cost == pytest.approx(7.24)
 
 
 def test_preempted_instance_work_is_recomputed_elsewhere():
@@ -374,6 +397,7 @@ def test_equal_seeds_identical_event_logs():
         jobs = [micro_job(f"j{i}", vcpus=2) for i in range(6)]
         config = micro_config(
             routing=RoutingPolicy({"r1": 3, "r2": 2}),
+            payment=cat.SPOT,
             preemption=PreemptionModel({"*/*": 2.5}),
             seed=1234,
         )
@@ -393,6 +417,7 @@ def test_different_seeds_differ():
         jobs = [micro_job(f"j{i}", vcpus=2) for i in range(6)]
         config = micro_config(
             routing=RoutingPolicy({"r1": 1, "r2": 1}),
+            payment=cat.SPOT,
             preemption=PreemptionModel({"*/*": 2.5}),
             seed=seed,
         )
@@ -401,6 +426,21 @@ def test_different_seeds_differ():
         return engine.recorder.events
 
     assert build(1) != build(2)
+
+
+@pytest.mark.parametrize("payment, reclaimed", [(cat.ON_DEMAND, False), (cat.SPOT, True)])
+def test_only_spot_capacity_draws_hazard_reclaims(payment, reclaimed):
+    jobs = [micro_job(f"j{i}", vcpus=2) for i in range(6)]
+    config = micro_config(
+        routing=RoutingPolicy({"r1": 1, "r2": 1}),
+        payment=payment,
+        preemption=PreemptionModel({"*/*": 2.5}),
+        seed=1234,
+    )
+    report = Engine(micro_catalog(pool_r1=3, pool_r2=3), jobs, micro_records(), config).run()
+    assert (report.n_preemptions > 0) is reclaimed
+    assert (report.wasted_core_hours > 0) is reclaimed
+    assert report.n_completed == 6
 
 
 # -- waves -----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 
 import pytest
@@ -28,6 +29,10 @@ def test_pp_ratio_rejects_nonpositive():
         pm.pp_ratio(0.0, 1.0)
     with pytest.raises(ValueError):
         pm.pp_ratio(10.0, -2.0)
+    with pytest.raises(ValueError):
+        pm.pp_ratio(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        pm.pp_ratio(10.0, math.inf)
 
 
 @given(

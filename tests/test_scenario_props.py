@@ -250,7 +250,7 @@ def test_liveness_under_heavy_preemption():
     config = EngineConfig(
         routing=RoutingPolicy({"r1": 1, "r2": 1}),
         allowed_types={"ligand": ["t1"], "complex": ["t1"]},
-        payment=cat.ON_DEMAND,
+        payment=cat.SPOT,
         preemption=PreemptionModel({"*/*": 2.5}),
         grace_period_s=120.0,
         seed=99,
