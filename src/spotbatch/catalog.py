@@ -4,8 +4,7 @@ A catalog describes which instance types can be rented, in which regions,
 and at what rate under each of the three payment models (on-demand, Spot,
 reserved-with-upfront).  Spot pricing is modeled as a fixed fraction of the
 on-demand rate; availability zones are collapsed into regions.  All rates
-are kept in dollars internally; ``currency_per_dollar`` is only applied
-when rendering reports.
+are in dollars.
 
 Catalogs are immutable after load and safe to share across threads.
 """
@@ -24,7 +23,6 @@ RESERVED_UPFRONT = "reserved_upfront"
 PAYMENT_MODELS = (ON_DEMAND, SPOT, RESERVED_UPFRONT)
 
 DEFAULT_SPOT_FRACTION = 0.30
-DEFAULT_CURRENCY_PER_DOLLAR = 1.20
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,6 @@ class Catalog:
     instances: Mapping[str, InstanceTypeSpec]
     regions: Mapping[str, RegionSpec]
     prices: Mapping[tuple, PriceEntry]
-    currency_per_dollar: float = DEFAULT_CURRENCY_PER_DOLLAR
-
-    def __post_init__(self):
-        finite_number("currency_per_dollar", self.currency_per_dollar, 0, low_open=True)
 
     def instance(self, name: str) -> InstanceTypeSpec:
         try:
@@ -245,9 +239,6 @@ def build_catalog(data) -> Catalog:
         instances=instances,
         regions=regions,
         prices=prices,
-        currency_per_dollar=number(
-            "currency_per_dollar", data.get("currency_per_dollar", DEFAULT_CURRENCY_PER_DOLLAR)
-        ),
     )
 
 

@@ -175,14 +175,3 @@ def cost_per_fe(
     finite_number("ligand_rate", ligand_rate, 0)
     per_run = complex_runtime_h * complex_rate + ligand_runtime_h * ligand_rate
     return replicas * directions * per_run
-
-
-def to_report_currency(amount_usd: float, currency_per_dollar: float) -> float:
-    """Convert an internal dollar amount into the report currency.
-
-    ``currency_per_dollar`` is the number of dollars per report-currency
-    unit (1.20 dollars per euro by default), so conversion divides.
-    """
-    if currency_per_dollar <= 0:
-        raise ValidationError("currency_per_dollar must be > 0")
-    return amount_usd / currency_per_dollar

@@ -22,13 +22,23 @@ progress is one count: the number of items it has persisted, which is also
 the index in ``work_items`` of the item that runs next.  The count only
 grows; a preemption loses the item in flight and leaves the count as it
 is.  When a job boards an instance, it takes that residency's table of
-(item, completion event, duration) for its phase plan, system and instance
-type, and resumes at its count.  The completion of a work item is the heap
-entry ``(time, seq, job, epoch)``; the event loop handles it inline: it
-credits the item, adds one to the count and replaces the entry with the
-next item's in one heap operation.  Every other scheduled event is the entry
-``(time, seq, kind, subject, epoch)``, whose subject is the job or instance
-the event is about.
+(item, completion event, duration, queue) for its phase plan, system and
+instance type, and resumes at its count.
+
+Work-item completions do not enter the event heap.  Every item is
+scheduled at the clock plus its duration; the clock never goes back,
+rounding a float sum is monotone and seq only grows, so the items that
+share one duration are scheduled in (time, seq) order.  Each distinct
+duration therefore has one FIFO queue of ``(time, seq, job, epoch,
+queue)`` entries, and a small heap holds the head entry of every queue
+that is not empty.  The event loop takes whichever of that heap and the
+event heap has the smaller (time, seq), so items and events run in
+exactly the order one heap of both would give.  It handles consecutive
+work items in a tight loop: credit the item, add one to the count and
+append the next item to its duration's queue.  The event heap holds only
+the entries ``(time, seq, kind, subject, epoch)`` of submissions,
+acquisitions and idle timeouts, whose subject is the job or instance the
+event is about.
 
 First-fit placement scans a region's open instances (those with a free
 vCPU) in acquisition order; the list is kept in that order as instances
@@ -107,9 +117,13 @@ _ITEM_EVENTS = {
     "done": EV_JOB_COMPLETED,
 }
 
-# (item, event that completes it, duration in seconds) for one item of a
-# job's work on one instance type.
-WorkEntry = Tuple[WorkItem, str, float]
+# A work item's completion, queued in the FIFO of its duration:
+# (time, seq, job, epoch, that FIFO).
+ItemEntry = Tuple[float, int, "_Job", int, Deque]
+
+# (item, event that completes it, duration in seconds, FIFO of that duration)
+# for one item of a job's work on one instance type.
+WorkEntry = Tuple[WorkItem, str, float, Deque[ItemEntry]]
 
 
 def work_items(plan: PhasePlan) -> List[WorkItem]:
@@ -316,10 +330,13 @@ class Engine:
         self.n_events = 0
 
         # Entries are (time, seq, kind, subject, epoch), the subject being the
-        # job or instance the event is about, or (time, seq, job, epoch) for the
-        # completion of a job's current work item; seq is unique, so entries
-        # never compare past it.
+        # job or instance the event is about; seq is unique across this heap
+        # and the item queues, so entries never compare past it.
         self._heap: List[tuple] = []
+        # Work-item completions: one FIFO per distinct item duration, and a
+        # heap of the head entry of every FIFO that is not empty.
+        self._item_fifos: Dict[float, Deque[ItemEntry]] = {}
+        self._item_heads: List[ItemEntry] = []
         # Planned reclaims (time, created_seq, instance), one per activated
         # instance; an entry is stale once its instance has terminated.
         self._preheap: List[Tuple[float, int, InstanceState]] = []
@@ -408,10 +425,12 @@ class Engine:
                 type_name,
                 self.config.transition_slowdown,
             )
-            table = self._work_tables[key] = tuple(
-                (item, _ITEM_EVENTS[item.kind], self._item_duration(spec, item, rates))
-                for item in work_items(spec.phase_plan)
-            )
+            table = []
+            for item in work_items(spec.phase_plan):
+                duration = self._item_duration(spec, item, rates)
+                fifo = self._item_fifos.setdefault(duration, deque())
+                table.append((item, _ITEM_EVENTS[item.kind], duration, fifo))
+            table = self._work_tables[key] = tuple(table)
         return table
 
     # -- submission -------------------------------------------------------
@@ -554,13 +573,16 @@ class Engine:
     # -- job execution ----------------------------------------------------
 
     def _start_next_item(self, job: _Job, now: float) -> None:
-        """Schedule the completion of the job's item at its cursor (the loop schedules the rest)."""
-        _, kind, duration = job.work[job.cursor]
+        """Queue the completion of the job's item at its cursor (the loop queues the rest)."""
+        _, kind, duration, fifo = job.work[job.cursor]
         time = now + duration
         if time < self.clock:
             raise _clock_error(kind, time, self.clock)
         job.work_started_at = now
-        heapq.heappush(self._heap, (time, self._seq, job, job.epoch))
+        entry = (time, self._seq, job, job.epoch, fifo)
+        if not fifo:
+            heapq.heappush(self._item_heads, entry)
+        fifo.append(entry)
         self._seq += 1
 
     # -- instance teardown --------------------------------------------------
@@ -640,7 +662,7 @@ class Engine:
             wasted = now - job.work_started_at
             self.ledger.wasted_core_seconds += wasted * job.spec.vcpu_demand
             if self.recorder is not None:
-                item, _, duration = job.work[job.cursor]
+                item, _, duration, _ = job.work[job.cursor]
                 self.recorder.record_waste((inst.id, job.spec.id, wasted, item.kind, duration))
             job.epoch += 1  # invalidates the in-flight completion event
             job.instance = None
@@ -671,6 +693,69 @@ class Engine:
 
     # -- main loop -------------------------------------------------------------
 
+    def _run_items(self, stop: float, t_event: float, seq_event: int) -> Optional[_Job]:
+        """Handle queued work items in (time, seq) order while they are due by ``stop``.
+
+        ``stop`` is the earliest of the next live reclaim, the next sample
+        time, the end of the advance and the time ``t_event`` of the event
+        heap's head, whose seq is ``seq_event``.  An item at ``stop`` still
+        runs before a reclaim or a sample at that instant, but not after the
+        heap's head.  Returns the job whose completion it reached (counted
+        and recorded; its handler is left to the caller), else None.
+        """
+        heads, ledger = self._item_heads, self.ledger
+        heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+        record_event = None if self.recorder is None else self.recorder.record_event
+        strict_checks = self.config.strict_checks
+        clock, seq, n_events = self.clock, self._seq, self.n_events
+        productive = ledger.productive_core_seconds
+        try:
+            while heads:
+                time, item_seq, job, epoch, fifo = heads[0]
+                if time >= stop and (
+                    time > stop or time == math.inf or (time == t_event and item_seq > seq_event)
+                ):
+                    return None
+                fifo.popleft()
+                if fifo:
+                    heapreplace(heads, fifo[0])
+                else:
+                    heappop(heads)
+                if job.epoch != epoch:  # the job was preempted since
+                    continue
+                clock = time
+                n_events += 1
+                work = job.work
+                cursor = job.cursor
+                kind = work[cursor][1]
+                if record_event is not None:
+                    record_event((time, item_seq, kind, job.spec.id, job.instance.id))
+                if kind == EV_JOB_COMPLETED:
+                    return job
+                # The item reached a persisted boundary: credit it, count it
+                # and queue the next item behind the others of its duration.
+                productive += (time - job.work_started_at) * job.spec.vcpu_demand
+                cursor += 1
+                job.cursor = cursor
+                _, next_kind, duration, next_fifo = work[cursor]
+                next_time = time + duration
+                if next_time < time:
+                    raise _clock_error(next_kind, next_time, time)
+                job.work_started_at = time
+                entry = (next_time, seq, job, epoch, next_fifo)
+                if not next_fifo:
+                    heappush(heads, entry)
+                next_fifo.append(entry)
+                seq += 1
+                if strict_checks:
+                    self.clock, self._seq, self.n_events = clock, seq, n_events
+                    ledger.productive_core_seconds = productive
+                    self._check_invariants()
+            return None
+        finally:
+            self.clock, self._seq, self.n_events = clock, seq, n_events
+            ledger.productive_core_seconds = productive
+
     def advance(self, until: float = math.inf) -> None:
         """Process every event with time <= until, taking the metrics samples due on the way."""
         if until < self.clock:
@@ -680,66 +765,47 @@ class Engine:
             EV_INSTANCE_ACQUIRED: self._on_instance_acquired,
             EV_IDLE_TIMEOUT: self._on_idle_timeout,
         }
-        heap, preheap, ledger = self._heap, self._preheap, self.ledger
-        heappop, heapreplace = heapq.heappop, heapq.heapreplace
+        heap, heads, preheap = self._heap, self._item_heads, self._preheap
+        heappop = heapq.heappop
         record_event = None if self.recorder is None else self.recorder.record_event
         strict_checks = self.config.strict_checks
         while True:
-            if heap:
-                entry = heap[0]
-                t_next = entry[0]
-            else:
-                t_next = math.inf
+            while preheap and preheap[0][2].terminated:
+                heappop(preheap)
+            t_reclaim = preheap[0][0] if preheap else math.inf
+            entry = heap[0] if heap else None
+            t_next = math.inf if entry is None else entry[0]
+            if heads:
+                stop = min(t_reclaim, self._next_sample, until, t_next)
+                completed = self._run_items(stop, t_next, -1 if entry is None else entry[1])
+                if completed is not None:
+                    self._on_job_completed(completed, self.clock)
+                    if strict_checks:
+                        self._check_invariants()
+                    continue
+            item_next = bool(heads) and (entry is None or heads[0] < entry)
+            if item_next:
+                t_next = heads[0][0]
             # Only a reclaim strictly earlier than every pending event runs;
             # events that share its timestamp run first.
-            reclaimed = None
-            while preheap and preheap[0][0] < t_next:
-                if preheap[0][2].terminated:
-                    heappop(preheap)
-                else:
-                    t_next, _, reclaimed = preheap[0]
-                    break
+            reclaimed = t_reclaim < t_next
+            if reclaimed:
+                t_next = t_reclaim
             if t_next > until or t_next == math.inf:
                 break
             if self._next_sample < t_next:
                 self._flush_samples(t_next)
-            if reclaimed is not None:
-                heappop(preheap)
+            if reclaimed:
+                _, _, inst = heappop(preheap)
                 seq = self._seq
                 self._seq = seq + 1
                 self.clock = t_next
                 self.n_events += 1
                 if record_event is not None:
-                    record_event((t_next, seq, EV_PREEMPTION, "", reclaimed.id))
-                self._on_preemption(reclaimed, t_next)
-            elif len(entry) == 4:
-                # The completion of a job's current work item.
-                _, seq, job, epoch = entry
-                if job.epoch != epoch:  # the job was preempted since
-                    heappop(heap)
-                    continue
-                self.clock = t_next
-                self.n_events += 1
-                cursor = job.cursor
-                kind = job.work[cursor][1]
-                if record_event is not None:
-                    record_event((t_next, seq, kind, job.spec.id, job.instance.id))
-                if kind == EV_JOB_COMPLETED:
-                    heappop(heap)
-                    self._on_job_completed(job, t_next)
-                else:
-                    # The item reached a persisted boundary: credit it, count it
-                    # and start the next item in the same heap slot.
-                    ledger.productive_core_seconds += (t_next - job.work_started_at) * job.spec.vcpu_demand
-                    cursor += 1
-                    job.cursor = cursor
-                    _, next_kind, duration = job.work[cursor]
-                    time = t_next + duration
-                    if time < t_next:
-                        raise _clock_error(next_kind, time, t_next)
-                    job.work_started_at = t_next
-                    heapreplace(heap, (time, self._seq, job, epoch))
-                    self._seq += 1
+                    record_event((t_next, seq, EV_PREEMPTION, "", inst.id))
+                self._on_preemption(inst, t_next)
+            elif item_next:
+                continue  # the samples due before it are taken; _run_items handles it next
             else:
                 _, seq, kind, subject, epoch = heappop(heap)
                 # An idle timeout is stale once its instance has terminated or
@@ -833,7 +899,9 @@ class Engine:
             raise SimulationError("usage counters disagree with the active instances")
         for job_id, job in self.jobs.items():
             count = job.cursor
-            if not 0 <= count < len(work_items(job.spec.phase_plan)):
+            plan = job.spec.phase_plan
+            # len(work_items(plan)): chunks, transitions, integration and "done".
+            if not 0 <= count < plan.equil_chunks + plan.n_transitions + 2:
                 raise SimulationError(f"job {job_id}: persisted item count {count} is out of range")
             if count < self._last_progress.get(job_id, 0):
                 raise SimulationError(f"job {job_id}: persisted progress went backwards")

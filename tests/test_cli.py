@@ -507,8 +507,6 @@ def edited_csv(tmp_path, name, column, value):
                      "prices[5].spot_fraction must be a number", id="null-spot-fraction"),
         pytest.param("catalog_aws.json", lambda d: d["prices"][5].update(on_demand_per_hour="1"),
                      "prices[5].on_demand_per_hour must be a number", id="string-price"),
-        pytest.param("catalog_aws.json", lambda d: d.update(currency_per_dollar=-1),
-                     "currency_per_dollar must be a finite number > 0", id="negative-currency"),
         pytest.param("workload_toy.json", lambda d: d["targets"][0].pop("edges"),
                      "targets[0] is missing the 'edges' key", id="target-without-edges"),
         pytest.param("workload_toy.json", lambda d: d["resource_policy"]["complex"].pop("vcpus"),

@@ -49,7 +49,7 @@ def micro_plan():
     )
 
 
-def micro_job(job_id, vcpus=2, gpus=0, kind="ligand", system="sysA"):
+def micro_job(job_id, vcpus=2, gpus=0, kind="ligand", system="sysA", plan=None):
     return wl.JobSpec(
         id=job_id,
         target="micro",
@@ -57,7 +57,7 @@ def micro_job(job_id, vcpus=2, gpus=0, kind="ligand", system="sysA"):
         system=system,
         vcpu_demand=vcpus,
         gpu_demand=gpus,
-        phase_plan=micro_plan(),
+        phase_plan=plan or micro_plan(),
         timestep_fs=2.0,
         fe_label=f"micro/{job_id}",
     )
@@ -193,6 +193,56 @@ def test_micro_event_log_sorted_by_time_then_seq():
 
 def n_completed(engine):
     return sum(1 for job in engine.jobs.values() if job.status == "done")
+
+
+def one_plan(chunk_steps, transition_steps=0):
+    """One chunk and at most one transition; at the micro rate one step takes 2 s."""
+    return wl.PhasePlan(
+        equil_chunks=1,
+        chunk_steps=chunk_steps,
+        total_equil_steps=chunk_steps,
+        n_transitions=1 if transition_steps else 0,
+        transition_steps=transition_steps,
+    )
+
+
+def test_work_items_of_different_durations_tie_with_an_idle_timeout():
+    # j0 fills i0001 and finishes at 800 s, so with a 200 s grace period
+    # i0001 times out at 1000 s.  On i0002, j1's 1000 s chunk (scheduled at
+    # 0 s) and j2's 100 s transition (scheduled at 900 s) also complete at
+    # 1000 s.  The timeout was scheduled at 800 s, between the two, so
+    # (time, seq) puts it between them.  Rows derived by hand from that rule:
+    jobs = [
+        micro_job("j0", vcpus=4, plan=one_plan(400)),
+        micro_job("j1", plan=one_plan(500)),
+        micro_job("j2", plan=one_plan(450, transition_steps=50)),
+    ]
+    config = micro_config(routing=RoutingPolicy({"r1": 1}), grace_period_s=200.0)
+    engine = Engine(micro_catalog(pool_r1=2), jobs, micro_records(), config, MemoryRecorder())
+    report = engine.run()
+    assert engine.recorder.events == [
+        (0.0, 0, "job_submitted", "j0", ""),
+        (0.0, 1, "job_submitted", "j1", ""),
+        (0.0, 2, "job_submitted", "j2", ""),
+        (0.0, 3, "instance_acquired", "", "i0001"),
+        (0.0, 4, "instance_acquired", "", "i0002"),
+        (800.0, 5, "chunk_done", "j0", "i0001"),
+        (800.0, 8, "integrate_done", "j0", "i0001"),
+        (800.0, 9, "job_completed", "j0", "i0001"),
+        (900.0, 7, "chunk_done", "j2", "i0002"),
+        (1000.0, 6, "chunk_done", "j1", "i0002"),
+        (1000.0, 10, "instance_idle_timeout", "", "i0001"),
+        (1000.0, 11, "transition_done", "j2", "i0002"),
+        (1000.0, 12, "integrate_done", "j1", "i0002"),
+        (1000.0, 13, "integrate_done", "j2", "i0002"),
+        (1000.0, 14, "job_completed", "j1", "i0002"),
+        (1000.0, 15, "job_completed", "j2", "i0002"),
+        (1200.0, 16, "instance_idle_timeout", "", "i0002"),
+    ]
+    assert [(i, d) for i, d, _, _ in engine.recorder.bills] == [("i0001", 1000.0), ("i0002", 1200.0)]
+    assert report.total_cost == pytest.approx(2.2)
+    assert engine.ledger.productive_core_seconds == 800.0 * 4 + 1000.0 * 2 + (900.0 + 100.0) * 2
+    assert report.n_events == 17 and report.makespan_s == 1000.0
 
 
 # -- packing -------------------------------------------------------------------

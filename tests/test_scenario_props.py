@@ -16,7 +16,7 @@ import pytest
 from spotbatch import catalog as cat
 from spotbatch import perfmodel as pm
 from spotbatch import workload as wl
-from spotbatch.orchestrator.engine import Engine, EngineConfig, WorkItem, work_items
+from spotbatch.orchestrator.engine import Engine, EngineConfig, MetricsSample, WorkItem, work_items
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
@@ -262,6 +262,49 @@ def test_liveness_under_heavy_preemption():
     assert report.n_completed == 10
     assert len(engine.recorder.waste) >= 3 * 10
     check_invariants(engine)
+
+
+def usage_rows(engine: Engine, time_s: float) -> list:
+    """The metrics rows of the engine's state now, recomputed from its instances."""
+    usage = {}
+    for inst in engine.instances.values():
+        if inst.active and not inst.terminated:
+            row = usage.setdefault((inst.region, inst.type_name), [0, 0, 0])
+            row[0] += 1
+            row[1] += inst.vcpus - inst.free_vcpus
+            row[2] += inst.gpus - inst.free_gpus
+    return [MetricsSample(time_s, region, type_name, *row) for (region, type_name), row in sorted(usage.items())]
+
+
+def test_advancing_in_slices_matches_one_run():
+    # Slice ends fall exactly on every work-item completion, metrics sample
+    # and reclaim of the run: the event loop must stop at each and resume
+    # as if it had never stopped.  A sample at time t shows the state after
+    # every event at or before t, which is the state a slice ending at t
+    # leaves.
+    whole = build_case(71)
+    whole.run()
+    rows = whole.recorder.events
+    reclaims = {t for t, _, kind, _, _ in rows if kind == "preemption"}
+    items = {t for t, _, kind, _, _ in rows if kind in ("chunk_done", "transition_done", "integrate_done")}
+    samples = {sample.time_s for sample in whole.samples}
+    assert reclaims and samples and items
+    sliced = build_case(71)
+    sliced.submit_all()
+    expected_samples = []
+    for until in sorted(items | samples | reclaims):
+        sliced.advance(until)
+        assert sliced.clock == until
+        assert sliced.recorder.events == [row for row in rows if row[0] <= until]
+        if until in samples:
+            expected_samples += usage_rows(sliced, until)
+    sliced.run()
+    assert whole.samples == expected_samples
+    assert sliced.recorder.events == rows
+    assert sliced.recorder.bills == whole.recorder.bills
+    assert sliced.recorder.waste == whole.recorder.waste
+    assert sliced.samples == whole.samples
+    assert sliced.summary() == whole.summary()
 
 
 def test_conservation_holds_at_intermediate_times():
