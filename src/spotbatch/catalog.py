@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Set, Tuple
 
 from .errors import MissingRecordError, ParseError, ValidationError, finite_number
-from .jsonfile import load, number, numbers, shaped, within
+from .jsonfile import Keys, load, number, numbers, shaped, within
 
 ON_DEMAND = "on_demand"
 SPOT = "spot"
@@ -176,12 +176,21 @@ def _price(raw: dict) -> PriceEntry:
     )
 
 
-def _each(data: dict, key: str, required: Tuple[str, ...], parse, problems: List[str]):
-    """``(key[i], parse(entry))`` per entry under ``key`` that parses; the rest add their problem to ``problems``."""
+# The keys each kind of catalog entry must hold, and those it may hold.
+_INSTANCE_KEYS = (("name", "vcpus"), ("gpus", "gpu_model", "clock_ghz", "network_gbps", "efa", "family"))
+_REGION_KEYS = (("name",), ("spot_pool", "weight"))
+_PRICE_KEYS = (("instance", "region", "on_demand_per_hour"), ("spot_fraction", "reserved_upfront_per_hour"))
+
+
+def _each(data: dict, key: str, keys: Tuple[Keys, Keys], parse, problems: List[str]):
+    """``(key[i], parse(entry))`` per entry under ``key`` that parses; the rest add their problem to ``problems``.
+
+    ``keys`` is the (required, optional) pair of keys an entry may hold.
+    """
     for i, raw in enumerate(shaped(data[key], list, key)):
         where = f"{key}[{i}]"
         try:
-            item = within(where, parse, shaped(raw, dict, where, required))
+            item = within(where, parse, shaped(raw, dict, where, *keys))
         except (ParseError, ValidationError) as exc:
             problems.append(str(exc))
         else:
@@ -196,24 +205,25 @@ def _names(data: dict, key: str) -> Set[str]:
 def build_catalog(data) -> Catalog:
     """Construct a Catalog from a parsed JSON document, checking every entry.
 
-    A document that is not an object, or lacks ``instances``, ``regions`` or
-    ``prices``, raises ParseError at once.  Otherwise each entry is parsed on
-    its own, and the problems of all of them raise one ValidationError that
-    lists them one per line, each naming its key path.  Entries keep their
-    order: ``recommend`` ranks instances in catalog order, and the first
-    region is the default one.
+    A document that is not an object, lacks ``instances``, ``regions`` or
+    ``prices``, or holds another top-level key, raises ParseError at once.
+    Otherwise each entry is parsed on its own, and the problems of all of
+    them (an unknown key in an entry among them) raise one ValidationError
+    that lists them one per line, each naming its key path.  Entries keep
+    their order: ``recommend`` ranks instances in catalog order, and the
+    first region is the default one.
     """
-    shaped(data, dict, "catalog", ("instances", "regions", "prices"))
+    shaped(data, dict, "catalog", ("instances", "regions", "prices"), ())
     problems: List[str] = []
 
     instances = {}
-    for where, spec in _each(data, "instances", ("name", "vcpus"), _instance, problems):
+    for where, spec in _each(data, "instances", _INSTANCE_KEYS, _instance, problems):
         if spec.name in instances:
             problems.append(f"{where}: duplicate instance name {spec.name!r}")
         instances.setdefault(spec.name, spec)
 
     regions = {}
-    for where, spec in _each(data, "regions", ("name",), _region, problems):
+    for where, spec in _each(data, "regions", _REGION_KEYS, _region, problems):
         if spec.name in regions:
             problems.append(f"{where}: duplicate region name {spec.name!r}")
         regions.setdefault(spec.name, spec)
@@ -223,7 +233,7 @@ def build_catalog(data) -> Catalog:
     # A price naming a bad entry is not dangling: that entry's own problem is reported above.
     instance_names, region_names = _names(data, "instances"), _names(data, "regions")
     prices = {}
-    for where, entry in _each(data, "prices", ("instance", "region", "on_demand_per_hour"), _price, problems):
+    for where, entry in _each(data, "prices", _PRICE_KEYS, _price, problems):
         if entry.instance not in instance_names:
             problems.append(f"{where}.instance references unknown instance {entry.instance!r}")
         if entry.region not in region_names:

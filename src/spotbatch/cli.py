@@ -97,7 +97,7 @@ def cmd_bench(args) -> int:
     if not args.bench or not args.catalog:
         return _fail("bench needs --bench and --catalog (or --scaling)", EXIT_USAGE)
     catalog = cat.load_catalog(args.catalog)
-    region = args.region or next(iter(catalog.regions))
+    region = catalog.region(args.region).name if args.region else next(iter(catalog.regions))
     rows = []
     for r in perfmodel.load_many_benchmarks(args.bench):
         if args.system and r.system != args.system:

@@ -3,7 +3,9 @@
 A value of the wrong shape raises ParseError; a value that is not a number,
 or not a whole one where a count is needed, raises ValidationError.  Each
 error names the key path of the value (``instances[3].vcpus``), and ``load``
-puts the file's path in front.
+puts the file's path in front.  An object whose keys are fixed, rather than
+data such as region names, rejects a key it does not know, so a misspelled
+optional key cannot silently take its default.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ParseError, ValidationError
 
@@ -50,16 +52,27 @@ def load(path, parse):
         raise type(exc)("\n".join(f"{path}: {line}" for line in str(exc).splitlines())) from None
 
 
+Keys = Tuple[str, ...]
+
 _SHAPES = {dict: "a JSON object", list: "a list", str: "a string", bool: "true or false"}
 
 
-def shaped(value, kind: type, key: str, required: Tuple[str, ...] = ()):
-    """``value`` when it is a ``kind`` holding every ``required`` key; otherwise a ParseError naming ``key``."""
+def shaped(value, kind: type, key: str, required: Keys = (), optional: Optional[Keys] = None):
+    """``value`` when it is a ``kind`` holding every ``required`` key; otherwise a ParseError naming ``key``.
+
+    With ``optional``, the object's keys are fixed: a key that is neither
+    required nor optional is a ParseError too.
+    """
     if not isinstance(value, kind):
         raise ParseError(f"{key} must be {_SHAPES[kind]}, got {value!r}")
     for name in required:
         if name not in value:
             raise ParseError(f"{key} is missing the {name!r} key")
+    if optional is not None:
+        for name in value:
+            if name not in required and name not in optional:
+                known = ", ".join(required + optional)
+                raise ParseError(f"{key} has unknown key {name!r}; known keys: {known}")
     return value
 
 
@@ -83,10 +96,13 @@ def strings(value, key: str) -> List[str]:
     return [shaped(s, str, f"{key}[{i}]") for i, s in enumerate(shaped(value, list, key))]
 
 
-def entries(data: dict, key: str, required: Tuple[str, ...]):
-    """``(key[i], entry)`` per object listed under the optional ``key``, holding every ``required`` key."""
+def entries(data: dict, key: str, required: Keys, optional: Keys = ()):
+    """``(key[i], entry)`` per object listed under the optional ``key``, holding every ``required`` key.
+
+    An entry's keys are fixed: ``required`` and ``optional`` are all it may hold.
+    """
     for i, entry in enumerate(shaped(data.get(key, []), list, key)):
-        yield f"{key}[{i}]", shaped(entry, dict, f"{key}[{i}]", required)
+        yield f"{key}[{i}]", shaped(entry, dict, f"{key}[{i}]", required, optional)
 
 
 def within(key: str, parse, value):

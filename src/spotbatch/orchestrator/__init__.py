@@ -6,8 +6,6 @@ from .engine import (  # noqa: F401
     EngineConfig,
     InstanceState,
     SummaryReport,
-    WorkItem,
-    work_items,
 )
 from .preemption import PreemptionModel  # noqa: F401
 from .recorder import MemoryRecorder, RunRecorder  # noqa: F401

@@ -17,13 +17,15 @@ GPUs) stays queued, the later jobs of that shape wait out the rest of the
 pass.  The queue is kept as one FIFO bucket per shape so that a pass costs
 O(placements + shapes), not O(queue length).
 
-A job's work items run in the order ``work_items`` defines, and its
-progress is one count: the number of items it has persisted, which is also
-the index in ``work_items`` of the item that runs next.  The count only
-grows; a preemption loses the item in flight and leaves the count as it
-is.  When a job boards an instance, it takes that residency's table of
-(item, completion event, duration, queue) for its phase plan, system and
-instance type, and resumes at its count.
+A job's work is one table per (phase plan, system, timestep, instance
+type): one entry of (completion event, duration, queue) per item, in the
+order the items run.  Each equilibration chunk comes first, then each
+transition, then the integration and the job's completion, both of zero
+duration.  A job's progress is one count: the number of items it has
+persisted, which is also the index in the table of the item that runs next.
+The count only grows; a preemption loses the item in flight and leaves the
+count as it is.  When a job boards an instance, it takes the table for that
+instance's type and resumes at its count.
 
 Work-item completions do not enter the event heap.  Every item is
 scheduled at the clock plus its duration; the clock never goes back,
@@ -102,42 +104,21 @@ ST_DONE = "done"
 ST_FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class WorkItem:
-    """One step of a job's work: a chunk, a transition, integration, or "done" (nothing left)."""
-
-    kind: str  # "chunk" | "transition" | "integrate" | "done"
-    index: int = 0
-
-
-_ITEM_EVENTS = {
-    "chunk": EV_CHUNK_DONE,
-    "transition": EV_TRANSITION_DONE,
-    "integrate": EV_INTEGRATE_DONE,
-    "done": EV_JOB_COMPLETED,
+# The kind of work item each completion event ends, as waste rows name it.
+_ITEM_KINDS = {
+    EV_CHUNK_DONE: "chunk",
+    EV_TRANSITION_DONE: "transition",
+    EV_INTEGRATE_DONE: "integrate",
+    EV_JOB_COMPLETED: "done",
 }
 
 # A work item's completion, queued in the FIFO of its duration:
 # (time, seq, job, epoch, that FIFO).
 ItemEntry = Tuple[float, int, "_Job", int, Deque]
 
-# (item, event that completes it, duration in seconds, FIFO of that duration)
-# for one item of a job's work on one instance type.
-WorkEntry = Tuple[WorkItem, str, float, Deque[ItemEntry]]
-
-
-def work_items(plan: PhasePlan) -> List[WorkItem]:
-    """Every work item of a job, in the order it runs, ending with "done".
-
-    Chunks run first; once all chunks are persisted, transitions follow one
-    by one; after the last transition the work values are integrated; then
-    the job is done.
-    """
-    return (
-        [WorkItem("chunk", i) for i in range(plan.equil_chunks)]
-        + [WorkItem("transition", i) for i in range(plan.n_transitions)]
-        + [WorkItem("integrate"), WorkItem("done")]
-    )
+# (event that completes it, duration in seconds, FIFO of that duration) for
+# one item of a job's work on one instance type.
+WorkEntry = Tuple[str, float, Deque[ItemEntry]]
 
 
 @dataclass
@@ -367,7 +348,6 @@ class Engine:
             self.jobs[spec.id] = _Job(spec=spec)
 
         self.instances: Dict[str, InstanceState] = {}
-        self._active: Dict[str, InstanceState] = {}  # activated and not yet terminated
         # Per (region, type): [active instances, vCPUs in use, GPUs in use].
         self._usage: Dict[Tuple[str, str], List[int]] = {}
         # Per region, the unterminated instances with a free vCPU, in acquisition order.
@@ -401,36 +381,28 @@ class Engine:
             self._pool[key] = cap
         return self._pool[key]
 
-    def _item_duration(self, spec: JobSpec, item: WorkItem, rates: Tuple[float, float]) -> float:
-        """Seconds ``item`` takes at ``rates``, the (equilibration, transition) ns/day."""
-        if item.kind == "chunk":
-            steps = spec.phase_plan.chunk_length(item.index)
-            rate = rates[0]
-        elif item.kind == "transition":
-            steps = spec.phase_plan.transition_steps
-            rate = rates[1]
-        else:
-            return 0.0
-        ns = steps * spec.timestep_fs * 1e-6
-        return ns / rate * SECONDS_PER_DAY
-
     def _work_table(self, spec: JobSpec, type_name: str) -> Tuple[WorkEntry, ...]:
-        """Every work item of ``spec`` on ``type_name``, with its event and duration, in work order."""
+        """Every work item of ``spec`` on ``type_name`` as (event, duration, FIFO), in work order.
+
+        Chunks run at the equilibration rate and transitions at the
+        transition rate; integration and completion take no time.
+        """
         key = (spec.phase_plan, spec.system, spec.timestep_fs, type_name)
         table = self._work_tables.get(key)
         if table is None:
-            rates = perfmodel.phase_rates(
+            plan = spec.phase_plan
+            equil_rate, transition_rate = perfmodel.phase_rates(
                 perfmodel.best_configs(self.records, spec.system),
                 spec.system,
                 type_name,
                 self.config.transition_slowdown,
             )
-            table = []
-            for item in work_items(spec.phase_plan):
-                duration = self._item_duration(spec, item, rates)
-                fifo = self._item_fifos.setdefault(duration, deque())
-                table.append((item, _ITEM_EVENTS[item.kind], duration, fifo))
-            table = self._work_tables[key] = tuple(table)
+            steps = [(EV_CHUNK_DONE, plan.chunk_length(i), equil_rate) for i in range(plan.equil_chunks)]
+            steps += [(EV_TRANSITION_DONE, plan.transition_steps, transition_rate)] * plan.n_transitions
+            work = [(event, n * spec.timestep_fs * 1e-6 / rate * SECONDS_PER_DAY) for event, n, rate in steps]
+            work += [(EV_INTEGRATE_DONE, 0.0), (EV_JOB_COMPLETED, 0.0)]
+            fifos = self._item_fifos
+            table = self._work_tables[key] = tuple((e, d, fifos.setdefault(d, deque())) for e, d in work)
         return table
 
     # -- submission -------------------------------------------------------
@@ -574,7 +546,7 @@ class Engine:
 
     def _start_next_item(self, job: _Job, now: float) -> None:
         """Queue the completion of the job's item at its cursor (the loop queues the rest)."""
-        _, kind, duration, fifo = job.work[job.cursor]
+        kind, duration, fifo = job.work[job.cursor]
         time = now + duration
         if time < self.clock:
             raise _clock_error(kind, time, self.clock)
@@ -589,7 +561,6 @@ class Engine:
 
     def _terminate_instance(self, inst: InstanceState, now: float) -> None:
         inst.terminated_at = now
-        del self._active[inst.id]
         usage = self._usage[(inst.region, inst.type_name)]
         usage[0] -= 1
         usage[1] -= inst.vcpus - inst.free_vcpus
@@ -615,7 +586,6 @@ class Engine:
 
     def _on_instance_acquired(self, inst: InstanceState, now: float) -> None:
         inst.active = True
-        self._active[inst.id] = inst
         usage = self._usage.setdefault((inst.region, inst.type_name), [0, 0, 0])
         usage[0] += 1
         usage[1] += inst.vcpus - inst.free_vcpus
@@ -662,8 +632,8 @@ class Engine:
             wasted = now - job.work_started_at
             self.ledger.wasted_core_seconds += wasted * job.spec.vcpu_demand
             if self.recorder is not None:
-                item, _, duration, _ = job.work[job.cursor]
-                self.recorder.record_waste((inst.id, job.spec.id, wasted, item.kind, duration))
+                event, duration, _ = job.work[job.cursor]
+                self.recorder.record_waste((inst.id, job.spec.id, wasted, _ITEM_KINDS[event], duration))
             job.epoch += 1  # invalidates the in-flight completion event
             job.instance = None
             job.work = ()
@@ -727,7 +697,7 @@ class Engine:
                 n_events += 1
                 work = job.work
                 cursor = job.cursor
-                kind = work[cursor][1]
+                kind = work[cursor][0]
                 if record_event is not None:
                     record_event((time, item_seq, kind, job.spec.id, job.instance.id))
                 if kind == EV_JOB_COMPLETED:
@@ -737,7 +707,7 @@ class Engine:
                 productive += (time - job.work_started_at) * job.spec.vcpu_demand
                 cursor += 1
                 job.cursor = cursor
-                _, next_kind, duration, next_fifo = work[cursor]
+                next_kind, duration, next_fifo = work[cursor]
                 next_time = time + duration
                 if next_time < time:
                     raise _clock_error(next_kind, next_time, time)
@@ -757,7 +727,11 @@ class Engine:
             ledger.productive_core_seconds = productive
 
     def advance(self, until: float = math.inf) -> None:
-        """Process every event with time <= until, taking the metrics samples due on the way."""
+        """Process every event with time <= until, and take every metrics sample due before until.
+
+        A sample at ``until`` itself waits: events may still be scheduled at
+        that instant, and a sample is taken after the events at its time.
+        """
         if until < self.clock:
             raise SimulationError(f"cannot advance to {until}: clock is already at {self.clock}")
         handlers = {
@@ -822,8 +796,9 @@ class Engine:
                 handlers[kind](subject, t_next)
             if strict_checks:
                 self._check_invariants()
-        if until != math.inf and until > self.clock:
-            self.clock = until
+        if until != math.inf:
+            self._flush_samples(until)
+            self.clock = max(self.clock, until)
 
     def run(self) -> SummaryReport:
         """Submit everything, drain the event queue, and close the books."""
@@ -890,7 +865,9 @@ class Engine:
             if [inst.id for inst in open_list] != expected_open[region]:
                 raise SimulationError(f"region {region}: open-capacity index out of date")
         recount: Dict[Tuple[str, str], List[int]] = {}
-        for inst in self._active.values():
+        for inst in self.instances.values():
+            if not inst.active or inst.terminated:
+                continue
             usage = recount.setdefault((inst.region, inst.type_name), [0, 0, 0])
             usage[0] += 1
             usage[1] += inst.vcpus - inst.free_vcpus
@@ -900,7 +877,7 @@ class Engine:
         for job_id, job in self.jobs.items():
             count = job.cursor
             plan = job.spec.phase_plan
-            # len(work_items(plan)): chunks, transitions, integration and "done".
+            # The length of its work table: chunks, transitions, integration and completion.
             if not 0 <= count < plan.equil_chunks + plan.n_transitions + 2:
                 raise SimulationError(f"job {job_id}: persisted item count {count} is out of range")
             if count < self._last_progress.get(job_id, 0):

@@ -52,11 +52,14 @@ def _file(base: Path, value, key: str) -> Path:
 # acquisition rate limit.
 _NULLABLE_KNOBS = ("grace_period_s", "metrics_interval_s", "acquisitions_per_region_minute")
 _NUMBER_KNOBS = ("seed", "transition_slowdown", "acquisition_latency_s") + _NULLABLE_KNOBS
+# The keys a scenario must hold, and the others it may hold.
+_REQUIRED = ("catalog", "workload", "benchmarks", "routing", "allowed_types")
+_OPTIONAL = ("payment", "preemption_hazards", "scripted_preemptions", "waves", "pool_overrides")
 
 
 def _scenario(data, base: Path) -> Scenario:
-    shaped(data, dict, "scenario", ("catalog", "workload", "benchmarks", "routing", "allowed_types"))
-    routing = shaped(data["routing"], dict, "routing", ("weights",))
+    shaped(data, dict, "scenario", _REQUIRED, _OPTIONAL + _NUMBER_KNOBS)
+    routing = shaped(data["routing"], dict, "routing", ("weights",), ("mode",))
     knobs = {
         key: None if value is None and key in _NULLABLE_KNOBS else number(key, value, whole=key == "seed")
         for key, value in data.items()

@@ -279,7 +279,8 @@ def recommend(
 
     Candidates are all catalog instances with an equilibration benchmark for
     the system and a price in the chosen region (default: the catalog's
-    first region).  Instances whose predicted runtime exceeds
+    first region; a region the catalog does not list raises
+    MissingRecordError).  Instances whose predicted runtime exceeds
     ``max_runtime_h`` are dropped.  An empty list means no instance
     satisfies the constraints; that is a result, not an error.  The job's
     durations must be finite numbers >= 0, and the deadline (unless ``None``)
@@ -292,8 +293,7 @@ def recommend(
     if max_runtime_h is not None:
         finite_number("max_runtime_h", max_runtime_h, 0, low_open=True)
     finite_number("transition_slowdown", transition_slowdown, 0, low_open=True)
-    if region is None:
-        region = next(iter(catalog.regions))
+    region = next(iter(catalog.regions)) if region is None else catalog.region(region).name
     best = best_configs(records, system)
     out = []
     for name in catalog.instances:

@@ -195,8 +195,6 @@ class JobSpec:
     phase_plan: PhasePlan
     timestep_fs: float
     fe_label: str
-    input_ref: str = ""
-    output_ref: str = ""
 
     def __post_init__(self):
         if self.kind not in JOB_KINDS:
@@ -206,18 +204,6 @@ class JobSpec:
         if self.gpu_demand not in (0, 1):
             raise ValidationError(f"job {self.id}: gpu_demand must be 0 or 1")
         finite_number("timestep_fs", self.timestep_fs, 0, low_open=True)
-        if not self.input_ref:
-            object.__setattr__(self, "input_ref", f"in/{self.id}")
-        if not self.output_ref:
-            object.__setattr__(self, "output_ref", f"out/{self.id}")
-
-    @property
-    def equil_ns(self) -> float:
-        return self.phase_plan.total_equil_steps * self.timestep_fs * 1e-6
-
-    @property
-    def transition_ns(self) -> float:
-        return self.phase_plan.n_transitions * self.phase_plan.transition_steps * self.timestep_fs * 1e-6
 
     @property
     def trajectory_ns(self) -> float:
@@ -318,14 +304,15 @@ _DURATIONS = ("equil_ns", "transition_ps", "timestep_fs")
 
 
 def _workload(data) -> Workload:
-    shaped(data, dict, "workload", ("targets",))
+    shaped(data, dict, "workload", ("targets",), ("resource_policy",) + _COUNTS + _DURATIONS)
     targets = entries(data, "targets", ("name", "complex_atoms", "ligand_atoms", "edges"))
     knobs = {k: number(k, v, k in _COUNTS) for k, v in data.items() if k in _COUNTS + _DURATIONS}
     policy = {}
-    for kind, raw in shaped(data.get("resource_policy", {}), dict, "resource_policy").items():
-        if kind in JOB_KINDS and raw is not None:
+    for kind, raw in shaped(data.get("resource_policy", {}), dict, "resource_policy", (), JOB_KINDS).items():
+        if raw is not None:
             where = f"resource_policy.{kind}"
-            policy[kind] = within(where, _kind_policy, shaped(raw, dict, where, ("vcpus",)))
+            raw = shaped(raw, dict, where, ("vcpus",), ("gpus", "proxy_systems"))
+            policy[kind] = within(where, _kind_policy, raw)
     return Workload(
         spec=EnsembleSpec(targets=tuple(within(where, _target, t) for where, t in targets), **knobs),
         policy={kind: policy.get(kind, DEFAULT_POLICY[kind]) for kind in JOB_KINDS},

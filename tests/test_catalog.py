@@ -172,3 +172,19 @@ def test_catalog_reports_every_bad_entry_at_once():
         "regions[1].spot_pool.c5 must be a finite number >= 0, got -1",
         "prices[1]: duplicate price entry for ('g4dn.4xl', 'us-east-1')",
     ]
+
+
+def test_catalog_reports_unknown_entry_keys_with_its_other_problems():
+    doc = minimal_doc()
+    doc["instances"].append({"name": "c5.big", "vcpus": 4, "vcpu": 4})
+    doc["regions"].append({"name": "eu-west-1", "weigth": 2.0})
+    doc["prices"].append({"instance": "g4dn.4xl", "region": "us-east-1", "on_demand_per_hour": -1.0})
+    with pytest.raises(ValidationError) as raised:
+        cat.build_catalog(doc)
+    lines = str(raised.value).splitlines()
+    assert [line.split(";")[0] for line in lines] == [
+        "instances[1] has unknown key 'vcpu'",
+        "regions[1] has unknown key 'weigth'",
+        "prices[1].on_demand_per_hour must be a finite number > 0, got -1.0",
+    ]
+    assert lines[1].endswith("known keys: name, spot_pool, weight")

@@ -131,6 +131,19 @@ def test_bench_pp_table(capsys):
     assert "c5.24xl" in out
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["bench", "--bench", FE_GPU], id="bench"),
+        pytest.param(["recommend", "--bench", FE_GPU, "--system", "cmet_complex"], id="recommend"),
+    ],
+)
+def test_unknown_region_exits_1_naming_it(capsys, command):
+    assert run_cli(*command, "--catalog", CATALOG, "--region", "us-eats-1") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown region 'us-eats-1'\n" and captured.out == ""
+
+
 def test_bench_scaling_table(capsys):
     code = run_cli("bench", "--scaling", str(spotbatch.data_path("scaling_c5n18xl.csv")))
     assert code == 0
@@ -451,13 +464,19 @@ def test_simulate_first_fit_outputs_are_golden(tmp_path, seed):
                      id="string-wave-kinds"),
         pytest.param({"payment": "bogus"}, "payment must be one of", id="unknown-payment"),
         pytest.param({"catalog": "missing.json"}, "catalog names no file", id="missing-catalog-file"),
+        pytest.param({"grace_periods_s": 5}, "scenario has unknown key 'grace_periods_s'",
+                     id="misspelled-grace-period"),
+        pytest.param({"routing": {"weights": {"us-east-1": 1}, "mdoe": "proportional_roundrobin"}},
+                     "routing has unknown key 'mdoe'", id="misspelled-routing-mode"),
+        pytest.param({"waves": [{"time_s": 0, "kinds": ["ligand"], "kind": "complex"}]},
+                     "waves[0] has unknown key 'kind'", id="unknown-wave-key"),
     ],
 )
 def test_simulate_rejects_bad_scenario_at_load(tmp_path, capsys, override, named):
     scenario = toy_variant(tmp_path, **override)
     assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {scenario}: ") and "Traceback" not in err
     assert named in err
     assert not (tmp_path / "out").exists()
 
@@ -523,6 +542,20 @@ def edited_csv(tmp_path, name, column, value):
                      "replicas must be a whole number", id="string-replicas"),
         pytest.param("workload_toy.json", lambda d: d["targets"].append(d["targets"][0]),
                      "targets[1].name duplicates targets[0].name 'cmet'", id="duplicate-target"),
+        pytest.param("catalog_aws.json", lambda d: d["prices"][5].update(spot_fracton=0.5),
+                     "prices[5] has unknown key 'spot_fracton'", id="misspelled-spot-fraction"),
+        pytest.param("catalog_aws.json", lambda d: d["instances"][3].update(gpu=1),
+                     "instances[3] has unknown key 'gpu'", id="misspelled-instance-gpus"),
+        pytest.param("catalog_aws.json", lambda d: d.update(currency_per_dollar=0.9),
+                     "catalog has unknown key 'currency_per_dollar'", id="unknown-catalog-key"),
+        pytest.param("workload_toy.json", lambda d: d.update(chunk_step=5_000_000),
+                     "workload has unknown key 'chunk_step'", id="misspelled-chunk-steps"),
+        pytest.param("workload_toy.json", lambda d: d["resource_policy"].update(lignd={"vcpus": 4}),
+                     "resource_policy has unknown key 'lignd'", id="misspelled-policy-kind"),
+        pytest.param("workload_toy.json", lambda d: d["resource_policy"]["complex"].update(gpu=1),
+                     "resource_policy.complex has unknown key 'gpu'", id="misspelled-policy-gpus"),
+        pytest.param("workload_toy.json", lambda d: d["targets"][0].update(edge=3),
+                     "targets[0] has unknown key 'edge'", id="misspelled-target-key"),
     ],
 )
 def test_simulate_rejects_bad_catalog_or_workload_naming_file_and_key(tmp_path, capsys, name, edit, named):

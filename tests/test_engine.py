@@ -9,12 +9,7 @@ from spotbatch import catalog as cat
 from spotbatch import perfmodel as pm
 from spotbatch import workload as wl
 from spotbatch.errors import SimulationError, ValidationError
-from spotbatch.orchestrator.engine import (
-    Engine,
-    EngineConfig,
-    WorkItem,
-    work_items,
-)
+from spotbatch.orchestrator.engine import Engine, EngineConfig
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
@@ -81,30 +76,50 @@ def micro_config(**kwargs):
     return EngineConfig(**defaults)
 
 
-# -- the resume point: work_items indexed by the count of persisted items --------
+# -- the resume point: the work table indexed by the count of persisted items ---
+
+
+def work_table(plan=None):
+    """The micro engine's (event, duration) per work item of one job with ``plan`` on t1."""
+    engine = Engine(micro_catalog(), [], micro_records(), micro_config())
+    return [(event, duration) for event, duration, _ in engine._work_table(micro_job("j1", plan=plan), "t1")]
 
 
 def test_resume_point_fresh():
-    assert work_items(micro_plan())[0] == WorkItem("chunk", 0)
-    assert work_items(micro_plan()) == [
-        WorkItem("chunk", 0),
-        WorkItem("chunk", 1),
-        WorkItem("transition", 0),
-        WorkItem("transition", 1),
-        WorkItem("integrate"),
-        WorkItem("done"),
+    assert work_table() == [
+        ("chunk_done", 1000.0),
+        ("chunk_done", 1000.0),
+        ("transition_done", 500.0),
+        ("transition_done", 500.0),
+        ("integrate_done", 0.0),
+        ("job_completed", 0.0),
     ]
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
+    engine.submit_all()
+    engine.advance(0.0)
+    job = engine.jobs["j1"]
+    assert job.cursor == 0 and job.work[job.cursor][:2] == ("chunk_done", 1000.0)
 
 
 def test_resume_point_mid_transitions():
     plan = wl.make_phase_plan(6.0, 2.0, 500_000, 80, 50.0)
-    assert work_items(plan)[6 + 37] == WorkItem("transition", 37)
+    events = [event for event, _ in work_table(plan)]
+    assert events[:6] == ["chunk_done"] * 6
+    assert events[6 + 37] == "transition_done"
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
+    engine.submit_all()
+    engine.advance(2200.0)  # both chunks persisted; transition 0 runs until 2500
+    job = engine.jobs["j1"]
+    assert job.cursor == 2 and job.work[job.cursor][:2] == ("transition_done", 500.0)
 
 
 def test_resume_point_integrate_and_done():
     plan = wl.make_phase_plan(6.0, 2.0, 500_000, 80, 50.0)
-    assert work_items(plan)[6 + 80] == WorkItem("integrate")
-    assert work_items(plan)[6 + 80 + 1] == WorkItem("done")
+    table = work_table(plan)
+    assert len(table) == 6 + 80 + 2
+    assert table[6 + 80 - 1][0] == "transition_done"
+    assert table[6 + 80] == ("integrate_done", 0.0)
+    assert table[6 + 80 + 1] == ("job_completed", 0.0)
 
 
 # -- the hand-computed micro scenario (tests/data/micro_scenario_oracle.md) ----
@@ -206,7 +221,7 @@ def one_plan(chunk_steps, transition_steps=0):
     )
 
 
-def test_work_items_of_different_durations_tie_with_an_idle_timeout():
+def test_items_of_different_durations_tie_with_an_idle_timeout():
     # j0 fills i0001 and finishes at 800 s, so with a 200 s grace period
     # i0001 times out at 1000 s.  On i0002, j1's 1000 s chunk (scheduled at
     # 0 s) and j2's 100 s transition (scheduled at 900 s) also complete at
@@ -323,7 +338,8 @@ def test_preemption_at_chunk_boundary_counts_chunk_as_done():
     # resumes at chunk 1 and the preempted sliver of chunk 1 is zero long.
     assert engine.ledger.wasted_core_seconds == pytest.approx(0.0)
     assert report.n_completed == 1
-    assert work_items(micro_plan())[engine.jobs["j1"].cursor] == WorkItem("done")
+    # Chunks, transitions and integration persisted: the count is at the completion.
+    assert engine.jobs["j1"].cursor == 2 + 2 + 1
 
 
 def test_preemption_with_no_residents_just_closes_billing():
@@ -435,6 +451,19 @@ def test_time_regression_rejected():
         engine.advance(1000.0)
 
 
+def test_advance_takes_the_samples_due_before_until():
+    config = micro_config(metrics_interval_s=60.0)
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+    engine.submit_all()
+    engine.advance(1500.0)  # the next event, transition 0's completion, is at 2500 s
+    assert [s.time_s for s in engine.samples] == [60.0 * k for k in range(25)]
+    engine.advance(1500.0)
+    assert len(engine.samples) == 25  # the sample at 1500 s waits for the events at 1500 s
+    engine.advance(1560.0)
+    assert [s.time_s for s in engine.samples[25:]] == [1500.0]
+    assert {(s.active_instances, s.vcpus_in_use) for s in engine.samples} == {(1, 2)}
+
+
 def test_advance_on_empty_queue_jumps_clock():
     engine = Engine(micro_catalog(), [], micro_records(), micro_config())
     engine.submit_all()
@@ -522,9 +551,9 @@ def test_strict_checks_reject_persisted_count_going_backwards():
 
 def test_negative_work_duration_rejected(monkeypatch):
     # A negative duration would complete a work item before it started.
-    # EngineConfig rejects the slowdown that used to produce one, so the
-    # duration is forced here to reach the guard on work items.
-    monkeypatch.setattr(Engine, "_item_duration", lambda self, spec, item, rates: -1.0)
+    # EngineConfig rejects the slowdown that used to produce one, so
+    # negative rates are forced here to reach the guard on work items.
+    monkeypatch.setattr(pm, "phase_rates", lambda best, system, type_name, slowdown: (-1.0, -1.0))
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
     with pytest.raises(SimulationError, match="clock is already at"):
         engine.run()

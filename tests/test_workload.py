@@ -99,8 +99,6 @@ def test_expand_deterministic_ids():
 def test_expand_id_encoding():
     job = wl.expand_ensemble(small_spec())[0]
     assert job.id == "t1/edge_0000/ff0/r0/stateA/complex"
-    assert job.input_ref == f"in/{job.id}"
-    assert job.output_ref == f"out/{job.id}"
 
 
 def test_default_policy_demands():
