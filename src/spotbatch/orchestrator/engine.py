@@ -33,25 +33,31 @@ rounding a float sum is monotone and seq only grows, so the items that
 share one duration are scheduled in (time, seq) order.  Each distinct
 duration therefore has one FIFO queue of ``(time, seq, job, epoch,
 queue)`` entries, and a small heap holds the head entry of every queue
-that is not empty.  The event loop takes whichever of that heap and the
-event heap has the smaller (time, seq), so items and events run in
-exactly the order one heap of both would give.  It handles consecutive
-work items in a tight loop: credit the item, add one to the count and
-append the next item to its duration's queue.  The event heap holds only
-the entries ``(time, seq, kind, subject, epoch)`` of submissions,
+that is not empty.  The jobs' completions, of zero duration, have a FIFO
+of their own, so the loop knows a completion by the queue it came from.
+The event loop takes whichever of that heap and the event heap has the
+smaller (time, seq), so items and events run in exactly the order one
+heap of both would give.  It handles consecutive work items in a tight
+loop: credit the item, add one to the count and append the next item to
+its duration's queue.  Each persisted item takes one seq, so the loop
+counts its events from the seqs it took.  The event heap holds only the
+entries ``(time, seq, kind, subject, epoch)`` of submissions,
 acquisitions and idle timeouts, whose subject is the job or instance the
 event is about.
 
 First-fit placement scans a region's open instances (those with a free
 vCPU) in acquisition order; the list is kept in that order as instances
-fill, free up and terminate, so a placement never sorts.  Metrics samples
-read per-(region, type) usage counters that activation, boarding,
-completion and termination keep up to date.
+fill, free up and terminate, so a placement never sorts.  The allowed
+types of each demand shape, and those the shape fits on, are worked out
+once per shape.  Metrics samples read per-(region, type) usage counters
+that activation, boarding, completion and termination keep up to date.
 
-The engine keeps no row of its output: it hands each event row, instance
-bill and preemption waste row to its recorder (see ``recorder``) as the row
-happens.  Without a recorder it builds no rows at all; the ledger keeps only
-running totals, and metrics samples stay in ``samples``.
+The engine keeps no row of its output (see ``recorder``).  It hands each
+instance bill and preemption waste row to its recorder as the row happens.
+Event rows wait in one pending block, which goes to the recorder when it
+holds ``EVENT_BLOCK_ROWS`` rows and at the end of every ``advance``, also
+one that raises.  Without a recorder it builds no rows at all; the ledger
+keeps only running totals, and metrics samples stay in ``samples``.
 
 Determinism: a single seeded RNG drives routing draws and preemption
 draws; events are processed in (time, seq) order with seq assigned at
@@ -83,7 +89,7 @@ from .. import perfmodel
 from ..errors import SimulationError, ValidationError, finite_number
 from ..workload import JobSpec, PhasePlan
 from .preemption import PreemptionModel
-from .recorder import BillRow, RunRecorder
+from .recorder import BillRow, EventRow, RunRecorder
 from .routing import Router, RoutingPolicy
 
 EV_JOB_SUBMITTED = "job_submitted"
@@ -96,6 +102,9 @@ EV_IDLE_TIMEOUT = "instance_idle_timeout"
 EV_JOB_COMPLETED = "job_completed"
 
 SECONDS_PER_DAY = 86400.0
+
+# The most event rows the engine holds before it hands them to its recorder.
+EVENT_BLOCK_ROWS = 512
 
 ST_PENDING = "pending"
 ST_QUEUED = "queued"
@@ -314,10 +323,14 @@ class Engine:
         # job or instance the event is about; seq is unique across this heap
         # and the item queues, so entries never compare past it.
         self._heap: List[tuple] = []
-        # Work-item completions: one FIFO per distinct item duration, and a
-        # heap of the head entry of every FIFO that is not empty.
+        # Work-item completions: one FIFO per distinct item duration, one more
+        # for the jobs' completions, and a heap of the head entry of every
+        # FIFO that is not empty.
         self._item_fifos: Dict[float, Deque[ItemEntry]] = {}
+        self._completions: Deque[ItemEntry] = deque()
         self._item_heads: List[ItemEntry] = []
+        # Event rows not yet handed to the recorder, at most one block.
+        self._rows: List[EventRow] = []
         # Planned reclaims (time, created_seq, instance), one per activated
         # instance; an entry is stale once its instance has terminated.
         self._preheap: List[Tuple[float, int, InstanceState]] = []
@@ -329,10 +342,22 @@ class Engine:
         self._next_sample = math.inf if config.metrics_interval_s is None else 0.0
         self._region_next_slot: Dict[str, float] = {}
         self._work_tables: Dict[Tuple[PhasePlan, str, float, str], Tuple[WorkEntry, ...]] = {}
+        # Per demand shape: the allowed type names, and (type, family) of each
+        # allowed type the shape fits on, in allowed order.
+        self._fits: Dict[Shape, Tuple[frozenset, Tuple[Tuple[str, str], ...]]] = {}
+        # Per (type, region): the instance spec and its hourly rate.
+        self._quotes: Dict[Tuple[str, str], Tuple[cat.InstanceTypeSpec, float]] = {}
 
-        for region in config.routing.weights:
-            if region not in catalog.regions:
-                raise ValidationError(f"routing weight references unknown region {region!r}")
+        hazards = config.preemption.rates_per_instance_hour
+        hazard_regions = [key.split("/")[0] for key in hazards if not key.startswith("*/")]
+        for what, regions in (
+            ("routing weight", config.routing.weights),
+            ("pool override", config.pool_overrides),
+            ("preemption hazard", hazard_regions),
+        ):
+            for region in regions:
+                if region not in catalog.regions:
+                    raise ValidationError(f"{what} references unknown region {region!r}")
         routed = [r for r, w in config.routing.weights.items() if w > 0]
         for kind, names in config.allowed_types.items():
             for name in names:
@@ -400,9 +425,11 @@ class Engine:
             steps = [(EV_CHUNK_DONE, plan.chunk_length(i), equil_rate) for i in range(plan.equil_chunks)]
             steps += [(EV_TRANSITION_DONE, plan.transition_steps, transition_rate)] * plan.n_transitions
             work = [(event, n * spec.timestep_fs * 1e-6 / rate * SECONDS_PER_DAY) for event, n, rate in steps]
-            work += [(EV_INTEGRATE_DONE, 0.0), (EV_JOB_COMPLETED, 0.0)]
+            work.append((EV_INTEGRATE_DONE, 0.0))
             fifos = self._item_fifos
-            table = self._work_tables[key] = tuple((e, d, fifos.setdefault(d, deque())) for e, d in work)
+            table = tuple((e, d, fifos.setdefault(d, deque())) for e, d in work)
+            table += ((EV_JOB_COMPLETED, 0.0, self._completions),)
+            self._work_tables[key] = table
         return table
 
     # -- submission -------------------------------------------------------
@@ -452,8 +479,13 @@ class Engine:
             self._start_next_item(job, now)
 
     def _acquire(self, job: _Job, type_name: str, region: str, now: float) -> InstanceState:
-        spec = self.catalog.instance(type_name)
-        rate = cat.lookup_rate(self.catalog, type_name, region, self.config.payment)
+        quote = self._quotes.get((type_name, region))
+        if quote is None:
+            quote = self._quotes[(type_name, region)] = (
+                self.catalog.instance(type_name),
+                cat.lookup_rate(self.catalog, type_name, region, self.config.payment),
+            )
+        spec, rate = quote
         self._pool[(region, spec.family)] = self._pool_remaining(region, spec.family) - 1
         activation = now + self.config.acquisition_latency_s
         per_minute = self.config.acquisitions_per_region_minute
@@ -481,30 +513,37 @@ class Engine:
         self._board(job, inst, now)
         return inst
 
+    def _fit(self, shape: Shape) -> Tuple[frozenset, Tuple[Tuple[str, str], ...]]:
+        """The allowed type names of ``shape``'s kind, and (type, family) of those it fits on."""
+        kind, vd, gd = shape
+        allowed = self.config.allowed_types.get(kind, [])
+        specs = [self.catalog.instance(name) for name in allowed]
+        fits = tuple((name, s.family) for name, s in zip(allowed, specs) if s.vcpus >= vd and s.gpus >= gd)
+        return frozenset(allowed), fits
+
     def _place(self, job: _Job, now: float) -> str:
-        """First-fit pack, else acquire, else queue; infeasible demands fail.
+        """First-fit pack, else acquire, else queue; a demand no allowed type fits fails.
 
         Only instances with at least one free vCPU are scanned (full ones
         can never accept a job), in acquisition order.
         """
+        spec = job.spec
+        vd, gd = spec.vcpu_demand, spec.gpu_demand
+        shape = (spec.kind, vd, gd)
+        fit = self._fits.get(shape)
+        if fit is None:
+            fit = self._fits[shape] = self._fit(shape)
+        allowed, fits = fit
         region = job.region
-        allowed = self.config.allowed_types.get(job.spec.kind, [])
-        vd, gd = job.spec.vcpu_demand, job.spec.gpu_demand
         for inst in self._region_free[region]:
-            if inst.type_name not in allowed:
-                continue
-            if inst.free_vcpus >= vd and inst.free_gpus >= gd:
+            if inst.type_name in allowed and inst.free_vcpus >= vd and inst.free_gpus >= gd:
                 self._board(job, inst, now)
                 return "packed"
-        for type_name in allowed:
-            spec = self.catalog.instance(type_name)
-            if spec.vcpus >= vd and spec.gpus >= gd and self._pool_remaining(region, spec.family) > 0:
+        for type_name, family in fits:
+            if self._pool_remaining(region, family) > 0:
                 self._acquire(job, type_name, region, now)
                 return "acquired"
-        if not any(
-            self.catalog.instance(t).vcpus >= vd and self.catalog.instance(t).gpus >= gd
-            for t in allowed
-        ):
+        if not fits:
             job.status = ST_FAILED
             return "infeasible"
         job.status = ST_QUEUED
@@ -556,6 +595,20 @@ class Engine:
             heapq.heappush(self._item_heads, entry)
         fifo.append(entry)
         self._seq += 1
+
+    # -- event rows -----------------------------------------------------------
+
+    def _record(self, row: EventRow) -> None:
+        """Add an event row to the pending block, and hand the block over once it is full."""
+        self._rows.append(row)
+        if len(self._rows) >= EVENT_BLOCK_ROWS:
+            self._hand_over()
+
+    def _hand_over(self) -> List[EventRow]:
+        """Give the pending rows to the recorder; returns the new, empty block."""
+        rows, self._rows = self._rows, []
+        self.recorder.record_events(rows)
+        return self._rows
 
     # -- instance teardown --------------------------------------------------
 
@@ -672,12 +725,16 @@ class Engine:
         runs before a reclaim or a sample at that instant, but not after the
         heap's head.  Returns the job whose completion it reached (counted
         and recorded; its handler is left to the caller), else None.
+
+        Every persisted item queues the job's next item and so takes one
+        seq; the items handled are counted from the seqs taken.
         """
-        heads, ledger = self._item_heads, self.ledger
+        heads, ledger, completions = self._item_heads, self.ledger, self._completions
         heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
-        record_event = None if self.recorder is None else self.recorder.record_event
+        rows = None if self.recorder is None else self._rows
+        block = EVENT_BLOCK_ROWS
         strict_checks = self.config.strict_checks
-        clock, seq, n_events = self.clock, self._seq, self.n_events
+        clock, seq = self.clock, self._seq
         productive = ledger.productive_core_seconds
         try:
             while heads:
@@ -694,13 +751,13 @@ class Engine:
                 if job.epoch != epoch:  # the job was preempted since
                     continue
                 clock = time
-                n_events += 1
-                work = job.work
-                cursor = job.cursor
-                kind = work[cursor][0]
-                if record_event is not None:
-                    record_event((time, item_seq, kind, job.spec.id, job.instance.id))
-                if kind == EV_JOB_COMPLETED:
+                work, cursor = job.work, job.cursor
+                if rows is not None:
+                    rows.append((time, item_seq, work[cursor][0], job.spec.id, job.instance.id))
+                    if len(rows) >= block:
+                        rows = self._hand_over()
+                if fifo is completions:
+                    self.n_events += 1
                     return job
                 # The item reached a persisted boundary: credit it, count it
                 # and queue the next item behind the others of its duration.
@@ -718,12 +775,14 @@ class Engine:
                 next_fifo.append(entry)
                 seq += 1
                 if strict_checks:
-                    self.clock, self._seq, self.n_events = clock, seq, n_events
+                    self.n_events += seq - self._seq
+                    self.clock, self._seq = clock, seq
                     ledger.productive_core_seconds = productive
                     self._check_invariants()
             return None
         finally:
-            self.clock, self._seq, self.n_events = clock, seq, n_events
+            self.n_events += seq - self._seq
+            self.clock, self._seq = clock, seq
             ledger.productive_core_seconds = productive
 
     def advance(self, until: float = math.inf) -> None:
@@ -731,9 +790,18 @@ class Engine:
 
         A sample at ``until`` itself waits: events may still be scheduled at
         that instant, and a sample is taken after the events at its time.
+        The event rows still pending go to the recorder before it returns,
+        also when it raises.
         """
         if until < self.clock:
             raise SimulationError(f"cannot advance to {until}: clock is already at {self.clock}")
+        try:
+            self._advance(until)
+        finally:
+            if self._rows:
+                self._hand_over()
+
+    def _advance(self, until: float) -> None:
         handlers = {
             EV_JOB_SUBMITTED: self._on_job_submitted,
             EV_INSTANCE_ACQUIRED: self._on_instance_acquired,
@@ -741,7 +809,7 @@ class Engine:
         }
         heap, heads, preheap = self._heap, self._item_heads, self._preheap
         heappop = heapq.heappop
-        record_event = None if self.recorder is None else self.recorder.record_event
+        recording = self.recorder is not None
         strict_checks = self.config.strict_checks
         while True:
             while preheap and preheap[0][2].terminated:
@@ -749,7 +817,8 @@ class Engine:
             t_reclaim = preheap[0][0] if preheap else math.inf
             entry = heap[0] if heap else None
             t_next = math.inf if entry is None else entry[0]
-            if heads:
+            item_next = bool(heads) and (entry is None or heads[0] < entry)
+            if item_next:
                 stop = min(t_reclaim, self._next_sample, until, t_next)
                 completed = self._run_items(stop, t_next, -1 if entry is None else entry[1])
                 if completed is not None:
@@ -757,9 +826,9 @@ class Engine:
                     if strict_checks:
                         self._check_invariants()
                     continue
-            item_next = bool(heads) and (entry is None or heads[0] < entry)
-            if item_next:
-                t_next = heads[0][0]
+                item_next = bool(heads) and (entry is None or heads[0] < entry)
+                if item_next:
+                    t_next = heads[0][0]
             # Only a reclaim strictly earlier than every pending event runs;
             # events that share its timestamp run first.
             reclaimed = t_reclaim < t_next
@@ -775,8 +844,8 @@ class Engine:
                 self._seq = seq + 1
                 self.clock = t_next
                 self.n_events += 1
-                if record_event is not None:
-                    record_event((t_next, seq, EV_PREEMPTION, "", inst.id))
+                if recording:
+                    self._record((t_next, seq, EV_PREEMPTION, "", inst.id))
                 self._on_preemption(inst, t_next)
             elif item_next:
                 continue  # the samples due before it are taken; _run_items handles it next
@@ -788,11 +857,11 @@ class Engine:
                     continue
                 self.clock = t_next
                 self.n_events += 1
-                if record_event is not None:
+                if recording:
                     if isinstance(subject, _Job):
-                        record_event((t_next, seq, kind, subject.spec.id, ""))
+                        self._record((t_next, seq, kind, subject.spec.id, ""))
                     else:
-                        record_event((t_next, seq, kind, "", subject.id))
+                        self._record((t_next, seq, kind, "", subject.id))
                 handlers[kind](subject, t_next)
             if strict_checks:
                 self._check_invariants()

@@ -25,7 +25,7 @@ from .. import catalog as cat
 from .. import perfmodel
 from ..errors import ParseError
 from ..jsonfile import entries, load, number, numbers, shaped, strings
-from ..workload import load_workload
+from ..workload import JOB_KINDS, load_workload
 from .engine import Engine, EngineConfig, MetricsSample, SummaryReport
 from .preemption import PreemptionModel
 from .recorder import EventRow, MemoryRecorder, RunRecorder
@@ -74,7 +74,7 @@ def _scenario(data, base: Path) -> Scenario:
         ),
         allowed_types={
             kind: strings(names, f"allowed_types.{kind}")
-            for kind, names in shaped(data["allowed_types"], dict, "allowed_types").items()
+            for kind, names in shaped(data["allowed_types"], dict, "allowed_types", (), JOB_KINDS).items()
         },
         preemption=PreemptionModel(numbers(data.get("preemption_hazards", {}), "preemption_hazards")),
         scripted_preemptions={
@@ -141,14 +141,25 @@ def write_metrics_csv(samples: List[MetricsSample], path) -> None:
 
 
 class _EventLogWriter(RunRecorder):
-    """Writes each event row to an open text file as it comes; drops bills and waste."""
+    """Writes each block of event rows to an open text file with one ``write``; drops bills and waste.
+
+    A row's time is formatted only when it differs from the row before, but
+    always when it is zero: ``0.0`` and ``-0.0`` compare equal and print
+    differently.
+    """
 
     def __init__(self, fh):
         self._write = fh.write
 
-    def record_event(self, row: EventRow) -> None:
-        time_s, seq, kind, job_id, instance_id = row
-        self._write(f"{time_s:g},{seq},{kind},{job_id},{instance_id}\n")
+    def record_events(self, rows: List[EventRow]) -> None:
+        lines = []
+        last_time = text = None
+        for time_s, seq, kind, job_id, instance_id in rows:
+            if time_s != last_time or not time_s:
+                last_time = time_s
+                text = f"{time_s:g}"
+            lines.append(f"{text},{seq},{kind},{job_id},{instance_id}\n")
+        self._write("".join(lines))
 
 
 @contextlib.contextmanager

@@ -8,6 +8,7 @@ import pytest
 
 import spotbatch
 from spotbatch import cli
+from spotbatch.orchestrator import engine as engine_module
 from spotbatch.orchestrator import scenario as scen
 
 CATALOG = str(spotbatch.data_path("catalog_aws.json"))
@@ -385,15 +386,48 @@ def assert_outputs_golden(tmp_path, seed, expected, **overrides):
     assert digests == expected
 
 
+QUEUEING_TOY = dict(
+    pool_overrides={"us-east-1": {"g4dn": 2, "c5": 2}, "eu-west-1": {"g4dn": 2, "c5": 2}},
+    preemption_hazards={"*/*": 0.5},
+)
+
+
 @pytest.mark.parametrize("seed", sorted(QUEUEING_TOY_DIGESTS))
 def test_simulate_queueing_outputs_are_golden(tmp_path, seed):
-    assert_outputs_golden(
-        tmp_path,
-        seed,
-        QUEUEING_TOY_DIGESTS[seed],
-        pool_overrides={"us-east-1": {"g4dn": 2, "c5": 2}, "eu-west-1": {"g4dn": 2, "c5": 2}},
-        preemption_hazards={"*/*": 0.5},
-    )
+    assert_outputs_golden(tmp_path, seed, QUEUEING_TOY_DIGESTS[seed], **QUEUEING_TOY)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("seed", sorted(QUEUEING_TOY_DIGESTS))
+def test_outputs_do_not_depend_on_the_event_block_size(tmp_path, monkeypatch, seed, block):
+    monkeypatch.setattr(engine_module, "EVENT_BLOCK_ROWS", block)
+    assert_outputs_golden(tmp_path, seed, QUEUEING_TOY_DIGESTS[seed], **QUEUEING_TOY)
+
+
+def test_event_log_writer_keeps_the_per_row_format(tmp_path):
+    # The writer formats a time only when it changes, but always a zero,
+    # since 0.0 and -0.0 compare equal and print differently.  Its bytes
+    # must be those of formatting every row on its own.
+    rows = [
+        (0.0, 0, "job_submitted", "j1", ""),
+        (-0.0, 1, "job_submitted", "j2", ""),
+        (0.0, 2, "instance_acquired", "", "i0001"),
+        (1000.0, 3, "chunk_done", "j1", "i0001"),
+        (1000.0, 4, "chunk_done", "j2", "i0001"),
+        (1000.0, 5, "preemption", "", "i0001"),
+        (-0.0, 6, "job_submitted", "j1", ""),
+        (0.0, 7, "job_submitted", "j2", ""),
+        (1234567.25, 8, "transition_done", "j1", "i0002"),
+        (1234567.25, 9, "integrate_done", "j1", "i0002"),
+        (1e-7, 10, "job_completed", "j1", "i0002"),
+    ]
+    path = tmp_path / "events.log"
+    with scen.write_event_log(path) as recorder:
+        recorder.record_events(rows[:5])  # the next block starts on the same time
+        recorder.record_events(rows[5:])
+    expected = "".join(f"{t:g},{seq},{kind},{job},{inst}\n" for t, seq, kind, job, inst in rows)
+    assert path.read_text() == "time_s,seq,kind,job_id,instance_id\n" + expected
+    assert expected.splitlines()[1:3] == ["-0,1,job_submitted,j2,", "0,2,instance_acquired,,i0001"]
 
 
 # SHA-256 of the outputs of study2_toy with ligands on c5.4xl or c6g.8xl,
@@ -470,6 +504,8 @@ def test_simulate_first_fit_outputs_are_golden(tmp_path, seed):
                      "routing has unknown key 'mdoe'", id="misspelled-routing-mode"),
         pytest.param({"waves": [{"time_s": 0, "kinds": ["ligand"], "kind": "complex"}]},
                      "waves[0] has unknown key 'kind'", id="unknown-wave-key"),
+        pytest.param({"allowed_types": {"complx": ["g4dn.4xl"], "ligand": ["c5.2xl"]}},
+                     "allowed_types has unknown key 'complx'", id="misspelled-allowed-kind"),
     ],
 )
 def test_simulate_rejects_bad_scenario_at_load(tmp_path, capsys, override, named):
@@ -478,6 +514,23 @@ def test_simulate_rejects_bad_scenario_at_load(tmp_path, capsys, override, named
     err = capsys.readouterr().err
     assert err.startswith(f"error: {scenario}: ") and "Traceback" not in err
     assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        pytest.param({"pool_overrides": {"us-eats-1": {"g4dn": 0}}},
+                     "pool override references unknown region 'us-eats-1'", id="pool-override"),
+        pytest.param({"preemption_hazards": {"us-eats-1/*": 5.0}},
+                     "preemption hazard references unknown region 'us-eats-1'", id="hazard"),
+    ],
+)
+def test_simulate_rejects_unknown_region_in_pools_and_hazards(tmp_path, capsys, override, message):
+    scenario = toy_variant(tmp_path, **override)
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -464,6 +464,57 @@ def test_advance_takes_the_samples_due_before_until():
     assert {(s.active_instances, s.vcpus_in_use) for s in engine.samples} == {(1, 2)}
 
 
+def test_advance_hands_over_the_rows_it_processed():
+    jobs = [micro_job("j1"), micro_job("j2"), micro_job("j3")]
+    config = micro_config(scripted_preemptions={"i0001": 1500.0})
+    engine = Engine(micro_catalog(), jobs, micro_records(), config, MemoryRecorder())
+    engine.submit_all()
+    engine.advance(1500.0)
+    assert len(engine.recorder.events) == engine.n_events
+    assert engine.recorder.events == [row for row in EXPECTED_MICRO_EVENTS if row[0] <= 1500.0]
+
+
+class BlockRecorder(MemoryRecorder):
+    """A MemoryRecorder that also notes the size of each block of event rows."""
+
+    def __init__(self):
+        super().__init__()
+        self.block_sizes = []
+
+    def record_events(self, rows):
+        self.block_sizes.append(len(rows))
+        super().record_events(rows)
+
+
+def test_event_rows_come_in_blocks_no_larger_than_the_block_size(monkeypatch):
+    # Five rows at 0 s (submissions, acquisitions) and three chunk rows at
+    # 1000 s: each path that adds a row must hand a full block over.
+    monkeypatch.setattr("spotbatch.orchestrator.engine.EVENT_BLOCK_ROWS", 2)
+    jobs = [micro_job("j1"), micro_job("j2"), micro_job("j3")]
+    config = micro_config(scripted_preemptions={"i0001": 1500.0})
+    engine = Engine(micro_catalog(), jobs, micro_records(), config, BlockRecorder())
+    engine.run()
+    assert engine.recorder.events == EXPECTED_MICRO_EVENTS
+    assert engine.recorder.block_sizes == [2] * 14 + [1]
+
+
+def test_a_failing_run_hands_over_the_rows_before_the_error(monkeypatch):
+    # Chunks take 1000 s; a negative transition duration stops the run when
+    # the second chunk persists and the first transition would be queued.
+    monkeypatch.setattr(
+        pm, "phase_rates", lambda best, system, type_name, slowdown: (MICRO_RATE_NS_PER_DAY, -1.0)
+    )
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config(), MemoryRecorder())
+    with pytest.raises(SimulationError, match="cannot schedule transition_done"):
+        engine.run()
+    assert engine.recorder.events == [
+        (0.0, 0, "job_submitted", "j1", ""),
+        (0.0, 1, "instance_acquired", "", "i0001"),
+        (1000.0, 2, "chunk_done", "j1", "i0001"),
+        (2000.0, 3, "chunk_done", "j1", "i0001"),
+    ]
+
+
 def test_advance_on_empty_queue_jumps_clock():
     engine = Engine(micro_catalog(), [], micro_records(), micro_config())
     engine.submit_all()
@@ -584,6 +635,32 @@ def test_negative_work_duration_rejected(monkeypatch):
 def test_engine_config_rejects_bad_values_at_construction(override, named):
     with pytest.raises(ValidationError, match=re.escape(named)):
         micro_config(**override)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        pytest.param({"routing": RoutingPolicy({"r1": 1, "r3": 0})},
+                     "routing weight references unknown region 'r3'", id="routing-weight"),
+        pytest.param({"pool_overrides": {"r3": {"t1": 1}}}, "pool override references unknown region 'r3'",
+                     id="pool-override"),
+        pytest.param({"pool_overrides": {"*": {"t1": 1}}}, "pool override references unknown region '*'",
+                     id="wildcard-pool-override"),
+        pytest.param({"preemption": PreemptionModel({"r3/t1": 0.1})},
+                     "preemption hazard references unknown region 'r3'", id="hazard"),
+        pytest.param({"preemption": PreemptionModel({"*/*": 0.1, "r3/*": 0.1})},
+                     "preemption hazard references unknown region 'r3'", id="hazard-any-family"),
+    ],
+)
+def test_engine_rejects_unknown_regions_at_construction(override, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config(**override))
+
+
+def test_hazard_keys_may_name_any_region_with_a_wildcard():
+    hazards = PreemptionModel({"*/*": 0.1, "*/t1": 0.2, "r1/*": 0.3, "r2/t1": 0.4})
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config(preemption=hazards))
+    assert engine.run().n_completed == 1
 
 
 @pytest.mark.parametrize(
