@@ -43,7 +43,8 @@ its duration's queue.  Each persisted item takes one seq, so the loop
 counts its events from the seqs it took.  The event heap holds only the
 entries ``(time, seq, kind, subject, epoch)`` of submissions,
 acquisitions and idle timeouts, whose subject is the job or instance the
-event is about.
+event is about.  The first submissions, one per job in job order with
+consecutive seqs, enter it in one ``heapify``.
 
 First-fit placement scans a region's open instances (those with a free
 vCPU) in acquisition order; the list is kept in that order as instances
@@ -348,16 +349,19 @@ class Engine:
         # Per (type, region): the instance spec and its hourly rate.
         self._quotes: Dict[Tuple[str, str], Tuple[cat.InstanceTypeSpec, float]] = {}
 
-        hazards = config.preemption.rates_per_instance_hour
-        hazard_regions = [key.split("/")[0] for key in hazards if not key.startswith("*/")]
-        for what, regions in (
-            ("routing weight", config.routing.weights),
-            ("pool override", config.pool_overrides),
-            ("preemption hazard", hazard_regions),
+        hazards = [key.split("/") for key in config.preemption.rates_per_instance_hour]
+        pools = config.pool_overrides
+        families = {spec.family for spec in catalog.instances.values()} | {"*"}
+        for what, names, known, noun in (
+            ("routing weight", config.routing.weights, catalog.regions, "region"),
+            ("pool override", pools, catalog.regions, "region"),
+            ("preemption hazard", [r for r, _ in hazards if r != "*"], catalog.regions, "region"),
+            ("pool override", [f for counts in pools.values() for f in counts], families, "instance family"),
+            ("preemption hazard", [f for _, f in hazards], families, "instance family"),
         ):
-            for region in regions:
-                if region not in catalog.regions:
-                    raise ValidationError(f"{what} references unknown region {region!r}")
+            for name in names:
+                if name not in known:
+                    raise ValidationError(f"{what} references unknown {noun} {name!r}")
         routed = [r for r, w in config.routing.weights.items() if w > 0]
         for kind, names in config.allowed_types.items():
             for name in names:
@@ -366,11 +370,13 @@ class Engine:
                     # Fail now rather than mid-run at the first acquisition.
                     cat.lookup_rate(catalog, name, region, config.payment)
 
-        self.jobs: Dict[str, _Job] = {}
-        for spec in jobs:
-            if spec.id in self.jobs:
-                raise ValidationError(f"duplicate job id {spec.id}")
-            self.jobs[spec.id] = _Job(spec=spec)
+        self.jobs: Dict[str, _Job] = {spec.id: _Job(spec) for spec in jobs}
+        if len(self.jobs) < len(jobs):
+            seen = set()
+            for spec in jobs:
+                if spec.id in seen:
+                    raise ValidationError(f"duplicate job id {spec.id}")
+                seen.add(spec.id)
 
         self.instances: Dict[str, InstanceState] = {}
         # Per (region, type): [active instances, vCPUs in use, GPUs in use].
@@ -434,19 +440,23 @@ class Engine:
 
     # -- submission -------------------------------------------------------
 
-    def _submission_time(self, spec: JobSpec) -> float:
-        for time_s, kinds in self.config.waves:
-            if spec.kind in kinds:
-                return time_s
-        return 0.0
-
     def submit_all(self) -> None:
-        """Schedule the initial submission event of every job (honoring waves)."""
+        """Schedule every job's submission, in job order with consecutive seqs, in one heapify."""
         if self._submitted:
             raise SimulationError("jobs were already submitted")
         self._submitted = True
-        for job in self.jobs.values():
-            self._schedule(self._submission_time(job.spec), EV_JOB_SUBMITTED, job)
+        # The first wave that names a kind submits it; a kind no wave names starts at 0 s.
+        start = {kind: time_s for time_s, kinds in reversed(self.config.waves) for kind in kinds}
+        entries = [
+            (start.get(job.spec.kind, 0.0), seq, EV_JOB_SUBMITTED, job, 0)
+            for seq, job in enumerate(self.jobs.values(), self._seq)
+        ]
+        late = next((entry for entry in entries if entry[0] < self.clock), None)
+        if late:
+            raise _clock_error(EV_JOB_SUBMITTED, late[0], self.clock)
+        self._seq += len(entries)
+        self._heap += entries
+        heapq.heapify(self._heap)
 
     # -- placement --------------------------------------------------------
 

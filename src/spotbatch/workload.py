@@ -182,7 +182,7 @@ def trajectory_ns(plan: PhasePlan, timestep_fs: float) -> float:
     return plan.total_steps * timestep_fs * 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JobSpec:
     """One ensemble member: identity, resource demand, and execution plan."""
 
@@ -237,34 +237,22 @@ def expand_ensemble(
         if kind not in policy:
             raise ValidationError(f"resource policy missing kind {kind!r}")
     plan = spec.phase_plan()
+    states = [chr(ord("A") + direction) for direction in range(spec.directions)]
     jobs: List[JobSpec] = []
     for target in spec.targets:
         for kind in JOB_KINDS:
             kp = policy[kind]
             system = _pick_proxy(kp, target, kind)
+            # A job id is its FE label plus this suffix: replica, direction and kind.
+            suffixes = [f"/r{r}/state{state}/{kind}" for r in range(spec.replicas) for state in states]
             for edge in range(target.edges):
                 for ff in range(spec.forcefields):
                     label = fe_label(target.name, edge, ff)
-                    for replica in range(spec.replicas):
-                        for direction in range(spec.directions):
-                            state = chr(ord("A") + direction)
-                            job_id = (
-                                f"{target.name}/edge_{edge:04d}/ff{ff}"
-                                f"/r{replica}/state{state}/{kind}"
-                            )
-                            jobs.append(
-                                JobSpec(
-                                    id=job_id,
-                                    target=target.name,
-                                    kind=kind,
-                                    system=system,
-                                    vcpu_demand=kp.vcpus,
-                                    gpu_demand=kp.gpus,
-                                    phase_plan=plan,
-                                    timestep_fs=spec.timestep_fs,
-                                    fe_label=label,
-                                )
-                            )
+                    jobs += [
+                        JobSpec(label + suffix, target.name, kind, system, kp.vcpus, kp.gpus, plan,
+                                spec.timestep_fs, label)
+                        for suffix in suffixes
+                    ]
     return jobs
 
 

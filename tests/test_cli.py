@@ -534,6 +534,32 @@ def test_simulate_rejects_unknown_region_in_pools_and_hazards(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        pytest.param({"pool_overrides": {"us-east-1": {"g4dnn": 0}}}, id="pool-override"),
+        pytest.param({"preemption_hazards": {"us-east-1/g4dnn": 5.0}}, id="hazard"),
+        pytest.param({"preemption_hazards": {"*/g4dnn": 5.0}}, id="hazard-any-region"),
+    ],
+)
+def test_simulate_rejects_unknown_instance_family_in_pools_and_hazards(tmp_path, capsys, override):
+    what = "pool override" if "pool_overrides" in override else "preemption hazard"
+    scenario = toy_variant(tmp_path, **override)
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {what} references unknown instance family 'g4dnn'\n" and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, n_jobs", [("study1_toy", 240), ("study2_toy", 240), ("study1_full", 19_872), ("study2_full", 6_984)]
+)
+def test_every_bundled_scenario_builds_its_engine(name, n_jobs):
+    # Their pool overrides and hazard keys name only catalog families or "*".
+    engine = scen.build_engine(scen.load_scenario(spotbatch.data_path(f"scenarios/{name}.json")))
+    assert len(engine.jobs) == n_jobs
+
+
 def test_scenario_accepts_zero_pool_override_and_whole_float_seed(tmp_path):
     scenario = scen.load_scenario(toy_variant(tmp_path, seed=7.0, pool_overrides={"us-east-1": {"c5": 0}}))
     assert scenario.config.seed == 7 and isinstance(scenario.config.seed, int)

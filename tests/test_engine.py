@@ -589,6 +589,43 @@ def test_waves_stagger_submission_by_kind():
     assert submits["l1"] == 500.0
 
 
+def test_submissions_take_consecutive_seqs_in_job_order_whatever_their_wave():
+    jobs = [micro_job("l1"), micro_job("c1", kind="complex"), micro_job("l2")]
+    # The first wave naming a kind submits it.
+    waves = [(500.0, ("ligand",)), (0.0, ("complex", "ligand"))]
+    config = micro_config(routing=RoutingPolicy({"r1": 1}), waves=waves)
+    engine = Engine(micro_catalog(pool_r1=3), jobs, micro_records(), config, MemoryRecorder())
+    engine.run()
+    assert [row for row in engine.recorder.events if row[2] == "job_submitted"] == [
+        (0.0, 1, "job_submitted", "c1", ""),
+        (500.0, 0, "job_submitted", "l1", ""),
+        (500.0, 2, "job_submitted", "l2", ""),
+    ]
+
+
+def test_a_wave_before_the_clock_stops_the_run():
+    config = micro_config(waves=[(-1.0, ("ligand",))])
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+    message = "cannot schedule job_submitted at -1.0: clock is already at 0.0"
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        engine.run()
+
+
+def test_submitting_after_the_clock_moved_raises():
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
+    engine.advance(100.0)
+    message = "cannot schedule job_submitted at 0.0: clock is already at 100.0"
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        engine.submit_all()
+
+
+def test_jobs_are_submitted_once():
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
+    engine.submit_all()
+    with pytest.raises(SimulationError, match="jobs were already submitted"):
+        engine.submit_all()
+
+
 def test_strict_checks_reject_persisted_count_going_backwards():
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
     engine.submit_all()
@@ -655,6 +692,39 @@ def test_engine_config_rejects_bad_values_at_construction(override, named):
 def test_engine_rejects_unknown_regions_at_construction(override, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config(**override))
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        pytest.param({"pool_overrides": {"r1": {"t2": 1}}},
+                     "pool override references unknown instance family 't2'", id="pool-override"),
+        pytest.param({"preemption": PreemptionModel({"r1/t2": 0.1})},
+                     "preemption hazard references unknown instance family 't2'", id="hazard"),
+        pytest.param({"preemption": PreemptionModel({"r1/*": 0.1, "*/t2": 0.1})},
+                     "preemption hazard references unknown instance family 't2'", id="hazard-any-region"),
+    ],
+)
+def test_engine_rejects_unknown_families_at_construction(override, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config(**override))
+
+
+def test_a_pool_override_may_name_any_family_with_a_wildcard():
+    config = micro_config(pool_overrides={"r1": {"*": 0, "t1": 1}})
+    assert Engine(micro_catalog(), [micro_job("j1")], micro_records(), config).run().n_completed == 1
+
+
+@pytest.mark.parametrize(
+    "ids, named",
+    [
+        pytest.param(["j1", "j2", "j1"], "j1", id="one"),
+        pytest.param(["a", "b", "b", "a"], "b", id="first-repeat-named"),
+    ],
+)
+def test_engine_rejects_duplicate_job_ids_at_construction(ids, named):
+    with pytest.raises(ValidationError, match=re.escape(f"duplicate job id {named}")):
+        Engine(micro_catalog(), [micro_job(i) for i in ids], micro_records(), micro_config())
 
 
 def test_hazard_keys_may_name_any_region_with_a_wildcard():

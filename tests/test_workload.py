@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
@@ -172,6 +173,21 @@ def test_study2_workload_counts():
     assert wl.n_fe_differences(w.spec) == 582
 
 
+@pytest.mark.parametrize(
+    "name, n_jobs, digest",
+    [
+        ("workload_study1.json", 19_872, "75742bc6525fa7b1123ae595ad17ee761895026add2660eb256d1f0f4e347a53"),
+        ("workload_study2.json", 6_984, "6423921ad8f73253497d6d75f59ee010c4befeb5758a00cffc6aba41d7d20688"),
+    ],
+)
+def test_study_expansion_is_pinned(name, n_jobs, digest):
+    # SHA-256 of every job's id, FE label and system, newline-joined in expansion order.
+    jobs = wl.load_workload(spotbatch.data_path(name)).expand()
+    text = "\n".join(field for j in jobs for field in (j.id, j.fe_label, j.system))
+    assert len(jobs) == n_jobs
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_study1_total_trajectory():
     w = wl.load_workload(spotbatch.data_path("workload_study1.json"))
     jobs = w.expand()
@@ -210,6 +226,21 @@ NAN = float("nan")
 def test_specs_reject_nan(make, named):
     with pytest.raises(ValidationError, match=re.escape(f"{named} must be a finite number")):
         make()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        pytest.param({"kind": "bogus"}, "job j: unknown kind 'bogus'", id="kind"),
+        pytest.param({"vcpu_demand": 0}, "job j: vcpu_demand must be >= 1", id="no-vcpus"),
+        pytest.param({"gpu_demand": 2}, "job j: gpu_demand must be 0 or 1", id="two-gpus"),
+    ],
+)
+def test_job_spec_rejects_bad_fields(fields, message):
+    good = dict(id="j", target="t", kind="complex", system="s", vcpu_demand=16, gpu_demand=1,
+                phase_plan=wl.make_phase_plan(6.0, 2.0), timestep_fs=2.0, fe_label="fe")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        wl.JobSpec(**{**good, **fields})
 
 
 @pytest.mark.parametrize(
