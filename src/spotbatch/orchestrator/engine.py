@@ -40,11 +40,11 @@ smaller (time, seq), so items and events run in exactly the order one
 heap of both would give.  It handles consecutive work items in a tight
 loop: credit the item, add one to the count and append the next item to
 its duration's queue.  Each persisted item takes one seq, so the loop
-counts its events from the seqs it took.  The event heap holds only the
-entries ``(time, seq, kind, subject, epoch)`` of submissions,
-acquisitions and idle timeouts, whose subject is the job or instance the
-event is about.  The first submissions, one per job in job order with
-consecutive seqs, enter it in one ``heapify``.
+counts its events from the seqs it took.  The event heap holds the
+entries ``(time, seq, kind, subject, epoch)`` of every other event:
+submissions, acquisitions, reclaims and idle timeouts, whose subject is
+the job or instance the event is about.  The first submissions, one per
+job in job order with consecutive seqs, enter it in one ``heapify``.
 
 First-fit placement scans a region's open instances (those with a free
 vCPU) in acquisition order; the list is kept in that order as instances
@@ -63,11 +63,14 @@ keeps only running totals, and metrics samples stay in ``samples``.
 Determinism: a single seeded RNG drives routing draws and preemption
 draws; events are processed in (time, seq) order with seq assigned at
 scheduling time, and scheduling an event before the clock is an error.
-Each instance has at most one planned reclaim, kept apart from the event
-heap.  It runs only when it is strictly earlier than every pending event,
-and takes the next seq when it runs.  So a completion and a reclaim falling
-on the same timestamp always resolve in the job's favor, and a second
-reclaim at the same instant waits for the events the first one scheduled
+Each instance has at most one reclaim, planned when it activates.  Its
+heap seq is ``_RECLAIM_SEQ`` plus the instance's acquisition number, above
+every seq a run takes, so it sorts after every other event at its
+instant, also those scheduled there later; it takes the next seq for its
+row when it runs, and is dropped if its instance has terminated first.
+So a completion and a reclaim falling on the same timestamp always
+resolve in the job's favor, reclaims at one instant run in acquisition
+order, and a second reclaim waits for the events the first one scheduled
 there.  Equal inputs and seed reproduce the event log bit for bit.
 
 The engine is strictly single-threaded; independent engines may run
@@ -88,7 +91,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 from .. import catalog as cat
 from .. import perfmodel
 from ..errors import SimulationError, ValidationError, finite_number
-from ..workload import JobSpec, PhasePlan
+from ..workload import JOB_KINDS, JobSpec, PhasePlan
 from .preemption import PreemptionModel
 from .recorder import BillRow, EventRow, RunRecorder
 from .routing import Router, RoutingPolicy
@@ -106,6 +109,10 @@ SECONDS_PER_DAY = 86400.0
 
 # The most event rows the engine holds before it hands them to its recorder.
 EVENT_BLOCK_ROWS = 512
+
+# A planned reclaim's heap seq is this plus its instance's number: above every
+# seq a run takes, so a reclaim sorts after every other event at its instant.
+_RECLAIM_SEQ = 1 << 62
 
 ST_PENDING = "pending"
 ST_QUEUED = "queued"
@@ -232,8 +239,11 @@ class EngineConfig:
         if self.metrics_interval_s is not None:
             finite_number("metrics_interval_s", self.metrics_interval_s, 1)
         finite_number("acquisition_latency_s", self.acquisition_latency_s)
-        for i, (time_s, _) in enumerate(self.waves):
+        for i, (time_s, kinds) in enumerate(self.waves):
             finite_number(f"waves[{i}].time_s", time_s)
+            for j, kind in enumerate(kinds):
+                if kind not in JOB_KINDS:
+                    raise _invalid(f"waves[{i}].kinds[{j}]", f"one of {JOB_KINDS}", kind)
         for instance_id, time_s in self.scripted_preemptions.items():
             finite_number(f"scripted_preemptions.{instance_id}", time_s)
         for region, families in self.pool_overrides.items():
@@ -322,7 +332,8 @@ class Engine:
 
         # Entries are (time, seq, kind, subject, epoch), the subject being the
         # job or instance the event is about; seq is unique across this heap
-        # and the item queues, so entries never compare past it.
+        # and the item queues (a reclaim's is _RECLAIM_SEQ plus its instance's
+        # number), so entries never compare past it.
         self._heap: List[tuple] = []
         # Work-item completions: one FIFO per distinct item duration, one more
         # for the jobs' completions, and a heap of the head entry of every
@@ -332,12 +343,8 @@ class Engine:
         self._item_heads: List[ItemEntry] = []
         # Event rows not yet handed to the recorder, at most one block.
         self._rows: List[EventRow] = []
-        # Planned reclaims (time, created_seq, instance), one per activated
-        # instance; an entry is stale once its instance has terminated.
-        self._preheap: List[Tuple[float, int, InstanceState]] = []
         self._last_progress: Dict[str, int] = {}  # each job's count at the last strict check
         self._seq = 0
-        self._instance_counter = 0
         self._arrivals = 0  # queue arrivals so far; orders the shape buckets
         # Without an interval no sample is ever due.
         self._next_sample = math.inf if config.metrics_interval_s is None else 0.0
@@ -346,29 +353,37 @@ class Engine:
         # Per demand shape: the allowed type names, and (type, family) of each
         # allowed type the shape fits on, in allowed order.
         self._fits: Dict[Shape, Tuple[frozenset, Tuple[Tuple[str, str], ...]]] = {}
-        # Per (type, region): the instance spec and its hourly rate.
-        self._quotes: Dict[Tuple[str, str], Tuple[cat.InstanceTypeSpec, float]] = {}
 
         hazards = [key.split("/") for key in config.preemption.rates_per_instance_hour]
         pools = config.pool_overrides
-        families = {spec.family for spec in catalog.instances.values()} | {"*"}
+        families = {spec.family for spec in catalog.instances.values()}
+        nameable = families | {"*"}
         for what, names, known, noun in (
             ("routing weight", config.routing.weights, catalog.regions, "region"),
             ("pool override", pools, catalog.regions, "region"),
             ("preemption hazard", [r for r, _ in hazards if r != "*"], catalog.regions, "region"),
-            ("pool override", [f for counts in pools.values() for f in counts], families, "instance family"),
-            ("preemption hazard", [f for _, f in hazards], families, "instance family"),
+            ("pool override", [f for counts in pools.values() for f in counts], nameable, "instance family"),
+            ("preemption hazard", [f for _, f in hazards], nameable, "instance family"),
         ):
             for name in names:
                 if name not in known:
                     raise ValidationError(f"{what} references unknown {noun} {name!r}")
         routed = [r for r, w in config.routing.weights.items() if w > 0]
-        for kind, names in config.allowed_types.items():
-            for name in names:
-                catalog.instance(name)  # raises on unknown types
-                for region in routed:
-                    # Fail now rather than mid-run at the first acquisition.
-                    cat.lookup_rate(catalog, name, region, config.payment)
+        # Per (allowed type, routed region): the instance spec and its hourly
+        # rate.  An unknown type or a missing rate fails here, not mid-run.
+        self._quotes: Dict[Tuple[str, str], Tuple[cat.InstanceTypeSpec, float]] = {
+            (name, region): (catalog.instance(name), cat.lookup_rate(catalog, name, region, config.payment))
+            for names in config.allowed_types.values()
+            for name in names
+            for region in routed
+        }
+        # Per (region, family): the instances its pool has left to lend, from
+        # the region's override of the family, else of "*", else the catalog.
+        self._pool: Dict[Tuple[str, str], int] = {}
+        for region, spec in catalog.regions.items():
+            override = pools.get(region, {})
+            for family in families:
+                self._pool[(region, family)] = override.get(family, override.get("*", spec.pool_capacity(family)))
 
         self.jobs: Dict[str, _Job] = {spec.id: _Job(spec) for spec in jobs}
         if len(self.jobs) < len(jobs):
@@ -387,7 +402,6 @@ class Engine:
         self._region_queue: Dict[str, Dict[Shape, Deque[Tuple[int, _Job]]]] = {
             r: {} for r in catalog.regions
         }
-        self._pool: Dict[Tuple[str, str], int] = {}
 
         self._submitted = False
 
@@ -398,19 +412,6 @@ class Engine:
             raise _clock_error(kind, time, self.clock)
         heapq.heappush(self._heap, (time, self._seq, kind, subject, epoch))
         self._seq += 1
-
-    def _pool_remaining(self, region: str, family: str) -> int:
-        key = (region, family)
-        if key not in self._pool:
-            override = self.config.pool_overrides.get(region, {})
-            if family in override:
-                cap = override[family]
-            elif "*" in override:
-                cap = override["*"]
-            else:
-                cap = self.catalog.region(region).pool_capacity(family)
-            self._pool[key] = cap
-        return self._pool[key]
 
     def _work_table(self, spec: JobSpec, type_name: str) -> Tuple[WorkEntry, ...]:
         """Every work item of ``spec`` on ``type_name`` as (event, duration, FIFO), in work order.
@@ -489,23 +490,17 @@ class Engine:
             self._start_next_item(job, now)
 
     def _acquire(self, job: _Job, type_name: str, region: str, now: float) -> InstanceState:
-        quote = self._quotes.get((type_name, region))
-        if quote is None:
-            quote = self._quotes[(type_name, region)] = (
-                self.catalog.instance(type_name),
-                cat.lookup_rate(self.catalog, type_name, region, self.config.payment),
-            )
-        spec, rate = quote
-        self._pool[(region, spec.family)] = self._pool_remaining(region, spec.family) - 1
+        spec, rate = self._quotes[(type_name, region)]
+        self._pool[(region, spec.family)] -= 1
         activation = now + self.config.acquisition_latency_s
         per_minute = self.config.acquisitions_per_region_minute
         if per_minute:
             slot = max(self._region_next_slot.get(region, 0.0), now)
             activation = max(activation, slot)
             self._region_next_slot[region] = slot + 60.0 / per_minute
-        self._instance_counter += 1
+        number = len(self.instances) + 1
         inst = InstanceState(
-            id=f"i{self._instance_counter:04d}",
+            id=f"i{number:04d}",
             type_name=type_name,
             region=region,
             vcpus=spec.vcpus,
@@ -515,7 +510,7 @@ class Engine:
             family=spec.family,
             free_vcpus=spec.vcpus,
             free_gpus=spec.gpus,
-            created_seq=self._instance_counter,
+            created_seq=number,
         )
         self.instances[inst.id] = inst
         self._region_free[region].append(inst)  # the newest instance sorts last
@@ -550,7 +545,7 @@ class Engine:
                 self._board(job, inst, now)
                 return "packed"
         for type_name, family in fits:
-            if self._pool_remaining(region, family) > 0:
+            if self._pool[(region, family)] > 0:
                 self._acquire(job, type_name, region, now)
                 return "acquired"
         if not fits:
@@ -632,7 +627,7 @@ class Engine:
         bill = self.ledger.bill(inst, now)
         if self.recorder is not None:
             self.recorder.record_bill(bill)
-        self._pool[(inst.region, inst.family)] = self._pool_remaining(inst.region, inst.family) + 1
+        self._pool[(inst.region, inst.family)] += 1
 
     # -- event handlers -----------------------------------------------------
 
@@ -663,7 +658,7 @@ class Engine:
             scripted = max(scripted, now)
             planned = scripted if planned is None else min(planned, scripted)
         if planned is not None:
-            heapq.heappush(self._preheap, (planned, inst.created_seq, inst))
+            heapq.heappush(self._heap, (planned, _RECLAIM_SEQ + inst.created_seq, EV_PREEMPTION, inst, 0))
         for job in inst.resident_jobs:
             self._start_next_item(job, now)
 
@@ -729,12 +724,13 @@ class Engine:
     def _run_items(self, stop: float, t_event: float, seq_event: int) -> Optional[_Job]:
         """Handle queued work items in (time, seq) order while they are due by ``stop``.
 
-        ``stop`` is the earliest of the next live reclaim, the next sample
-        time, the end of the advance and the time ``t_event`` of the event
-        heap's head, whose seq is ``seq_event``.  An item at ``stop`` still
-        runs before a reclaim or a sample at that instant, but not after the
-        heap's head.  Returns the job whose completion it reached (counted
-        and recorded; its handler is left to the caller), else None.
+        ``stop`` is the earliest of the next sample time, the end of the
+        advance and the time ``t_event`` of the event heap's head, whose seq
+        is ``seq_event``.  An item at ``stop`` still runs before a sample at
+        that instant, and before the heap's head if its seq is the smaller,
+        as it always is against a reclaim.  Returns the job whose completion
+        it reached (counted and recorded; its handler is left to the caller),
+        else None.
 
         Every persisted item queues the job's next item and so takes one
         seq; the items handled are counted from the seqs taken.
@@ -815,21 +811,19 @@ class Engine:
         handlers = {
             EV_JOB_SUBMITTED: self._on_job_submitted,
             EV_INSTANCE_ACQUIRED: self._on_instance_acquired,
+            EV_PREEMPTION: self._on_preemption,
             EV_IDLE_TIMEOUT: self._on_idle_timeout,
         }
-        heap, heads, preheap = self._heap, self._item_heads, self._preheap
+        heap, heads = self._heap, self._item_heads
         heappop = heapq.heappop
         recording = self.recorder is not None
         strict_checks = self.config.strict_checks
         while True:
-            while preheap and preheap[0][2].terminated:
-                heappop(preheap)
-            t_reclaim = preheap[0][0] if preheap else math.inf
             entry = heap[0] if heap else None
             t_next = math.inf if entry is None else entry[0]
             item_next = bool(heads) and (entry is None or heads[0] < entry)
             if item_next:
-                stop = min(t_reclaim, self._next_sample, until, t_next)
+                stop = min(self._next_sample, until, t_next)
                 completed = self._run_items(stop, t_next, -1 if entry is None else entry[1])
                 if completed is not None:
                     self._on_job_completed(completed, self.clock)
@@ -839,40 +833,34 @@ class Engine:
                 item_next = bool(heads) and (entry is None or heads[0] < entry)
                 if item_next:
                     t_next = heads[0][0]
-            # Only a reclaim strictly earlier than every pending event runs;
-            # events that share its timestamp run first.
-            reclaimed = t_reclaim < t_next
-            if reclaimed:
-                t_next = t_reclaim
             if t_next > until or t_next == math.inf:
                 break
+            if not item_next:
+                _, seq, kind, subject, epoch = heappop(heap)
+                # A reclaim or an idle timeout is stale once its instance has
+                # terminated, an idle timeout also once its instance has been
+                # boarded since (every boarding bumps idle_epoch).  A stale
+                # event takes no sample: one planned long after the run's end
+                # would otherwise sample all the way to it.
+                if kind == EV_PREEMPTION:
+                    if subject.terminated:
+                        continue
+                    seq = self._seq  # the heap seq only placed it; its row takes the next seq
+                    self._seq = seq + 1
+                elif kind == EV_IDLE_TIMEOUT and (subject.terminated or subject.idle_epoch != epoch):
+                    continue
             if self._next_sample < t_next:
                 self._flush_samples(t_next)
-            if reclaimed:
-                _, _, inst = heappop(preheap)
-                seq = self._seq
-                self._seq = seq + 1
-                self.clock = t_next
-                self.n_events += 1
-                if recording:
-                    self._record((t_next, seq, EV_PREEMPTION, "", inst.id))
-                self._on_preemption(inst, t_next)
-            elif item_next:
+            if item_next:
                 continue  # the samples due before it are taken; _run_items handles it next
-            else:
-                _, seq, kind, subject, epoch = heappop(heap)
-                # An idle timeout is stale once its instance has terminated or
-                # has been boarded since (every boarding bumps idle_epoch).
-                if kind == EV_IDLE_TIMEOUT and (subject.terminated or subject.idle_epoch != epoch):
-                    continue
-                self.clock = t_next
-                self.n_events += 1
-                if recording:
-                    if isinstance(subject, _Job):
-                        self._record((t_next, seq, kind, subject.spec.id, ""))
-                    else:
-                        self._record((t_next, seq, kind, "", subject.id))
-                handlers[kind](subject, t_next)
+            self.clock = t_next
+            self.n_events += 1
+            if recording:
+                if isinstance(subject, _Job):
+                    self._record((t_next, seq, kind, subject.spec.id, ""))
+                else:
+                    self._record((t_next, seq, kind, "", subject.id))
+            handlers[kind](subject, t_next)
             if strict_checks:
                 self._check_invariants()
         if until != math.inf:

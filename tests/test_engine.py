@@ -8,7 +8,7 @@ import pytest
 from spotbatch import catalog as cat
 from spotbatch import perfmodel as pm
 from spotbatch import workload as wl
-from spotbatch.errors import SimulationError, ValidationError
+from spotbatch.errors import MissingRecordError, SimulationError, ValidationError
 from spotbatch.orchestrator.engine import Engine, EngineConfig
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.recorder import MemoryRecorder
@@ -379,6 +379,48 @@ def test_same_instant_reclaims_run_one_after_another():
     assert report.total_cost == pytest.approx(7.24)
 
 
+def test_a_reclaim_after_the_instance_ended_is_dropped(monkeypatch):
+    # j1 runs 0..3000 s and i0001 times out at 3120 s, long before its
+    # reclaim.  The dropped reclaim neither moves the clock nor takes samples.
+    calls = []
+    take_sample = Engine._take_sample
+    monkeypatch.setattr(Engine, "_take_sample", lambda self, time_s: (calls.append(time_s), take_sample(self, time_s)))
+    config = micro_config(
+        routing=RoutingPolicy({"r1": 1}), metrics_interval_s=60.0, scripted_preemptions={"i0001": 100_000.0}
+    )
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config, MemoryRecorder())
+    report = engine.run()
+    assert "preemption" not in {kind for _, _, kind, _, _ in engine.recorder.events}
+    assert report.n_preemptions == 0
+    assert report.final_time_s == 3120.0
+    assert calls == [60.0 * k for k in range(53)]
+
+
+def test_the_sample_at_a_reclaim_is_taken_after_it():
+    # i0001 activates at 100 s and is reclaimed at 1500 s; j1's new instance
+    # activates at 1600 s, so at 1500 s no instance is active.
+    config = micro_config(
+        routing=RoutingPolicy({"r1": 1}),
+        acquisition_latency_s=100.0,
+        metrics_interval_s=500.0,
+        scripted_preemptions={"i0001": 1500.0},
+    )
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+    report = engine.run()
+    times = {sample.time_s for sample in engine.samples}
+    assert report.n_preemptions == 1
+    assert 1000.0 in times and 2000.0 in times and 1500.0 not in times
+
+
+def test_advance_runs_a_reclaim_planned_at_until():
+    config = micro_config(routing=RoutingPolicy({"r1": 1}), scripted_preemptions={"i0001": 1500.0})
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+    engine.submit_all()
+    engine.advance(1500.0)
+    assert engine.n_preemptions == 1
+    assert engine.instances["i0001"].terminated_at == 1500.0
+
+
 def test_preempted_instance_work_is_recomputed_elsewhere():
     engine, _ = run_micro_scenario()
     # j1 lost the first attempt at chunk 1; wasted time is under one chunk.
@@ -665,6 +707,8 @@ def test_negative_work_duration_rejected(monkeypatch):
         pytest.param({"metrics_interval_s": 0}, "metrics_interval_s", id="zero-metrics-interval"),
         pytest.param({"waves": [(0.0, ("complex",)), (math.nan, ("ligand",))]}, "waves[1].time_s",
                      id="nan-wave-time"),
+        pytest.param({"waves": [(0.0, ("complex",)), (5000.0, ("lignd",))]}, "waves[1].kinds[0]",
+                     id="unknown-wave-kind"),
         pytest.param({"scripted_preemptions": {"i0001": math.nan}}, "scripted_preemptions.i0001",
                      id="nan-scripted-preemption"),
     ],
@@ -710,9 +754,40 @@ def test_engine_rejects_unknown_families_at_construction(override, message):
         Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config(**override))
 
 
+def test_engine_rejects_an_allowed_type_missing_from_the_catalog():
+    config = micro_config(allowed_types={"ligand": ["t1", "t9"], "complex": ["t1"]})
+    with pytest.raises(MissingRecordError, match="unknown instance type 't9'"):
+        Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+
+
+def test_engine_rejects_an_unquoted_reserved_rate_at_construction():
+    config = micro_config(routing=RoutingPolicy({"r1": 1}), payment=cat.RESERVED_UPFRONT)
+    with pytest.raises(MissingRecordError, match=re.escape("no reserved rate quoted for (t1, r1)")):
+        Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+
+
+def test_a_region_of_weight_zero_needs_no_price():
+    doc = {
+        "instances": [{"name": "t1", "vcpus": 4, "gpus": 0, "family": "t1"}],
+        "regions": [{"name": "r1", "spot_pool": {"t1": 1}}, {"name": "r2", "spot_pool": {"t1": 1}}],
+        "prices": [{"instance": "t1", "region": "r1", "on_demand_per_hour": 3.6}],
+    }
+    config = micro_config(routing=RoutingPolicy({"r1": 1, "r2": 0}))
+    report = Engine(cat.build_catalog(doc), [micro_job("j1")], micro_records(), config).run()
+    assert report.n_completed == 1 and report.total_cost == pytest.approx(3120.0 * 3.6 / 3600.0)
+
+
 def test_a_pool_override_may_name_any_family_with_a_wildcard():
     config = micro_config(pool_overrides={"r1": {"*": 0, "t1": 1}})
     assert Engine(micro_catalog(), [micro_job("j1")], micro_records(), config).run().n_completed == 1
+
+
+def test_a_wildcard_pool_override_sizes_the_families_it_does_not_name():
+    # The catalog lends one t1 in r1; the override's "*" lends two, so both jobs start at once.
+    jobs = [micro_job("a", vcpus=4), micro_job("b", vcpus=4)]
+    config = micro_config(routing=RoutingPolicy({"r1": 1}), pool_overrides={"r1": {"*": 2}})
+    report = Engine(micro_catalog(pool_r1=1), jobs, micro_records(), config).run()
+    assert report.n_instances == 2 and report.makespan_s == 3000.0
 
 
 @pytest.mark.parametrize(
