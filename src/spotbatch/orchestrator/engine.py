@@ -320,7 +320,7 @@ class Engine:
         self.config = config
         # Takes the run's rows as they happen; may be replaced before the run starts.
         self.recorder = recorder
-        self.records = list(records)
+        self.records = perfmodel.BenchmarkSet(records)
         self.rng = random.Random(config.seed)
         self.router = Router(config.routing, self.rng)
         self.clock = 0.0
@@ -424,7 +424,7 @@ class Engine:
         if table is None:
             plan = spec.phase_plan
             equil_rate, transition_rate = perfmodel.phase_rates(
-                perfmodel.best_configs(self.records, spec.system),
+                self.records.best(spec.system),
                 spec.system,
                 type_name,
                 self.config.transition_slowdown,

@@ -3,10 +3,14 @@
 Works on measured simulation throughput (ns of trajectory per day) for
 (system, instance) pairs.  Provides performance-to-price ratios, strong
 scaling efficiency, Pareto frontiers over (price, performance) points,
-job runtime prediction from per-phase throughput, and constrained
-instance recommendation.
+and constrained instance recommendation with job runtimes from per-phase
+throughput.
 
-All operations are pure functions over immutable records.
+All operations are pure functions over immutable records.  The loaders
+return a ``BenchmarkSet``: the records in file order, as a tuple that
+also keeps each system's ``best_configs`` map once it has been asked
+for, so ``recommend`` and the engine scan the records once per system
+rather than once per query.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ PHASES = (PHASE_PLAIN, PHASE_EQUILIBRATION, PHASE_TRANSITION)
 
 BENCH_CSV_HEADER = ["system", "instance", "ranks", "threads", "pme_ranks", "phase", "ns_per_day"]
 SCALING_CSV_HEADER = ["system", "instance", "n_instances", "ns_per_day"]
+
+OBJECTIVES = ("min_cost", "min_time")
 
 
 @dataclass(frozen=True)
@@ -189,6 +195,31 @@ def best_configs(records: Iterable[BenchmarkRecord], system: str) -> Dict[Tuple[
     return best
 
 
+class BenchmarkSet(tuple):
+    """Benchmark records in load order, with each system's ``best_configs`` map kept once made.
+
+    ``BenchmarkSet(records)`` reads any iterable once; given a set, it
+    returns that set, so the maps it has made are kept.
+    """
+
+    def __new__(cls, records: Iterable[BenchmarkRecord]):
+        if isinstance(records, BenchmarkSet):
+            return records
+        self = super().__new__(cls, records)
+        self._best = {}
+        return self
+
+    def best(self, system: str) -> Dict[Tuple[str, str], BenchmarkRecord]:
+        """``best_configs(self, system)``, scanned the first time ``system`` is asked for.
+
+        Every later call returns the same dict, so callers must not change it.
+        """
+        best = self._best.get(system)
+        if best is None:
+            best = self._best[system] = best_configs(self, system)
+        return best
+
+
 def phase_rates(
     best: Dict[Tuple[str, str], BenchmarkRecord],
     system: str,
@@ -244,25 +275,6 @@ def pareto_frontier(points: Iterable[PerfPoint]) -> List[PerfPoint]:
     return frontier
 
 
-def predict_runtime_hours(
-    system: str,
-    equil_ns: float,
-    transition_ns: float,
-    instance: str,
-    records: Iterable[BenchmarkRecord],
-    transition_slowdown: float = 1.0,
-) -> float:
-    """Predict wall-clock hours for a two-phase job on one instance.
-
-    The equilibration phase uses the best measured equilibration throughput
-    for (system, instance).  The transition phase uses a measured transition
-    record when one exists; otherwise the equilibration rate scaled by
-    ``transition_slowdown`` is used.
-    """
-    rates = phase_rates(best_configs(records, system), system, instance, transition_slowdown)
-    return _runtime_hours(equil_ns, transition_ns, rates)
-
-
 def recommend(
     records: Iterable[BenchmarkRecord],
     catalog: cat.Catalog,
@@ -282,25 +294,32 @@ def recommend(
     first region; a region the catalog does not list raises
     MissingRecordError).  Instances whose predicted runtime exceeds
     ``max_runtime_h`` are dropped.  An empty list means no instance
-    satisfies the constraints; that is a result, not an error.  The job's
+    satisfies the constraints; that is a result, not an error.  A system
+    with no record of any phase raises MissingRecordError.  The job's
     durations must be finite numbers >= 0, and the deadline (unless ``None``)
-    and ``transition_slowdown`` finite numbers > 0.
+    and ``transition_slowdown`` finite numbers > 0.  Every argument is
+    checked before any record is read.
+
+    ``records`` may be any iterable, read once; a ``BenchmarkSet`` keeps
+    the system's map for later queries.
     """
-    if objective not in ("min_cost", "min_time"):
-        raise ValueError(f"unknown objective {objective!r}")
+    if objective not in OBJECTIVES:
+        raise ValidationError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    if payment not in cat.PAYMENT_MODELS:
+        raise ValidationError(f"unknown payment model {payment!r}; expected one of {cat.PAYMENT_MODELS}")
     finite_number("equil_ns", equil_ns, 0)
     finite_number("transition_ns", transition_ns, 0)
     if max_runtime_h is not None:
         finite_number("max_runtime_h", max_runtime_h, 0, low_open=True)
     finite_number("transition_slowdown", transition_slowdown, 0, low_open=True)
     region = next(iter(catalog.regions)) if region is None else catalog.region(region).name
-    best = best_configs(records, system)
+    best = BenchmarkSet(records).best(system)
+    if not best:
+        raise MissingRecordError(f"no benchmark record for system {system!r}")
     out = []
     for name in catalog.instances:
-        if not catalog.has_price(name, region):
-            continue
         config = best.get((name, PHASE_EQUILIBRATION))
-        if config is None:
+        if config is None or not catalog.has_price(name, region):
             continue
         runtime = _runtime_hours(
             equil_ns, transition_ns, phase_rates(best, system, name, transition_slowdown)
@@ -347,7 +366,7 @@ def _cell(where: str, row: Dict[str, str], column: str, kind=float):
     raise ParseError(f"{where}: {column} must be {rule}, got {text!r}")
 
 
-def load_benchmarks(path) -> List[BenchmarkRecord]:
+def load_benchmarks(path) -> BenchmarkSet:
     """Load benchmark records from CSV (header: system,instance,ranks,threads,pme_ranks,phase,ns_per_day)."""
     records = []
     for where, row in _read_csv(path, BENCH_CSV_HEADER):
@@ -365,14 +384,12 @@ def load_benchmarks(path) -> List[BenchmarkRecord]:
             )
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
-    return records
+    return BenchmarkSet(records)
 
 
-def load_many_benchmarks(paths) -> List[BenchmarkRecord]:
-    records = []
-    for p in paths:
-        records.extend(load_benchmarks(p))
-    return records
+def load_many_benchmarks(paths) -> BenchmarkSet:
+    """The records of every CSV in ``paths``, in order, as one set."""
+    return BenchmarkSet(r for p in paths for r in load_benchmarks(p))
 
 
 def load_scaling(path) -> List[ScalingSeries]:

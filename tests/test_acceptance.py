@@ -15,6 +15,7 @@ import pytest
 
 import spotbatch
 import test_engine
+import test_perfmodel
 import test_scenario_props
 from spotbatch import catalog as cat
 from spotbatch import costmodel as cm
@@ -116,8 +117,8 @@ def test_criterion_5_phase_plan_exactness():
 
 def test_criterion_6_cost_per_fe_band(fe_records, aws_catalog):
     with criterion(6, "closed-form cost per free-energy difference and the toy simulation band"):
-        complex_h = pm.predict_runtime_hours("cmet_complex", 6.0, 4.0, "g4dn.4xl", fe_records)
-        ligand_h = pm.predict_runtime_hours("cmet_ligand", 6.0, 4.0, "c5.2xl", fe_records)
+        complex_h = test_perfmodel.runtime_h(fe_records, aws_catalog, "cmet_complex", "g4dn.4xl", region="us-east-1")
+        ligand_h = test_perfmodel.runtime_h(fe_records, aws_catalog, "cmet_ligand", "c5.2xl", region="us-east-1")
         complex_rate = cat.lookup_rate(aws_catalog, "g4dn.4xl", "us-east-1", cat.SPOT)
         ligand_rate = cat.lookup_rate(aws_catalog, "c5.2xl", "us-east-1", cat.SPOT)
         closed_form = cm.cost_per_fe(complex_h, complex_rate, ligand_h, ligand_rate, 3, 2)

@@ -105,6 +105,16 @@ def test_recommend_infeasible_deadline(capsys):
     assert "no feasible instance" in capsys.readouterr().err
 
 
+def test_recommend_unknown_system_exits_1_naming_it(capsys):
+    assert run_cli("recommend", "--bench", FE_GPU, "--catalog", CATALOG, "--system", "cmet_complx") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no benchmark record for system 'cmet_complx'\n" and captured.out == ""
+    # A system measured only in plain runs is known, and has no feasible instance.
+    plain = str(spotbatch.data_path("bench_plain_cpu.csv"))
+    assert run_cli("recommend", "--bench", plain, "--catalog", CATALOG, "--system", "mem") == 1
+    assert "no feasible instance" in capsys.readouterr().err
+
+
 def test_recommend_time_objective_sorted(capsys):
     code = run_cli(
         "recommend",

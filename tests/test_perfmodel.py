@@ -163,14 +163,38 @@ def test_phase_rates_fallback_and_missing_equilibration():
 
 
 def test_recommend_and_predict_accept_one_pass_iterators(fe_records, aws_catalog):
-    kwargs = dict(max_runtime_h=20.0, payment=cat.SPOT, region="eu-west-1")
-    assert pm.recommend(iter(fe_records), aws_catalog, "cmet_complex", **kwargs) == pm.recommend(
-        fe_records, aws_catalog, "cmet_complex", **kwargs
-    )
-    for instance in ("g4dn.4xl", "g4dn.xl"):
-        assert pm.predict_runtime_hours(
-            "cmet_complex", 6.0, 4.0, instance, iter(fe_records), 0.7
-        ) == pm.predict_runtime_hours("cmet_complex", 6.0, 4.0, instance, fe_records, 0.7)
+    assert isinstance(fe_records, pm.BenchmarkSet)
+    records = list(fe_records)
+    for kwargs in (dict(max_runtime_h=20.0, payment=cat.SPOT, region="eu-west-1"), dict(transition_slowdown=0.7)):
+        expected = pm.recommend(records, aws_catalog, "cmet_complex", **kwargs)
+        assert {"g4dn.4xl", "g4dn.xl"} <= {r.instance for r in expected}
+        assert pm.recommend(iter(records), aws_catalog, "cmet_complex", **kwargs) == expected
+        assert pm.recommend(fe_records, aws_catalog, "cmet_complex", **kwargs) == expected
+
+
+def test_benchmark_set_keeps_one_best_configs_map_per_system():
+    paths = [spotbatch.data_path(f) for f in BENCH_FILES]
+    records = pm.load_many_benchmarks(paths)
+    assert isinstance(records, pm.BenchmarkSet)
+    assert list(records) == [r for p in paths for r in pm.load_benchmarks(p)]
+    for system in sorted({r.system for r in records}):
+        best = records.best(system)
+        assert best == pm.best_configs(list(records), system)
+        assert records.best(system) is best
+    assert pm.BenchmarkSet(records) is records
+
+
+def test_recommend_scans_a_loaded_set_once_per_system(fe_records, aws_catalog, monkeypatch):
+    scans = []
+    best_configs = pm.best_configs
+    monkeypatch.setattr(pm, "best_configs", lambda records, system: scans.append(system) or best_configs(records, system))
+    records = pm.BenchmarkSet(list(fe_records))
+    for objective in pm.OBJECTIVES:
+        for system in ("cmet_complex", "cmet_ligand", "cmet_complex"):
+            pm.recommend(records, aws_catalog, system, objective=objective)
+    assert scans == ["cmet_complex", "cmet_ligand"]
+    pm.recommend(list(records), aws_catalog, "cmet_complex")
+    assert scans[2:] == ["cmet_complex"]
 
 
 # -- pareto frontier ---------------------------------------------------------
@@ -241,50 +265,58 @@ def test_pareto_matches_brute_force_and_is_idempotent(raw):
 # -- runtime prediction ------------------------------------------------------
 
 
-def test_predict_runtime_cmet_complex(fe_records):
+def runtime_h(records, catalog, system, instance, **kwargs):
+    """The runtime ``recommend`` gives ``system`` on ``instance`` (6 ns equilibration, 4 ns transition)."""
+    return next(r.runtime_h for r in pm.recommend(records, catalog, system, **kwargs) if r.instance == instance)
+
+
+def test_predict_runtime_cmet_complex(fe_records, aws_catalog):
     # 10 ns / 61.866 ns/day * 24 h/day = 3.879 h
-    hours = pm.predict_runtime_hours("cmet_complex", 6.0, 4.0, "g4dn.4xl", fe_records)
+    hours = runtime_h(fe_records, aws_catalog, "cmet_complex", "g4dn.4xl")
     assert hours == pytest.approx(10.0 / 61.866 * 24.0, rel=1e-12)
     assert hours == pytest.approx(3.879, abs=1e-3)
 
 
-def test_predict_runtime_cmet_ligand(fe_records):
-    hours = pm.predict_runtime_hours("cmet_ligand", 6.0, 4.0, "c5.2xl", fe_records)
+def test_predict_runtime_cmet_ligand(fe_records, aws_catalog):
+    hours = runtime_h(fe_records, aws_catalog, "cmet_ligand", "c5.2xl")
     assert hours == pytest.approx(10.0 / 52.371 * 24.0, rel=1e-12)
     assert hours == pytest.approx(4.582, abs=1e-3)
 
 
-def test_predict_runtime_zero_transition(fe_records):
-    hours = pm.predict_runtime_hours("cmet_complex", 6.0, 0.0, "g4dn.4xl", fe_records)
+def test_predict_runtime_zero_transition(fe_records, aws_catalog):
+    hours = runtime_h(fe_records, aws_catalog, "cmet_complex", "g4dn.4xl", transition_ns=0.0)
     assert hours == pytest.approx(6.0 / 61.866 * 24.0, rel=1e-12)
 
 
-def test_predict_runtime_uses_transition_record_when_present():
+def test_predict_runtime_uses_transition_record_when_present(aws_catalog):
     records = [
-        pm.BenchmarkRecord("s", "i", 1, 8, 0, "equilibration", 48.0),
-        pm.BenchmarkRecord("s", "i", 1, 8, 0, "transition", 24.0),
+        pm.BenchmarkRecord("s", "c5.2xl", 1, 8, 0, "equilibration", 48.0),
+        pm.BenchmarkRecord("s", "c5.2xl", 1, 8, 0, "transition", 24.0),
     ]
-    hours = pm.predict_runtime_hours("s", 6.0, 4.0, "i", records)
+    hours = runtime_h(records, aws_catalog, "s", "c5.2xl")
     assert hours == pytest.approx(6.0 / 48.0 * 24 + 4.0 / 24.0 * 24)
 
 
-def test_predict_runtime_slowdown_fallback():
-    records = [pm.BenchmarkRecord("s", "i", 1, 8, 0, "equilibration", 48.0)]
-    hours = pm.predict_runtime_hours("s", 6.0, 4.0, "i", records, transition_slowdown=0.5)
+def test_predict_runtime_slowdown_fallback(aws_catalog):
+    records = [pm.BenchmarkRecord("s", "c5.2xl", 1, 8, 0, "equilibration", 48.0)]
+    hours = runtime_h(records, aws_catalog, "s", "c5.2xl", transition_slowdown=0.5)
     assert hours == pytest.approx(6.0 / 48.0 * 24 + 4.0 / 24.0 * 24)
 
 
-def test_predict_runtime_missing_equilibration():
-    with pytest.raises(MissingRecordError):
-        pm.predict_runtime_hours("s", 6.0, 4.0, "i", [])
+def test_predict_runtime_missing_equilibration(aws_catalog):
+    # A system with records but none for equilibration has no candidate;
+    # a system with no record at all is named as missing.
+    assert pm.recommend([pm.BenchmarkRecord("s", "c5.2xl", 1, 8, 0, "transition", 24.0)], aws_catalog, "s") == []
+    with pytest.raises(MissingRecordError, match="no benchmark record for system 's'"):
+        pm.recommend([], aws_catalog, "s")
 
 
 @given(rate=st.floats(1.0, 500.0))
-def test_predict_runtime_inverse_in_rate(rate):
-    slow = [pm.BenchmarkRecord("s", "i", 1, 1, 0, "equilibration", rate)]
-    fast = [pm.BenchmarkRecord("s", "i", 1, 1, 0, "equilibration", 2 * rate)]
-    t_slow = pm.predict_runtime_hours("s", 6.0, 4.0, "i", slow)
-    t_fast = pm.predict_runtime_hours("s", 6.0, 4.0, "i", fast)
+def test_predict_runtime_inverse_in_rate(aws_catalog, rate):
+    slow = [pm.BenchmarkRecord("s", "c5.2xl", 1, 1, 0, "equilibration", rate)]
+    fast = [pm.BenchmarkRecord("s", "c5.2xl", 1, 1, 0, "equilibration", 2 * rate)]
+    t_slow = runtime_h(slow, aws_catalog, "s", "c5.2xl")
+    t_fast = runtime_h(fast, aws_catalog, "s", "c5.2xl")
     assert t_fast == pytest.approx(t_slow / 2.0, rel=1e-9)
 
 
@@ -309,6 +341,25 @@ def test_recommend_gpu_family_beats_cpu_under_deadline(fe_records, aws_catalog):
 
 def test_recommend_infeasible_deadline_returns_empty(fe_records, aws_catalog):
     assert pm.recommend(fe_records, aws_catalog, "cmet_complex", max_runtime_h=0.001) == []
+
+
+def _unread_records():
+    raise AssertionError("recommend read the records before checking its arguments")
+    yield
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(max_runtime_h=0.001, payment="bogus"), "unknown payment model 'bogus'"),
+        (dict(payment="bogus"), "unknown payment model 'bogus'"),
+        (dict(objective="bogus"), "unknown objective 'bogus'"),
+        (dict(equil_ns=math.nan), "equil_ns must be a finite number"),
+    ],
+)
+def test_recommend_rejects_bad_arguments_before_reading_records(aws_catalog, kwargs, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        pm.recommend(_unread_records(), aws_catalog, "cmet_complex", **kwargs)
 
 
 def test_recommend_single_feasible(aws_catalog):
