@@ -144,6 +144,9 @@ def cmd_recommend(args) -> int:
         transition_ns=args.transition_ns,
     )
     if not ranked:
+        # The table recommend has just read; its instances are the same at any slowdown.
+        if not records.rates(args.system, 1.0):
+            return _fail(f"system {args.system!r} has no equilibration record", EXIT_VALIDATION)
         print("no feasible instance", file=sys.stderr)
         print(_render_table(["instance", "config", "runtime_h", "cost"], []))
         return EXIT_VALIDATION

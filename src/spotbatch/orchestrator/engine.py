@@ -10,12 +10,19 @@ boundary and re-enter routing as fresh submissions.  Instances accrue
 cost per second from activation to termination and idle instances
 terminate after a grace period.
 
+A job's candidate types are the types allowed for its kind that fit its
+demand (vCPUs, GPUs) and have a rate for its system in the benchmark
+set's rate table, worked out at construction once per distinct (kind,
+system, vCPUs, GPUs).  A job packs onto and acquires only candidate types,
+and one with no candidate fails as infeasible, so no rate is ever found
+missing mid-run.
+
 Queued jobs wait per region in arrival order.  Whenever capacity may have
 freed, the region's queue is retried oldest first; capacity only shrinks
-during one retry pass, so once a job of some demand shape (kind, vCPUs,
-GPUs) stays queued, the later jobs of that shape wait out the rest of the
-pass.  The queue is kept as one FIFO bucket per shape so that a pass costs
-O(placements + shapes), not O(queue length).
+during one retry pass, so once a job of some demand and candidates stays
+queued, the later jobs with both the same wait out the rest of the pass.
+The queue is kept as one FIFO bucket per (demand, candidates) so that a
+pass costs O(placements + buckets), not O(queue length).
 
 A job's work is one table per (phase plan, system, timestep, instance
 type): one entry of (completion event, duration, queue) per item, in the
@@ -48,10 +55,9 @@ job in job order with consecutive seqs, enter it in one ``heapify``.
 
 First-fit placement scans a region's open instances (those with a free
 vCPU) in acquisition order; the list is kept in that order as instances
-fill, free up and terminate, so a placement never sorts.  The allowed
-types of each demand shape, and those the shape fits on, are worked out
-once per shape.  Metrics samples read per-(region, type) usage counters
-that activation, boarding, completion and termination keep up to date.
+fill, free up and terminate, so a placement never sorts.  Metrics samples
+read per-(region, type) usage counters that activation, boarding,
+completion and termination keep up to date.
 
 The engine keeps no row of its output (see ``recorder``).  It hands each
 instance bill and preemption waste row to its recorder as the row happens.
@@ -86,7 +92,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .. import catalog as cat
 from .. import perfmodel
@@ -275,9 +281,18 @@ class SummaryReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class _Candidates:
+    """A job's candidate types: one object per (demand, candidates), whose identity keys a queue bucket."""
+
+    names: FrozenSet[str]
+    types: Tuple[Tuple[str, str], ...]  # (type, family), in allowed order
+
+
 @dataclass(slots=True, eq=False)
 class _Job:
     spec: JobSpec
+    candidates: _Candidates
     status: str = ST_PENDING
     epoch: int = 0
     instance: Optional[InstanceState] = None
@@ -289,9 +304,6 @@ class _Job:
     cursor: int = 0
     submissions: int = 0
     completed_at: Optional[float] = None
-
-
-Shape = Tuple[str, int, int]  # (kind, vcpu demand, gpu demand)
 
 
 def _head_arrival(bucket: Deque[Tuple[int, _Job]]) -> int:
@@ -316,11 +328,9 @@ class Engine:
         config: EngineConfig,
         recorder: Optional[RunRecorder] = None,
     ):
-        self.catalog = catalog
         self.config = config
         # Takes the run's rows as they happen; may be replaced before the run starts.
         self.recorder = recorder
-        self.records = perfmodel.BenchmarkSet(records)
         self.rng = random.Random(config.seed)
         self.router = Router(config.routing, self.rng)
         self.clock = 0.0
@@ -345,14 +355,11 @@ class Engine:
         self._rows: List[EventRow] = []
         self._last_progress: Dict[str, int] = {}  # each job's count at the last strict check
         self._seq = 0
-        self._arrivals = 0  # queue arrivals so far; orders the shape buckets
+        self._arrivals = 0  # queue arrivals so far; orders the queue buckets
         # Without an interval no sample is ever due.
         self._next_sample = math.inf if config.metrics_interval_s is None else 0.0
         self._region_next_slot: Dict[str, float] = {}
         self._work_tables: Dict[Tuple[PhasePlan, str, float, str], Tuple[WorkEntry, ...]] = {}
-        # Per demand shape: the allowed type names, and (type, family) of each
-        # allowed type the shape fits on, in allowed order.
-        self._fits: Dict[Shape, Tuple[frozenset, Tuple[Tuple[str, str], ...]]] = {}
 
         hazards = [key.split("/") for key in config.preemption.rates_per_instance_hour]
         pools = config.pool_overrides
@@ -385,7 +392,23 @@ class Engine:
             for family in families:
                 self._pool[(region, family)] = override.get(family, override.get("*", spec.pool_capacity(family)))
 
-        self.jobs: Dict[str, _Job] = {spec.id: _Job(spec) for spec in jobs}
+        # Per system of the jobs, its rate table; a system with no record fails here.
+        self._rates: Dict[str, Dict[str, perfmodel.PhaseRates]] = {}
+        records = perfmodel.BenchmarkSet(records)
+        by_need: Dict[Tuple[str, str, int, int], _Candidates] = {}  # per (kind, system, vCPUs, GPUs)
+        shared: Dict[Tuple[int, int, tuple], _Candidates] = {}  # per (vCPUs, GPUs, candidates)
+        self.jobs: Dict[str, _Job] = {}
+        for spec in jobs:
+            need = (spec.kind, spec.system, spec.vcpu_demand, spec.gpu_demand)
+            candidates = by_need.get(need)
+            if candidates is None:
+                kind, system, vd, gd = need
+                rates = self._rates[system] = records.rates(system, config.transition_slowdown)
+                specs = [(name, catalog.instance(name)) for name in config.allowed_types.get(kind, [])]
+                types = tuple((n, s.family) for n, s in specs if n in rates and s.vcpus >= vd and s.gpus >= gd)
+                fresh = _Candidates(frozenset(n for n, _ in types), types)
+                candidates = by_need[need] = shared.setdefault((vd, gd, types), fresh)
+            self.jobs[spec.id] = _Job(spec, candidates)
         if len(self.jobs) < len(jobs):
             seen = set()
             for spec in jobs:
@@ -398,8 +421,8 @@ class Engine:
         self._usage: Dict[Tuple[str, str], List[int]] = {}
         # Per region, the unterminated instances with a free vCPU, in acquisition order.
         self._region_free: Dict[str, List[InstanceState]] = {r: [] for r in catalog.regions}
-        # Per region, one FIFO of (arrival, job) per demand shape.
-        self._region_queue: Dict[str, Dict[Shape, Deque[Tuple[int, _Job]]]] = {
+        # Per region, one FIFO of (arrival, job) per shared candidates object.
+        self._region_queue: Dict[str, Dict[_Candidates, Deque[Tuple[int, _Job]]]] = {
             r: {} for r in catalog.regions
         }
 
@@ -418,17 +441,13 @@ class Engine:
 
         Chunks run at the equilibration rate and transitions at the
         transition rate; integration and completion take no time.
+        ``type_name`` is one of the job's candidates, so it has both rates.
         """
         key = (spec.phase_plan, spec.system, spec.timestep_fs, type_name)
         table = self._work_tables.get(key)
         if table is None:
             plan = spec.phase_plan
-            equil_rate, transition_rate = perfmodel.phase_rates(
-                self.records.best(spec.system),
-                spec.system,
-                type_name,
-                self.config.transition_slowdown,
-            )
+            _, equil_rate, transition_rate = self._rates[spec.system][type_name]
             steps = [(EV_CHUNK_DONE, plan.chunk_length(i), equil_rate) for i in range(plan.equil_chunks)]
             steps += [(EV_TRANSITION_DONE, plan.transition_steps, transition_rate)] * plan.n_transitions
             work = [(event, n * spec.timestep_fs * 1e-6 / rate * SECONDS_PER_DAY) for event, n, rate in steps]
@@ -518,58 +537,46 @@ class Engine:
         self._board(job, inst, now)
         return inst
 
-    def _fit(self, shape: Shape) -> Tuple[frozenset, Tuple[Tuple[str, str], ...]]:
-        """The allowed type names of ``shape``'s kind, and (type, family) of those it fits on."""
-        kind, vd, gd = shape
-        allowed = self.config.allowed_types.get(kind, [])
-        specs = [self.catalog.instance(name) for name in allowed]
-        fits = tuple((name, s.family) for name, s in zip(allowed, specs) if s.vcpus >= vd and s.gpus >= gd)
-        return frozenset(allowed), fits
-
     def _place(self, job: _Job, now: float) -> str:
-        """First-fit pack, else acquire, else queue; a demand no allowed type fits fails.
+        """First-fit pack onto a candidate type, else acquire one, else queue; no candidate fails.
 
         Only instances with at least one free vCPU are scanned (full ones
-        can never accept a job), in acquisition order.
+        can never accept a job), in acquisition order.  The first candidate
+        whose family has pool left is acquired.
         """
+        candidates = job.candidates
+        if not candidates.types:
+            job.status = ST_FAILED
+            return "infeasible"
         spec = job.spec
         vd, gd = spec.vcpu_demand, spec.gpu_demand
-        shape = (spec.kind, vd, gd)
-        fit = self._fits.get(shape)
-        if fit is None:
-            fit = self._fits[shape] = self._fit(shape)
-        allowed, fits = fit
+        names = candidates.names
         region = job.region
         for inst in self._region_free[region]:
-            if inst.type_name in allowed and inst.free_vcpus >= vd and inst.free_gpus >= gd:
+            if inst.type_name in names and inst.free_vcpus >= vd and inst.free_gpus >= gd:
                 self._board(job, inst, now)
                 return "packed"
-        for type_name, family in fits:
+        for type_name, family in candidates.types:
             if self._pool[(region, family)] > 0:
                 self._acquire(job, type_name, region, now)
                 return "acquired"
-        if not fits:
-            job.status = ST_FAILED
-            return "infeasible"
         job.status = ST_QUEUED
         return "queued"
 
     def _enqueue(self, job: _Job) -> None:
-        spec = job.spec
-        shape = (spec.kind, spec.vcpu_demand, spec.gpu_demand)
         buckets = self._region_queue[job.region]
-        bucket = buckets.get(shape)
+        bucket = buckets.get(job.candidates)
         if bucket is None:
-            bucket = buckets[shape] = deque()
+            bucket = buckets[job.candidates] = deque()
         bucket.append((self._arrivals, job))
         self._arrivals += 1
 
     def _retry_queue(self, region: str, now: float) -> None:
         """Try to place the region's queued jobs, oldest arrival first.
 
-        Capacity only shrinks during a pass, so a shape whose oldest job
-        stays queued would fail again for every later job of that shape:
-        its bucket sits out the rest of the pass.
+        Capacity only shrinks during a pass, so a bucket whose oldest job
+        stays queued would fail again for every later job in it (they have
+        the same demand and candidates): it sits out the rest of the pass.
         """
         buckets = self._region_queue[region]
         if not buckets:
@@ -583,8 +590,8 @@ class Engine:
             bucket.popleft()
             if not bucket:
                 trying.remove(bucket)
-        for shape in [shape for shape, bucket in buckets.items() if not bucket]:
-            del buckets[shape]
+        for key in [key for key, bucket in buckets.items() if not bucket]:
+            del buckets[key]
 
     # -- job execution ----------------------------------------------------
 

@@ -7,10 +7,12 @@ and constrained instance recommendation with job runtimes from per-phase
 throughput.
 
 All operations are pure functions over immutable records.  The loaders
-return a ``BenchmarkSet``: the records in file order, as a tuple that
-also keeps each system's ``best_configs`` map once it has been asked
-for, so ``recommend`` and the engine scan the records once per system
-rather than once per query.
+return a ``BenchmarkSet``: the records in file order, as a tuple whose
+``rates`` method gives a system's rate table, the one place the
+transition-rate fallback is applied.  ``recommend`` and the engine read
+only that table; the set keeps each table once made, so it scans the
+records once per (system, transition slowdown) rather than once per
+query.
 """
 
 from __future__ import annotations
@@ -154,10 +156,6 @@ def _config_key(r: BenchmarkRecord):
     return (-r.ns_per_day, r.ranks, r.pme_ranks)
 
 
-def _missing(system: str, instance: str, phase: Optional[str]) -> MissingRecordError:
-    return MissingRecordError(f"no benchmark record for ({system}, {instance}, phase={phase})")
-
-
 def best_config(
     records: Iterable[BenchmarkRecord],
     system: str,
@@ -175,7 +173,7 @@ def best_config(
         if r.system == system and r.instance == instance and (phase is None or r.phase == phase)
     ]
     if not candidates:
-        raise _missing(system, instance, phase)
+        raise MissingRecordError(f"no benchmark record for ({system}, {instance}, phase={phase})")
     return min(candidates, key=_config_key)
 
 
@@ -195,56 +193,48 @@ def best_configs(records: Iterable[BenchmarkRecord], system: str) -> Dict[Tuple[
     return best
 
 
+# A system's best equilibration record on one instance type, and its
+# (equilibration, transition) ns/day.
+PhaseRates = Tuple[BenchmarkRecord, float, float]
+
+
 class BenchmarkSet(tuple):
-    """Benchmark records in load order, with each system's ``best_configs`` map kept once made.
+    """Benchmark records in load order, with each rate table it has made kept.
 
     ``BenchmarkSet(records)`` reads any iterable once; given a set, it
-    returns that set, so the maps it has made are kept.
+    returns that set, so the tables it has made are kept.
     """
 
     def __new__(cls, records: Iterable[BenchmarkRecord]):
         if isinstance(records, BenchmarkSet):
             return records
         self = super().__new__(cls, records)
-        self._best = {}
+        self._rates = {}
         return self
 
-    def best(self, system: str) -> Dict[Tuple[str, str], BenchmarkRecord]:
-        """``best_configs(self, system)``, scanned the first time ``system`` is asked for.
+    def rates(self, system: str, transition_slowdown: float) -> Dict[str, PhaseRates]:
+        """``PhaseRates`` of ``system`` per instance with an equilibration record, in record order.
 
-        Every later call returns the same dict, so callers must not change it.
+        The transition rate is the best transition record's when there is
+        one, else the equilibration rate times ``transition_slowdown``.  A
+        system with no record of any phase raises MissingRecordError.  The
+        table is made the first time (system, slowdown) is asked for, and
+        every later call returns the same dict, so callers must not change it.
         """
-        best = self._best.get(system)
-        if best is None:
-            best = self._best[system] = best_configs(self, system)
-        return best
-
-
-def phase_rates(
-    best: Dict[Tuple[str, str], BenchmarkRecord],
-    system: str,
-    instance: str,
-    transition_slowdown: float,
-) -> Tuple[float, float]:
-    """(equilibration, transition) ns/day of ``system`` on ``instance``, from ``best_configs``.
-
-    The transition rate is the measured transition record when one exists;
-    otherwise the equilibration rate scaled by ``transition_slowdown``.
-    """
-    equil = best.get((instance, PHASE_EQUILIBRATION))
-    if equil is None:
-        raise _missing(system, instance, PHASE_EQUILIBRATION)
-    trans = best.get((instance, PHASE_TRANSITION))
-    equil_rate = equil.ns_per_day
-    return equil_rate, (equil_rate * transition_slowdown if trans is None else trans.ns_per_day)
-
-
-def _runtime_hours(equil_ns: float, transition_ns: float, rates: Tuple[float, float]) -> float:
-    equil_rate, trans_rate = rates
-    hours = equil_ns / equil_rate * HOURS_PER_DAY
-    if transition_ns > 0:
-        hours += transition_ns / trans_rate * HOURS_PER_DAY
-    return hours
+        key = (system, transition_slowdown)
+        table = self._rates.get(key)
+        if table is None:
+            best = best_configs(self, system)
+            if not best:
+                raise MissingRecordError(f"no benchmark record for system {system!r}")
+            table = self._rates[key] = {}
+            for (instance, phase), equil in best.items():
+                if phase == PHASE_EQUILIBRATION:
+                    trans = best.get((instance, PHASE_TRANSITION))
+                    rate = equil.ns_per_day
+                    transition = rate * transition_slowdown if trans is None else trans.ns_per_day
+                    table[instance] = (equil, rate, transition)
+        return table
 
 
 def pareto_frontier(points: Iterable[PerfPoint]) -> List[PerfPoint]:
@@ -301,7 +291,7 @@ def recommend(
     checked before any record is read.
 
     ``records`` may be any iterable, read once; a ``BenchmarkSet`` keeps
-    the system's map for later queries.
+    the system's rate table for later queries.
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
@@ -313,23 +303,20 @@ def recommend(
         finite_number("max_runtime_h", max_runtime_h, 0, low_open=True)
     finite_number("transition_slowdown", transition_slowdown, 0, low_open=True)
     region = next(iter(catalog.regions)) if region is None else catalog.region(region).name
-    best = BenchmarkSet(records).best(system)
-    if not best:
-        raise MissingRecordError(f"no benchmark record for system {system!r}")
+    table = BenchmarkSet(records).rates(system, transition_slowdown)
     out = []
     for name in catalog.instances:
-        config = best.get((name, PHASE_EQUILIBRATION))
-        if config is None or not catalog.has_price(name, region):
+        rates = table.get(name)
+        if rates is None or not catalog.has_price(name, region):
             continue
-        runtime = _runtime_hours(
-            equil_ns, transition_ns, phase_rates(best, system, name, transition_slowdown)
-        )
+        config, equil_rate, trans_rate = rates
+        runtime = equil_ns / equil_rate * HOURS_PER_DAY
+        if transition_ns > 0:
+            runtime += transition_ns / trans_rate * HOURS_PER_DAY
         if max_runtime_h is not None and runtime > max_runtime_h:
             continue
         rate = cat.lookup_rate(catalog, name, region, payment)
         out.append(Recommendation(name, config.ranks, config.threads, runtime, runtime * rate))
-    if not out:
-        return []
     if objective == "min_cost":
         out.sort(key=lambda r: (r.cost, r.instance))
     else:

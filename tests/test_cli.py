@@ -22,10 +22,10 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def toy_variant(tmp_path, **overrides):
-    """A copy of the study2_toy scenario with ``overrides`` applied, as a file path."""
+def toy_variant(tmp_path, base="study2_toy", **overrides):
+    """A copy of the bundled ``base`` scenario with ``overrides`` applied, as a file path."""
     scenarios = spotbatch.data_path("scenarios")
-    doc = json.loads((scenarios / "study2_toy.json").read_text())
+    doc = json.loads((scenarios / f"{base}.json").read_text())
     doc["catalog"] = str(scenarios / doc["catalog"])
     doc["workload"] = str(scenarios / doc["workload"])
     doc["benchmarks"] = [str(scenarios / p) for p in doc["benchmarks"]]
@@ -109,10 +109,11 @@ def test_recommend_unknown_system_exits_1_naming_it(capsys):
     assert run_cli("recommend", "--bench", FE_GPU, "--catalog", CATALOG, "--system", "cmet_complx") == 1
     captured = capsys.readouterr()
     assert captured.err == "error: no benchmark record for system 'cmet_complx'\n" and captured.out == ""
-    # A system measured only in plain runs is known, and has no feasible instance.
+    # A system measured only in plain runs is known, and has no rate on any instance.
     plain = str(spotbatch.data_path("bench_plain_cpu.csv"))
     assert run_cli("recommend", "--bench", plain, "--catalog", CATALOG, "--system", "mem") == 1
-    assert "no feasible instance" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: system 'mem' has no equilibration record\n" and captured.out == ""
 
 
 def test_recommend_time_objective_sorted(capsys):
@@ -597,9 +598,59 @@ def test_simulate_rejects_unknown_instance_family_in_pools_and_hazards(tmp_path,
     "name, n_jobs", [("study1_toy", 240), ("study2_toy", 240), ("study1_full", 19_872), ("study2_full", 6_984)]
 )
 def test_every_bundled_scenario_builds_its_engine(name, n_jobs):
-    # Their pool overrides and hazard keys name only catalog families or "*".
+    # Their pool overrides and hazard keys name only catalog families or "*",
+    # and every (kind, system) of their workloads has a candidate type.
     engine = scen.build_engine(scen.load_scenario(spotbatch.data_path(f"scenarios/{name}.json")))
     assert len(engine.jobs) == n_jobs
+    types = {}
+    for job in engine.jobs.values():
+        types.setdefault((job.spec.kind, job.spec.system), set()).update(job.candidates.names)
+    assert len(types) > 1 and all(types.values()), types
+
+
+def study1_toy_types(**kinds):
+    """study1_toy's allowed types with the lists of ``kinds`` replaced."""
+    doc = json.loads(spotbatch.data_path("scenarios/study1_toy.json").read_text())
+    return {**doc["allowed_types"], **kinds}
+
+
+def simulate_logged(tmp_path, capsys, scenario, seed):
+    """Exit code, stdout, stderr and the bytes of every output file of one logged run."""
+    out = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"
+    code = run_cli("simulate", "--scenario", scenario, "--out", str(out), "--seed", str(seed), "--event-log")
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_a_listed_type_with_no_rate_for_the_system_is_not_a_candidate(tmp_path, capsys, seed):
+    # cmet_ligand has no benchmark record on c5.9xl, so listing it first for
+    # ligands changes nothing: the run is byte for byte the bundled one.
+    probe = toy_variant(tmp_path, "study1_toy", allowed_types=study1_toy_types(ligand=["c5.9xl", "c5.2xl"]))
+    bundled = str(spotbatch.data_path("scenarios/study1_toy.json"))
+    runs = [simulate_logged(tmp_path, capsys, scenario, seed) for scenario in (probe, bundled)]
+    assert runs[0] == runs[1]
+    code, _, err, files = runs[0]
+    assert code == 0 and err == "" and sorted(files) == ["events.log", "metrics.csv", "summary.json"]
+
+
+def test_jobs_with_no_candidate_type_fail(tmp_path, capsys):
+    scenario = toy_variant(tmp_path, "study1_toy", allowed_types=study1_toy_types(ligand=["c5.9xl"]))
+    code, _, err, files = simulate_logged(tmp_path, capsys, scenario, 42)
+    assert code == 1 and err == "failed_jobs: 120\n"
+    summary = json.loads(files["summary.json"])
+    assert (summary["n_jobs"], summary["n_completed"], summary["n_failed"]) == (240, 120, 120)
+    assert b"c5." not in files["metrics.csv"]
+
+
+def test_a_workload_system_with_no_benchmark_record_stops_at_construction(tmp_path, capsys):
+    plain = str(spotbatch.data_path("bench_plain_cpu.csv"))
+    scenario = toy_variant(tmp_path, "study1_toy", benchmarks=[plain])
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(out), "--event-log") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no benchmark record for system 'cmet_complex'\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_scenario_accepts_zero_pool_override_and_whole_float_seed(tmp_path):

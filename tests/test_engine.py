@@ -81,8 +81,9 @@ def micro_config(**kwargs):
 
 def work_table(plan=None):
     """The micro engine's (event, duration) per work item of one job with ``plan`` on t1."""
-    engine = Engine(micro_catalog(), [], micro_records(), micro_config())
-    return [(event, duration) for event, duration, _ in engine._work_table(micro_job("j1", plan=plan), "t1")]
+    job = micro_job("j1", plan=plan)
+    engine = Engine(micro_catalog(), [job], micro_records(), micro_config())
+    return [(event, duration) for event, duration, _ in engine._work_table(job, "t1")]
 
 
 def test_resume_point_fresh():
@@ -540,12 +541,17 @@ def test_event_rows_come_in_blocks_no_larger_than_the_block_size(monkeypatch):
     assert engine.recorder.block_sizes == [2] * 14 + [1]
 
 
+def force_rates(monkeypatch, equilibration, transition):
+    """Make every rate table give t1 these (equilibration, transition) ns/day."""
+    record = micro_records()[0]
+    table = {"t1": (record, equilibration, transition)}
+    monkeypatch.setattr(pm.BenchmarkSet, "rates", lambda self, system, slowdown: table)
+
+
 def test_a_failing_run_hands_over_the_rows_before_the_error(monkeypatch):
     # Chunks take 1000 s; a negative transition duration stops the run when
     # the second chunk persists and the first transition would be queued.
-    monkeypatch.setattr(
-        pm, "phase_rates", lambda best, system, type_name, slowdown: (MICRO_RATE_NS_PER_DAY, -1.0)
-    )
+    force_rates(monkeypatch, MICRO_RATE_NS_PER_DAY, -1.0)
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config(), MemoryRecorder())
     with pytest.raises(SimulationError, match="cannot schedule transition_done"):
         engine.run()
@@ -683,7 +689,7 @@ def test_negative_work_duration_rejected(monkeypatch):
     # A negative duration would complete a work item before it started.
     # EngineConfig rejects the slowdown that used to produce one, so
     # negative rates are forced here to reach the guard on work items.
-    monkeypatch.setattr(pm, "phase_rates", lambda best, system, type_name, slowdown: (-1.0, -1.0))
+    force_rates(monkeypatch, -1.0, -1.0)
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
     with pytest.raises(SimulationError, match="clock is already at"):
         engine.run()
@@ -764,6 +770,56 @@ def test_engine_rejects_an_unquoted_reserved_rate_at_construction():
     config = micro_config(routing=RoutingPolicy({"r1": 1}), payment=cat.RESERVED_UPFRONT)
     with pytest.raises(MissingRecordError, match=re.escape("no reserved rate quoted for (t1, r1)")):
         Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+
+
+def test_engine_rejects_a_workload_system_with_no_benchmark_record_at_construction():
+    jobs = [micro_job("j1"), micro_job("j2", system="sysZ")]
+    with pytest.raises(MissingRecordError, match="no benchmark record for system 'sysZ'"):
+        Engine(micro_catalog(), jobs, micro_records(), micro_config())
+
+
+def test_a_job_packs_and_acquires_only_types_rated_for_its_system():
+    # t2 is allowed for both kinds but rated only for the complex system
+    # sysB: the ligand job leaves the t2 instance's six free vCPUs alone and
+    # acquires a t1 of its own.
+    catalog = micro_catalog(extra_types=[{"name": "t2", "vcpus": 8, "gpus": 0, "family": "t2"}])
+    records = micro_records() + micro_records(instance="t2", system="sysB")
+    config = micro_config(
+        routing=RoutingPolicy({"r1": 1}),
+        allowed_types={"complex": ["t2"], "ligand": ["t2", "t1"]},
+        pool_overrides={"r1": {"t1": 1, "t2": 1}},
+    )
+    jobs = [micro_job("c1", kind="complex", system="sysB"), micro_job("l1")]
+    engine = Engine(catalog, jobs, records, config)
+    engine.submit_all()
+    engine.advance(0.0)
+    placed = {job_id: job.instance.type_name for job_id, job in engine.jobs.items()}
+    assert placed == {"c1": "t2", "l1": "t1"}
+    assert engine.instances["i0001"].free_vcpus == 6
+    report = engine.run()
+    assert (report.n_completed, report.n_failed, report.n_instances) == (2, 0, 2)
+
+
+def test_a_job_with_no_rated_type_fails():
+    # Only t1 is allowed for ligands and it is rated for sysA, not sysB: the
+    # sysB ligand job has no candidate and fails, the other completes.
+    jobs = [micro_job("l1", system="sysB"), micro_job("l2")]
+    records = micro_records() + micro_records(instance="t9", system="sysB")
+    engine = Engine(micro_catalog(), jobs, records, micro_config())
+    assert engine.jobs["l1"].candidates.types == ()
+    assert engine.jobs["l2"].candidates.types == (("t1", "t1"),)
+    report = engine.run()
+    assert (report.n_completed, report.n_failed, report.n_submissions) == (1, 1, 2)
+    assert engine.jobs["l1"].status == "failed" and engine.jobs["l1"].instance is None
+
+
+def test_jobs_of_one_demand_and_candidates_share_one_queue_bucket():
+    # Two kinds and two systems, all rated on t1 alone, with the same demand.
+    records = micro_records() + micro_records(system="sysB")
+    jobs = [micro_job("c1", kind="complex", system="sysB"), micro_job("l1"), micro_job("l2", vcpus=4)]
+    engine = Engine(micro_catalog(), jobs, records, micro_config())
+    c1, l1, l2 = (engine.jobs[j].candidates for j in ("c1", "l1", "l2"))
+    assert c1 is l1 and l2 is not l1 and l2.types == l1.types
 
 
 def test_a_region_of_weight_zero_needs_no_price():

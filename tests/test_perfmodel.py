@@ -153,13 +153,13 @@ def test_best_configs_full_tie_keeps_first_record():
 def test_phase_rates_fallback_and_missing_equilibration():
     equil = pm.BenchmarkRecord("s", "i", 1, 8, 0, "equilibration", 48.0)
     trans = pm.BenchmarkRecord("s", "i", 1, 8, 0, "transition", 20.0)
-    assert pm.phase_rates(pm.best_configs([equil], "s"), "s", "i", 0.5) == (48.0, 24.0)
-    assert pm.phase_rates(pm.best_configs([equil, trans], "s"), "s", "i", 0.5) == (48.0, 20.0)
-    with pytest.raises(MissingRecordError) as raised:
-        pm.phase_rates(pm.best_configs([trans], "s"), "s", "i", 0.5)
-    with pytest.raises(MissingRecordError) as expected:
-        pm.best_config([trans], "s", "i", pm.PHASE_EQUILIBRATION)
-    assert str(raised.value) == str(expected.value)
+    assert pm.BenchmarkSet([equil]).rates("s", 0.5) == {"i": (equil, 48.0, 24.0)}
+    assert pm.BenchmarkSet([equil, trans]).rates("s", 0.5) == {"i": (equil, 48.0, 20.0)}
+    # Without an equilibration record the instance has no rate; a system
+    # with no record at all is named as missing.
+    assert pm.BenchmarkSet([trans]).rates("s", 0.5) == {}
+    with pytest.raises(MissingRecordError, match="no benchmark record for system 't'"):
+        pm.BenchmarkSet([trans]).rates("t", 0.5)
 
 
 def test_recommend_and_predict_accept_one_pass_iterators(fe_records, aws_catalog):
@@ -178,9 +178,17 @@ def test_benchmark_set_keeps_one_best_configs_map_per_system():
     assert isinstance(records, pm.BenchmarkSet)
     assert list(records) == [r for p in paths for r in pm.load_benchmarks(p)]
     for system in sorted({r.system for r in records}):
-        best = records.best(system)
-        assert best == pm.best_configs(list(records), system)
-        assert records.best(system) is best
+        best = pm.best_configs(list(records), system)
+        expected = {}
+        for (instance, phase), record in best.items():
+            if phase == pm.PHASE_EQUILIBRATION:
+                trans = best.get((instance, pm.PHASE_TRANSITION))
+                rate = record.ns_per_day
+                expected[instance] = (record, rate, rate * 0.5 if trans is None else trans.ns_per_day)
+        table = records.rates(system, 0.5)
+        assert table == expected
+        assert records.rates(system, 0.5) is table
+        assert (table == {}) == (system in ("mem", "rib"))
     assert pm.BenchmarkSet(records) is records
 
 
