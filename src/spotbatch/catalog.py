@@ -6,13 +6,20 @@ reserved-with-upfront).  Spot pricing is modeled as a fixed fraction of the
 on-demand rate; availability zones are collapsed into regions.  All rates
 are in dollars.
 
-Catalogs are immutable after load and safe to share across threads.
+``Catalog.hourly_rates`` gives one table per (region, payment model): the
+hourly rate of every instance priced in the region, in catalog order.  It
+is the one place the payment-model arithmetic is written; ``lookup_rate``,
+``recommend`` and ``spotbatch bench`` read it.  Each table is made on first
+use and kept on its catalog, so a query reads one prepared table rather
+than one price entry per instance.  Catalogs are immutable after load
+apart from those kept tables, which are made from the immutable entries
+and never changed, so a catalog stays safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from .errors import MissingRecordError, ParseError, ValidationError, finite_number
 from .jsonfile import Keys, load, number, numbers, shaped, within
@@ -94,6 +101,14 @@ class RegionSpec:
         return self.spot_pool.get("*", 0)
 
 
+# Each payment model's hourly rate from a price entry; None where it was never quoted.
+_RATE = {
+    ON_DEMAND: lambda entry: entry.on_demand_per_hour,
+    SPOT: lambda entry: entry.on_demand_per_hour * entry.spot_fraction,
+    RESERVED_UPFRONT: lambda entry: entry.reserved_upfront_per_hour,
+}
+
+
 @dataclass(frozen=True)
 class Catalog:
     """Immutable container for instance types, regions, and prices."""
@@ -101,6 +116,10 @@ class Catalog:
     instances: Mapping[str, InstanceTypeSpec]
     regions: Mapping[str, RegionSpec]
     prices: Mapping[tuple, PriceEntry]
+    # Per (region, payment model): the table hourly_rates has made.
+    _rates: Dict[Tuple[str, str], Dict[str, Optional[float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def instance(self, name: str) -> InstanceTypeSpec:
         try:
@@ -120,26 +139,39 @@ class Catalog:
         except KeyError:
             raise MissingRecordError(f"no price entry for ({instance}, {region})") from None
 
-    def has_price(self, instance: str, region: str) -> bool:
-        return (instance, region) in self.prices
+    def hourly_rates(self, region: str, payment: str) -> Dict[str, Optional[float]]:
+        """Hourly rate under ``payment`` of every instance priced in ``region``, in catalog order.
+
+        The rate is None where the reserved rate was never quoted; a region
+        with no price entry gives an empty table.  An unknown payment model
+        raises ValueError.  The table is made the first time (region,
+        payment) is asked for, and every later call returns the same dict,
+        so callers must not change it.
+        """
+        key = (region, payment)
+        table = self._rates.get(key)
+        if table is None:
+            rate = _RATE.get(payment)
+            if rate is None:
+                raise ValueError(f"unknown payment model {payment!r}; expected one of {PAYMENT_MODELS}")
+            prices = self.prices
+            table = {name: rate(prices[(name, region)]) for name in self.instances if (name, region) in prices}
+            table = self._rates.setdefault(key, table)
+        return table
 
 
 def lookup_rate(catalog: Catalog, instance: str, region: str, model: str) -> float:
     """Return the hourly rate for an instance in a region under a payment model.
 
     Raises MissingRecordError when no price entry exists, or when the
-    reserved rate is requested but was never quoted for the entry.
+    reserved rate is requested but was never quoted for the entry, and
+    ValueError for an unknown payment model.
     """
-    entry = catalog.price(instance, region)
-    if model == ON_DEMAND:
-        return entry.on_demand_per_hour
-    if model == SPOT:
-        return entry.on_demand_per_hour * entry.spot_fraction
-    if model == RESERVED_UPFRONT:
-        if entry.reserved_upfront_per_hour is None:
-            raise MissingRecordError(f"no reserved rate quoted for ({instance}, {region})")
-        return entry.reserved_upfront_per_hour
-    raise ValueError(f"unknown payment model {model!r}; expected one of {PAYMENT_MODELS}")
+    rate = catalog.hourly_rates(region, model).get(instance)
+    if rate is None:
+        catalog.price(instance, region)  # raises when there is no entry at all
+        raise MissingRecordError(f"no reserved rate quoted for ({instance}, {region})")
+    return rate
 
 
 def _instance(raw: dict) -> InstanceTypeSpec:

@@ -98,13 +98,14 @@ def cmd_bench(args) -> int:
         return _fail("bench needs --bench and --catalog (or --scaling)", EXIT_USAGE)
     catalog = cat.load_catalog(args.catalog)
     region = catalog.region(args.region).name if args.region else next(iter(catalog.regions))
+    prices = catalog.hourly_rates(region, cat.ON_DEMAND)
     rows = []
     for r in perfmodel.load_many_benchmarks(args.bench):
         if args.system and r.system != args.system:
             continue
-        if not catalog.has_price(r.instance, region):
+        price = prices.get(r.instance)
+        if price is None:  # not priced in the region
             continue
-        price = cat.lookup_rate(catalog, r.instance, region, cat.ON_DEMAND)
         rows.append(
             [
                 r.system,
@@ -233,6 +234,12 @@ def cmd_simulate(args) -> int:
         print(f"cost_per_fe: {report.cost_per_fe:.2f}")
     if report.n_failed:
         print(f"failed_jobs: {report.n_failed}", file=sys.stderr)
+        for kind, system, vcpus, gpus, listed in engine.no_candidates:
+            print(
+                f"no candidate type for kind {kind!r} (system {system!r}, {vcpus} vCPUs, {gpus} GPUs): "
+                f"no listed type ({', '.join(listed) or 'none'}) has a benchmark record for the system and fits",
+                file=sys.stderr,
+            )
         return EXIT_VALIDATION
     return EXIT_OK
 

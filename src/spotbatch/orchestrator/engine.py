@@ -15,7 +15,9 @@ demand (vCPUs, GPUs) and have a rate for its system in the benchmark
 set's rate table, worked out at construction once per distinct (kind,
 system, vCPUs, GPUs).  A job packs onto and acquires only candidate types,
 and one with no candidate fails as infeasible, so no rate is ever found
-missing mid-run.
+missing mid-run; ``no_candidates`` lists each such demand with the types
+listed for its kind.  Systems of the jobs with no benchmark record at all
+stop construction, named together in one error.
 
 Queued jobs wait per region in arrival order.  Whenever capacity may have
 freed, the region's queue is retried oldest first; capacity only shrinks
@@ -96,7 +98,7 @@ from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, T
 
 from .. import catalog as cat
 from .. import perfmodel
-from ..errors import SimulationError, ValidationError, finite_number
+from ..errors import MissingRecordError, SimulationError, ValidationError, finite_number
 from ..workload import JOB_KINDS, JobSpec, PhasePlan
 from .preemption import PreemptionModel
 from .recorder import BillRow, EventRow, RunRecorder
@@ -392,23 +394,40 @@ class Engine:
             for family in families:
                 self._pool[(region, family)] = override.get(family, override.get("*", spec.pool_capacity(family)))
 
-        # Per system of the jobs, its rate table; a system with no record fails here.
+        # Per system of the jobs, its rate table; systems with no record fail here, all named at once.
         self._rates: Dict[str, Dict[str, perfmodel.PhaseRates]] = {}
+        missing: List[str] = []
         records = perfmodel.BenchmarkSet(records)
         by_need: Dict[Tuple[str, str, int, int], _Candidates] = {}  # per (kind, system, vCPUs, GPUs)
         shared: Dict[Tuple[int, int, tuple], _Candidates] = {}  # per (vCPUs, GPUs, candidates)
+        # Each (kind, system, vCPUs, GPUs) of the jobs with no candidate type,
+        # with the types listed for the kind, in first-seen job order.
+        self.no_candidates: List[Tuple[str, str, int, int, Tuple[str, ...]]] = []
         self.jobs: Dict[str, _Job] = {}
         for spec in jobs:
             need = (spec.kind, spec.system, spec.vcpu_demand, spec.gpu_demand)
             candidates = by_need.get(need)
             if candidates is None:
                 kind, system, vd, gd = need
-                rates = self._rates[system] = records.rates(system, config.transition_slowdown)
-                specs = [(name, catalog.instance(name)) for name in config.allowed_types.get(kind, [])]
+                rates = self._rates.get(system)
+                if rates is None:
+                    try:
+                        rates = records.rates(system, config.transition_slowdown)
+                    except MissingRecordError:
+                        missing.append(system)
+                        rates = {}
+                    self._rates[system] = rates
+                listed = config.allowed_types.get(kind, [])
+                specs = [(name, catalog.instance(name)) for name in listed]
                 types = tuple((n, s.family) for n, s in specs if n in rates and s.vcpus >= vd and s.gpus >= gd)
+                if not types and system not in missing:
+                    self.no_candidates.append((*need, tuple(listed)))
                 fresh = _Candidates(frozenset(n for n, _ in types), types)
                 candidates = by_need[need] = shared.setdefault((vd, gd, types), fresh)
             self.jobs[spec.id] = _Job(spec, candidates)
+        if missing:
+            noun = "system" if len(missing) == 1 else "systems"
+            raise MissingRecordError(f"no benchmark record for {noun} {', '.join(map(repr, missing))}")
         if len(self.jobs) < len(jobs):
             seen = set()
             for spec in jobs:

@@ -12,7 +12,10 @@ return a ``BenchmarkSet``: the records in file order, as a tuple whose
 transition-rate fallback is applied.  ``recommend`` and the engine read
 only that table; the set keeps each table once made, so it scans the
 records once per (system, transition slowdown) rather than once per
-query.
+query.  ``recommend`` walks the catalog's hourly-rate table for the
+region and payment model (``Catalog.hourly_rates``), so it meets the
+priced instances in catalog order and reads each one's rate from it; it
+returns ``Recommendation`` rows, which are named tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import catalog as cat
 from .errors import MissingRecordError, ParseError, ValidationError, finite_number
@@ -111,8 +114,7 @@ class PerfPoint:
             raise ValidationError(f"perf point {self.label}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     """One ranked entry produced by recommend()."""
 
     instance: str
@@ -285,7 +287,9 @@ def recommend(
     MissingRecordError).  Instances whose predicted runtime exceeds
     ``max_runtime_h`` are dropped.  An empty list means no instance
     satisfies the constraints; that is a result, not an error.  A system
-    with no record of any phase raises MissingRecordError.  The job's
+    with no record of any phase raises MissingRecordError, and so does the
+    first instance in catalog order that meets the deadline but has no
+    reserved rate quoted, when ``payment`` is reserved.  The job's
     durations must be finite numbers >= 0, and the deadline (unless ``None``)
     and ``transition_slowdown`` finite numbers > 0.  Every argument is
     checked before any record is read.
@@ -305,9 +309,9 @@ def recommend(
     region = next(iter(catalog.regions)) if region is None else catalog.region(region).name
     table = BenchmarkSet(records).rates(system, transition_slowdown)
     out = []
-    for name in catalog.instances:
+    for name, rate in catalog.hourly_rates(region, payment).items():
         rates = table.get(name)
-        if rates is None or not catalog.has_price(name, region):
+        if rates is None:
             continue
         config, equil_rate, trans_rate = rates
         runtime = equil_ns / equil_rate * HOURS_PER_DAY
@@ -315,7 +319,8 @@ def recommend(
             runtime += transition_ns / trans_rate * HOURS_PER_DAY
         if max_runtime_h is not None and runtime > max_runtime_h:
             continue
-        rate = cat.lookup_rate(catalog, name, region, payment)
+        if rate is None:
+            cat.lookup_rate(catalog, name, region, payment)  # raises: the reserved rate was never quoted
         out.append(Recommendation(name, config.ranks, config.threads, runtime, runtime * rate))
     if objective == "min_cost":
         out.sort(key=lambda r: (r.cost, r.instance))

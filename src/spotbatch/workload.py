@@ -78,10 +78,6 @@ class EnsembleSpec:
             self.equil_ns, self.timestep_fs, self.chunk_steps, self.n_transitions, self.transition_ps
         )
 
-    @property
-    def total_edges(self) -> int:
-        return sum(t.edges for t in self.targets)
-
 
 @dataclass(frozen=True)
 class KindPolicy:
@@ -177,11 +173,6 @@ def make_phase_plan(
     )
 
 
-def trajectory_ns(plan: PhasePlan, timestep_fs: float) -> float:
-    """Nanoseconds of trajectory one job produces under this plan."""
-    return plan.total_steps * timestep_fs * 1e-6
-
-
 @dataclass(slots=True)
 class JobSpec:
     """One ensemble member: identity, resource demand, and execution plan."""
@@ -205,10 +196,6 @@ class JobSpec:
             raise ValidationError(f"job {self.id}: gpu_demand must be 0 or 1")
         finite_number("timestep_fs", self.timestep_fs, 0, low_open=True)
 
-    @property
-    def trajectory_ns(self) -> float:
-        return trajectory_ns(self.phase_plan, self.timestep_fs)
-
 
 def _pick_proxy(policy: KindPolicy, target: TargetSpec, kind: str) -> str:
     if not policy.proxy_systems:
@@ -220,11 +207,6 @@ def _pick_proxy(policy: KindPolicy, target: TargetSpec, kind: str) -> str:
 
 def fe_label(target: str, edge: int, forcefield: int) -> str:
     return f"{target}/edge_{edge:04d}/ff{forcefield}"
-
-
-def n_fe_differences(spec: EnsembleSpec) -> int:
-    """Number of distinct free-energy differences the ensemble computes."""
-    return spec.total_edges * spec.forcefields
 
 
 def expand_ensemble(

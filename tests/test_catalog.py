@@ -132,6 +132,48 @@ def test_pool_capacity_wildcard():
     assert bare.pool_capacity("c5") == 0
 
 
+def test_hourly_rates_agree_with_the_price_entries_and_lookup_rate(aws_catalog):
+    unquoted = 0
+    for region in aws_catalog.regions:
+        for payment in cat.PAYMENT_MODELS:
+            table = aws_catalog.hourly_rates(region, payment)
+            assert list(table) == [name for name in aws_catalog.instances if (name, region) in aws_catalog.prices]
+            for name in aws_catalog.instances:
+                entry = aws_catalog.prices.get((name, region))
+                if entry is None:
+                    assert name not in table
+                    with pytest.raises(MissingRecordError, match=re.escape(f"no price entry for ({name}, {region})")):
+                        cat.lookup_rate(aws_catalog, name, region, payment)
+                    continue
+                expected = {
+                    cat.ON_DEMAND: entry.on_demand_per_hour,
+                    cat.SPOT: entry.on_demand_per_hour * entry.spot_fraction,
+                    cat.RESERVED_UPFRONT: entry.reserved_upfront_per_hour,
+                }[payment]
+                assert table[name] == expected
+                if expected is None:
+                    unquoted += 1
+                    message = f"no reserved rate quoted for ({name}, {region})"
+                    with pytest.raises(MissingRecordError, match=re.escape(message)):
+                        cat.lookup_rate(aws_catalog, name, region, payment)
+                else:
+                    assert cat.lookup_rate(aws_catalog, name, region, payment) == expected
+    assert unquoted == 246
+
+
+def test_hourly_rates_keeps_one_table_per_region_and_payment():
+    c = cat.build_catalog(minimal_doc())
+    table = c.hourly_rates("us-east-1", cat.SPOT)
+    assert c.hourly_rates("us-east-1", cat.SPOT) is table
+    assert c.hourly_rates("us-east-1", cat.ON_DEMAND) == {"g4dn.4xl": 1.204}
+    assert c.hourly_rates("us-east-1", cat.RESERVED_UPFRONT) == {"g4dn.4xl": None}
+    assert c.hourly_rates("nowhere-1", cat.SPOT) == {}
+    with pytest.raises(ValueError, match="unknown payment model 'barter'"):
+        c.hourly_rates("us-east-1", "barter")
+    # The kept tables take no part in equality.
+    assert c == cat.build_catalog(minimal_doc())
+
+
 def test_lookup_rate_is_pure(aws_catalog):
     first = cat.lookup_rate(aws_catalog, "c5.2xl", "eu-west-1", cat.SPOT)
     for _ in range(3):

@@ -637,7 +637,11 @@ def test_a_listed_type_with_no_rate_for_the_system_is_not_a_candidate(tmp_path, 
 def test_jobs_with_no_candidate_type_fail(tmp_path, capsys):
     scenario = toy_variant(tmp_path, "study1_toy", allowed_types=study1_toy_types(ligand=["c5.9xl"]))
     code, _, err, files = simulate_logged(tmp_path, capsys, scenario, 42)
-    assert code == 1 and err == "failed_jobs: 120\n"
+    assert code == 1 and err == (
+        "failed_jobs: 120\n"
+        "no candidate type for kind 'ligand' (system 'cmet_ligand', 8 vCPUs, 0 GPUs): "
+        "no listed type (c5.9xl) has a benchmark record for the system and fits\n"
+    )
     summary = json.loads(files["summary.json"])
     assert (summary["n_jobs"], summary["n_completed"], summary["n_failed"]) == (240, 120, 120)
     assert b"c5." not in files["metrics.csv"]
@@ -649,7 +653,8 @@ def test_a_workload_system_with_no_benchmark_record_stops_at_construction(tmp_pa
     out = tmp_path / "out"
     assert run_cli("simulate", "--scenario", scenario, "--out", str(out), "--event-log") == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: no benchmark record for system 'cmet_complex'\n" and captured.out == ""
+    assert captured.err == "error: no benchmark record for systems 'cmet_complex', 'cmet_ligand'\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

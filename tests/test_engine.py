@@ -778,6 +778,29 @@ def test_engine_rejects_a_workload_system_with_no_benchmark_record_at_constructi
         Engine(micro_catalog(), jobs, micro_records(), micro_config())
 
 
+def test_engine_names_every_system_with_no_benchmark_record_in_job_order():
+    jobs = [micro_job("j1", system="sysZ"), micro_job("j2"), micro_job("j3", kind="complex", system="sysY"),
+            micro_job("j4", system="sysZ", vcpus=4)]
+    with pytest.raises(MissingRecordError) as raised:
+        Engine(micro_catalog(), jobs, micro_records(), micro_config())
+    assert str(raised.value) == "no benchmark record for systems 'sysZ', 'sysY'"
+
+
+def test_engine_lists_each_demand_with_no_candidate_type_once():
+    # t2 (8 vCPUs) is rated for sysA, t1 (4 vCPUs) is too: a 6-vCPU ligand
+    # fits only t2, which the ligand kind does not list; an 8-vCPU complex
+    # job of sysB has no rated type at all.
+    catalog = micro_catalog(extra_types=[{"name": "t2", "vcpus": 8, "gpus": 0, "family": "t2"}])
+    records = micro_records() + micro_records(instance="t2") + micro_records(instance="t9", system="sysB")
+    config = micro_config(allowed_types={"complex": ["t2", "t1"], "ligand": ["t1"]})
+    jobs = [micro_job("l1", vcpus=6), micro_job("l2"), micro_job("c1", vcpus=8, kind="complex", system="sysB"),
+            micro_job("l3", vcpus=6)]
+    engine = Engine(catalog, jobs, records, config)
+    assert engine.no_candidates == [("ligand", "sysA", 6, 0, ("t1",)), ("complex", "sysB", 8, 0, ("t2", "t1"))]
+    report = engine.run()
+    assert (report.n_completed, report.n_failed) == (1, 3)
+
+
 def test_a_job_packs_and_acquires_only_types_rated_for_its_system():
     # t2 is allowed for both kinds but rated only for the complex system
     # sysB: the ligand job leaves the t2 instance's six free vCPUs alone and

@@ -382,6 +382,43 @@ def test_recommend_min_time_sorted_by_runtime(fe_records, aws_catalog):
     assert runtimes == sorted(runtimes)
 
 
+def test_recommend_raises_for_the_first_unquoted_reserved_candidate_in_catalog_order():
+    names = ("x.quoted", "x.first", "x.second")
+    catalog = cat.build_catalog(
+        {
+            "instances": [{"name": n, "vcpus": 8} for n in names],
+            "regions": [{"name": "r1"}],
+            "prices": [
+                {"instance": "x.quoted", "region": "r1", "on_demand_per_hour": 1.0, "reserved_upfront_per_hour": 0.5},
+                {"instance": "x.first", "region": "r1", "on_demand_per_hour": 1.0},
+                {"instance": "x.second", "region": "r1", "on_demand_per_hour": 1.0},
+            ],
+        }
+    )
+    # Records in the reverse of catalog order; 10 ns at 240, 24 and 120 ns/day take 1, 10 and 2 h.
+    records = [
+        pm.BenchmarkRecord("s", name, 1, 8, 0, "equilibration", rate)
+        for name, rate in (("x.second", 120.0), ("x.first", 24.0), ("x.quoted", 240.0))
+    ]
+    reserved = dict(payment=cat.RESERVED_UPFRONT, region="r1")
+    with pytest.raises(MissingRecordError, match=re.escape("no reserved rate quoted for (x.first, r1)")):
+        pm.recommend(records, catalog, "s", **reserved)
+    # A candidate that misses the deadline is dropped before its rate is read.
+    with pytest.raises(MissingRecordError, match=re.escape("no reserved rate quoted for (x.second, r1)")):
+        pm.recommend(records, catalog, "s", max_runtime_h=5.0, **reserved)
+    assert pm.recommend(records, catalog, "s", max_runtime_h=1.5, **reserved) == [
+        pm.Recommendation("x.quoted", 1, 8, 1.0, 0.5)
+    ]
+
+
+def test_a_recommendation_is_an_immutable_row():
+    row = pm.Recommendation("c5.2xl", 1, 8, 4.5, 1.25)
+    assert pm.Recommendation._fields == ("instance", "ranks", "threads", "runtime_h", "cost")
+    with pytest.raises(AttributeError):
+        row.cost = 0.0
+    assert row == ("c5.2xl", 1, 8, 4.5, 1.25)
+
+
 def render_recommend_grid(records, catalog):
     """Every FE system x region x payment x deadline x objective, one line per query."""
     lines = []

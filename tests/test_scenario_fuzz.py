@@ -122,7 +122,8 @@ def test_fuzzed_catalog_or_workload_builds_or_raises_an_input_error(scenario_fil
     try:
         if role == "workload":
             spec = load_workload(named_file).spec
-            if 2 * spec.replicas * spec.directions * spec.forcefields * spec.total_edges > MAX_FUZZED_JOBS:
+            edges = sum(t.edges for t in spec.targets)
+            if 2 * spec.replicas * spec.directions * spec.forcefields * edges > MAX_FUZZED_JOBS:
                 return
         build_engine(load_scenario(scenario_file))
     except (ParseError, ValidationError, MissingRecordError):

@@ -69,16 +69,6 @@ def test_chunk_length_remainder():
     assert [plan.chunk_length(i) for i in range(3)] == [400, 400, 200]
 
 
-def test_trajectory_ns_standard():
-    plan = wl.make_phase_plan(6.0, 2.0, 500_000, 80, 50.0)
-    assert wl.trajectory_ns(plan, 2.0) == pytest.approx(10.0)
-
-
-def test_trajectory_ns_equilibration_only():
-    plan = wl.PhasePlan(6, 500_000, 3_000_000, 0, 0)
-    assert wl.trajectory_ns(plan, 2.0) == pytest.approx(6.0)
-
-
 # -- expansion -----------------------------------------------------------------
 
 
@@ -150,7 +140,6 @@ def test_job_count_identity(edges, replicas, directions, forcefields):
     assert len(jobs) == 2 * replicas * directions * forcefields * sum(edges)
     # Direct enumeration of distinct labels.
     assert len({j.fe_label for j in jobs}) == (sum(edges) * forcefields if sum(edges) else 0)
-    assert wl.n_fe_differences(spec) == sum(edges) * forcefields
 
 
 # -- bundled study workloads ----------------------------------------------------
@@ -161,7 +150,7 @@ def test_study1_workload_counts():
     jobs = w.expand()
     assert len(jobs) == 19_872
     assert sum(1 for j in jobs if j.kind == "complex") == 9_936
-    assert wl.n_fe_differences(w.spec) == 1_656
+    assert len({j.fe_label for j in jobs}) == 1_656
     cdk8_complex = [j for j in jobs if j.target == "cdk8" and j.kind == "complex"]
     assert len(cdk8_complex) == 972
 
@@ -170,7 +159,7 @@ def test_study2_workload_counts():
     w = wl.load_workload(spotbatch.data_path("workload_study2.json"))
     jobs = w.expand()
     assert len(jobs) == 6_984
-    assert wl.n_fe_differences(w.spec) == 582
+    assert len({j.fe_label for j in jobs}) == 582
 
 
 @pytest.mark.parametrize(
@@ -191,7 +180,7 @@ def test_study_expansion_is_pinned(name, n_jobs, digest):
 def test_study1_total_trajectory():
     w = wl.load_workload(spotbatch.data_path("workload_study1.json"))
     jobs = w.expand()
-    total_us = sum(j.trajectory_ns for j in jobs) / 1000.0
+    total_us = sum(j.phase_plan.total_steps * j.timestep_fs * 1e-6 for j in jobs) / 1000.0
     assert total_us == pytest.approx(198.72, abs=1e-9)
 
 
