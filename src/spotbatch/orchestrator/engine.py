@@ -10,14 +10,19 @@ boundary and re-enter routing as fresh submissions.  Instances accrue
 cost per second from activation to termination and idle instances
 terminate after a grace period.
 
-A job's candidate types are the types allowed for its kind that fit its
-demand (vCPUs, GPUs) and have a rate for its system in the benchmark
-set's rate table, worked out at construction once per distinct (kind,
-system, vCPUs, GPUs).  A job packs onto and acquires only candidate types,
-and one with no candidate fails as infeasible, so no rate is ever found
-missing mid-run; ``no_candidates`` lists each such demand with the types
-listed for its kind.  Systems of the jobs with no benchmark record at all
-stop construction, named together in one error.
+Jobs that agree on kind, system, demand (vCPUs, GPUs), phase plan and
+timestep share one shape, built at construction: those fields, the
+candidate types and one work table per candidate type.  A job keeps only
+its id, its FE label, its shape and its run state, so the engine holds no
+``JobSpec`` once it is built, and no work table is built mid-run.
+
+A shape's candidate types are the types allowed for its kind that fit its
+demand and have a rate for its system in the benchmark set's rate table.
+A job packs onto and acquires only candidate types, and one with no
+candidate fails as infeasible, so no rate is ever found missing mid-run;
+``no_candidates`` lists each (kind, system, vCPUs, GPUs) with no candidate
+and the types listed for its kind.  Systems of the jobs with no benchmark
+record at all stop construction, named together in one error.
 
 Queued jobs wait per region in arrival order.  Whenever capacity may have
 freed, the region's queue is retried oldest first; capacity only shrinks
@@ -26,9 +31,9 @@ queued, the later jobs with both the same wait out the rest of the pass.
 The queue is kept as one FIFO bucket per (demand, candidates) so that a
 pass costs O(placements + buckets), not O(queue length).
 
-A job's work is one table per (phase plan, system, timestep, instance
-type): one entry of (completion event, duration, queue) per item, in the
-order the items run.  Each equilibration chunk comes first, then each
+A job's work is its shape's table for the type of the instance it is on:
+one entry of (completion event, duration, queue) per item, in the order
+the items run.  Each equilibration chunk comes first, then each
 transition, then the integration and the job's completion, both of zero
 duration.  A job's progress is one count: the number of items it has
 persisted, which is also the index in the table of the item that runs next.
@@ -93,6 +98,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import attrgetter
 from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -146,7 +152,7 @@ ItemEntry = Tuple[float, int, "_Job", int, Deque]
 WorkEntry = Tuple[str, float, Deque[ItemEntry]]
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceState:
     """One acquired (or requested) instance and its current occupancy."""
 
@@ -195,7 +201,7 @@ class BillingLedger:
         return (instance.id, duration, instance.rate, cost)
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsSample:
     time_s: float
     region: str
@@ -285,16 +291,35 @@ class SummaryReport:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class _Candidates:
-    """A job's candidate types: one object per (demand, candidates), whose identity keys a queue bucket."""
+    """A shape's candidate types: one object per (demand, candidates), whose identity keys a queue bucket."""
 
     names: FrozenSet[str]
     types: Tuple[Tuple[str, str], ...]  # (type, family), in allowed order
 
 
 @dataclass(slots=True, eq=False)
-class _Job:
-    spec: JobSpec
+class _Shape:
+    """What the jobs of one (kind, system, vCPUs, GPUs, phase plan, timestep) share, built at construction."""
+
+    kind: str
+    system: str
+    vcpus: int
+    gpus: int
+    plan: PhasePlan
+    timestep_fs: float
     candidates: _Candidates
+    tables: Dict[str, Tuple[WorkEntry, ...]]  # the work table per candidate type
+
+
+# A job's shape key, in the order of _Shape's first fields.
+_shape_key = attrgetter("kind", "system", "vcpu_demand", "gpu_demand", "phase_plan", "timestep_fs")
+
+
+@dataclass(slots=True, eq=False)
+class _Job:
+    id: str
+    fe_label: str
+    shape: _Shape
     status: str = ST_PENDING
     epoch: int = 0
     instance: Optional[InstanceState] = None
@@ -304,7 +329,6 @@ class _Job:
     # items it has persisted, which indexes its next item in work order.
     work: Sequence[WorkEntry] = ()
     cursor: int = 0
-    submissions: int = 0
     completed_at: Optional[float] = None
 
 
@@ -361,7 +385,6 @@ class Engine:
         # Without an interval no sample is ever due.
         self._next_sample = math.inf if config.metrics_interval_s is None else 0.0
         self._region_next_slot: Dict[str, float] = {}
-        self._work_tables: Dict[Tuple[PhasePlan, str, float, str], Tuple[WorkEntry, ...]] = {}
 
         hazards = [key.split("/") for key in config.preemption.rates_per_instance_hour]
         pools = config.pool_overrides
@@ -395,36 +418,46 @@ class Engine:
                 self._pool[(region, family)] = override.get(family, override.get("*", spec.pool_capacity(family)))
 
         # Per system of the jobs, its rate table; systems with no record fail here, all named at once.
-        self._rates: Dict[str, Dict[str, perfmodel.PhaseRates]] = {}
+        system_rates: Dict[str, Dict[str, perfmodel.PhaseRates]] = {}
         missing: List[str] = []
         records = perfmodel.BenchmarkSet(records)
         by_need: Dict[Tuple[str, str, int, int], _Candidates] = {}  # per (kind, system, vCPUs, GPUs)
         shared: Dict[Tuple[int, int, tuple], _Candidates] = {}  # per (vCPUs, GPUs, candidates)
+        shapes: Dict[tuple, _Shape] = {}  # per shape key
         # Each (kind, system, vCPUs, GPUs) of the jobs with no candidate type,
         # with the types listed for the kind, in first-seen job order.
         self.no_candidates: List[Tuple[str, str, int, int, Tuple[str, ...]]] = []
         self.jobs: Dict[str, _Job] = {}
-        for spec in jobs:
-            need = (spec.kind, spec.system, spec.vcpu_demand, spec.gpu_demand)
-            candidates = by_need.get(need)
-            if candidates is None:
-                kind, system, vd, gd = need
-                rates = self._rates.get(system)
-                if rates is None:
-                    try:
-                        rates = records.rates(system, config.transition_slowdown)
-                    except MissingRecordError:
-                        missing.append(system)
-                        rates = {}
-                    self._rates[system] = rates
-                listed = config.allowed_types.get(kind, [])
-                specs = [(name, catalog.instance(name)) for name in listed]
-                types = tuple((n, s.family) for n, s in specs if n in rates and s.vcpus >= vd and s.gpus >= gd)
-                if not types and system not in missing:
-                    self.no_candidates.append((*need, tuple(listed)))
-                fresh = _Candidates(frozenset(n for n, _ in types), types)
-                candidates = by_need[need] = shared.setdefault((vd, gd, types), fresh)
-            self.jobs[spec.id] = _Job(spec, candidates)
+        # Expansion lists the jobs of one shape next to each other, so the
+        # shape is looked up once per run of them; groupby compares the keys,
+        # whose fields are mostly the same objects, without hashing a plan.
+        for key, run in groupby(jobs, _shape_key):
+            shape = shapes.get(key)
+            if shape is None:
+                kind, system, vd, gd, plan, timestep_fs = key
+                need = key[:4]
+                candidates = by_need.get(need)
+                if candidates is None:
+                    rates = system_rates.get(system)
+                    if rates is None:
+                        try:
+                            rates = records.rates(system, config.transition_slowdown)
+                        except MissingRecordError:
+                            missing.append(system)
+                            rates = {}
+                        system_rates[system] = rates
+                    listed = config.allowed_types.get(kind, [])
+                    specs = [(name, catalog.instance(name)) for name in listed]
+                    types = tuple((n, s.family) for n, s in specs if n in rates and s.vcpus >= vd and s.gpus >= gd)
+                    if not types and system not in missing:
+                        self.no_candidates.append((*need, tuple(listed)))
+                    fresh = _Candidates(frozenset(n for n, _ in types), types)
+                    candidates = by_need[need] = shared.setdefault((vd, gd, types), fresh)
+                rates = system_rates[system]
+                tables = {name: self._work_table(plan, timestep_fs, rates[name]) for name, _ in candidates.types}
+                shape = shapes[key] = _Shape(*key, candidates, tables)
+            for spec in run:
+                self.jobs[spec.id] = _Job(spec.id, spec.fe_label, shape)
         if missing:
             noun = "system" if len(missing) == 1 else "systems"
             raise MissingRecordError(f"no benchmark record for {noun} {', '.join(map(repr, missing))}")
@@ -455,27 +488,22 @@ class Engine:
         heapq.heappush(self._heap, (time, self._seq, kind, subject, epoch))
         self._seq += 1
 
-    def _work_table(self, spec: JobSpec, type_name: str) -> Tuple[WorkEntry, ...]:
-        """Every work item of ``spec`` on ``type_name`` as (event, duration, FIFO), in work order.
+    def _work_table(
+        self, plan: PhasePlan, timestep_fs: float, rates: perfmodel.PhaseRates
+    ) -> Tuple[WorkEntry, ...]:
+        """Every work item of ``plan`` at ``rates`` as (event, duration, FIFO), in work order.
 
         Chunks run at the equilibration rate and transitions at the
         transition rate; integration and completion take no time.
-        ``type_name`` is one of the job's candidates, so it has both rates.
         """
-        key = (spec.phase_plan, spec.system, spec.timestep_fs, type_name)
-        table = self._work_tables.get(key)
-        if table is None:
-            plan = spec.phase_plan
-            _, equil_rate, transition_rate = self._rates[spec.system][type_name]
-            steps = [(EV_CHUNK_DONE, plan.chunk_length(i), equil_rate) for i in range(plan.equil_chunks)]
-            steps += [(EV_TRANSITION_DONE, plan.transition_steps, transition_rate)] * plan.n_transitions
-            work = [(event, n * spec.timestep_fs * 1e-6 / rate * SECONDS_PER_DAY) for event, n, rate in steps]
-            work.append((EV_INTEGRATE_DONE, 0.0))
-            fifos = self._item_fifos
-            table = tuple((e, d, fifos.setdefault(d, deque())) for e, d in work)
-            table += ((EV_JOB_COMPLETED, 0.0, self._completions),)
-            self._work_tables[key] = table
-        return table
+        _, equil_rate, transition_rate = rates
+        steps = [(EV_CHUNK_DONE, plan.chunk_length(i), equil_rate) for i in range(plan.equil_chunks)]
+        steps += [(EV_TRANSITION_DONE, plan.transition_steps, transition_rate)] * plan.n_transitions
+        work = [(event, n * timestep_fs * 1e-6 / rate * SECONDS_PER_DAY) for event, n, rate in steps]
+        work.append((EV_INTEGRATE_DONE, 0.0))
+        fifos = self._item_fifos
+        table = tuple((e, d, fifos.setdefault(d, deque())) for e, d in work)
+        return table + ((EV_JOB_COMPLETED, 0.0, self._completions),)
 
     # -- submission -------------------------------------------------------
 
@@ -487,7 +515,7 @@ class Engine:
         # The first wave that names a kind submits it; a kind no wave names starts at 0 s.
         start = {kind: time_s for time_s, kinds in reversed(self.config.waves) for kind in kinds}
         entries = [
-            (start.get(job.spec.kind, 0.0), seq, EV_JOB_SUBMITTED, job, 0)
+            (start.get(job.shape.kind, 0.0), seq, EV_JOB_SUBMITTED, job, 0)
             for seq, job in enumerate(self.jobs.values(), self._seq)
         ]
         late = next((entry for entry in entries if entry[0] < self.clock), None)
@@ -511,20 +539,20 @@ class Engine:
             del open_list[i]
 
     def _board(self, job: _Job, inst: InstanceState, now: float) -> None:
-        spec = job.spec
-        inst.free_vcpus -= spec.vcpu_demand
-        inst.free_gpus -= spec.gpu_demand
+        shape = job.shape
+        inst.free_vcpus -= shape.vcpus
+        inst.free_gpus -= shape.gpus
         inst.resident_jobs.append(job)
         inst.idle_epoch += 1  # cancels any pending idle timeout
         if inst.free_vcpus < 1:
             self._close(inst)
         job.instance = inst
         job.status = ST_RUNNING
-        job.work = self._work_table(spec, inst.type_name)
+        job.work = shape.tables[inst.type_name]
         if inst.active:
             usage = self._usage[(inst.region, inst.type_name)]
-            usage[1] += spec.vcpu_demand
-            usage[2] += spec.gpu_demand
+            usage[1] += shape.vcpus
+            usage[2] += shape.gpus
             self._start_next_item(job, now)
 
     def _acquire(self, job: _Job, type_name: str, region: str, now: float) -> InstanceState:
@@ -563,12 +591,12 @@ class Engine:
         can never accept a job), in acquisition order.  The first candidate
         whose family has pool left is acquired.
         """
-        candidates = job.candidates
+        shape = job.shape
+        candidates = shape.candidates
         if not candidates.types:
             job.status = ST_FAILED
             return "infeasible"
-        spec = job.spec
-        vd, gd = spec.vcpu_demand, spec.gpu_demand
+        vd, gd = shape.vcpus, shape.gpus
         names = candidates.names
         region = job.region
         for inst in self._region_free[region]:
@@ -584,9 +612,10 @@ class Engine:
 
     def _enqueue(self, job: _Job) -> None:
         buckets = self._region_queue[job.region]
-        bucket = buckets.get(job.candidates)
+        candidates = job.shape.candidates
+        bucket = buckets.get(candidates)
         if bucket is None:
-            bucket = buckets[job.candidates] = deque()
+            bucket = buckets[candidates] = deque()
         bucket.append((self._arrivals, job))
         self._arrivals += 1
 
@@ -658,7 +687,6 @@ class Engine:
     # -- event handlers -----------------------------------------------------
 
     def _on_job_submitted(self, job: _Job, now: float) -> None:
-        job.submissions += 1
         self.n_submissions += 1
         job.region = self.router.route()
         outcome = self._place(job, now)
@@ -689,17 +717,17 @@ class Engine:
             self._start_next_item(job, now)
 
     def _on_job_completed(self, job: _Job, now: float) -> None:
-        spec = job.spec
+        shape = job.shape
         inst = job.instance
         job.status = ST_DONE
         job.completed_at = now
         job.work = ()
         inst.resident_jobs.remove(job)
-        inst.free_vcpus += spec.vcpu_demand
-        inst.free_gpus += spec.gpu_demand
+        inst.free_vcpus += shape.vcpus
+        inst.free_gpus += shape.gpus
         usage = self._usage[(inst.region, inst.type_name)]
-        usage[1] -= spec.vcpu_demand
-        usage[2] -= spec.gpu_demand
+        usage[1] -= shape.vcpus
+        usage[2] -= shape.gpus
         open_list, i, present = self._open_position(inst)
         if not present and inst.free_vcpus >= 1:
             open_list.insert(i, inst)
@@ -714,10 +742,10 @@ class Engine:
         self._terminate_instance(inst, now)
         for job in inst.resident_jobs:
             wasted = now - job.work_started_at
-            self.ledger.wasted_core_seconds += wasted * job.spec.vcpu_demand
+            self.ledger.wasted_core_seconds += wasted * job.shape.vcpus
             if self.recorder is not None:
                 event, duration, _ = job.work[job.cursor]
-                self.recorder.record_waste((inst.id, job.spec.id, wasted, _ITEM_KINDS[event], duration))
+                self.recorder.record_waste((inst.id, job.id, wasted, _ITEM_KINDS[event], duration))
             job.epoch += 1  # invalidates the in-flight completion event
             job.instance = None
             job.work = ()
@@ -785,7 +813,7 @@ class Engine:
                 clock = time
                 work, cursor = job.work, job.cursor
                 if rows is not None:
-                    rows.append((time, item_seq, work[cursor][0], job.spec.id, job.instance.id))
+                    rows.append((time, item_seq, work[cursor][0], job.id, job.instance.id))
                     if len(rows) >= block:
                         rows = self._hand_over()
                 if fifo is completions:
@@ -793,7 +821,7 @@ class Engine:
                     return job
                 # The item reached a persisted boundary: credit it, count it
                 # and queue the next item behind the others of its duration.
-                productive += (time - job.work_started_at) * job.spec.vcpu_demand
+                productive += (time - job.work_started_at) * job.shape.vcpus
                 cursor += 1
                 job.cursor = cursor
                 next_kind, duration, next_fifo = work[cursor]
@@ -883,7 +911,7 @@ class Engine:
             self.n_events += 1
             if recording:
                 if isinstance(subject, _Job):
-                    self._record((t_next, seq, kind, subject.spec.id, ""))
+                    self._record((t_next, seq, kind, subject.id, ""))
                 else:
                     self._record((t_next, seq, kind, "", subject.id))
             handlers[kind](subject, t_next)
@@ -898,7 +926,7 @@ class Engine:
         if not self._submitted:
             self.submit_all()
         self.advance(math.inf)
-        unfinished = [j.spec.id for j in self.jobs.values() if j.status not in (ST_DONE, ST_FAILED)]
+        unfinished = [j.id for j in self.jobs.values() if j.status not in (ST_DONE, ST_FAILED)]
         if unfinished:
             raise SimulationError(
                 f"run stalled with {len(unfinished)} unfinished job(s), e.g. {unfinished[:3]}; "
@@ -915,7 +943,7 @@ class Engine:
     def summary(self) -> SummaryReport:
         done = [j for j in self.jobs.values() if j.status == ST_DONE]
         n_failed = sum(1 for j in self.jobs.values() if j.status == ST_FAILED)
-        n_fe = len({j.spec.fe_label for j in self.jobs.values()})
+        n_fe = len({j.fe_label for j in self.jobs.values()})
         cost_per_fe = self.ledger.total_cost / n_fe if n_fe else None
         return SummaryReport(
             seed=self.config.seed,
@@ -943,8 +971,8 @@ class Engine:
         for inst in self.instances.values():  # in acquisition order
             if inst.terminated:
                 continue
-            used_v = sum(job.spec.vcpu_demand for job in inst.resident_jobs)
-            used_g = sum(job.spec.gpu_demand for job in inst.resident_jobs)
+            used_v = sum(job.shape.vcpus for job in inst.resident_jobs)
+            used_g = sum(job.shape.gpus for job in inst.resident_jobs)
             if inst.free_vcpus != inst.vcpus - used_v or inst.free_vcpus < 0:
                 raise SimulationError(f"instance {inst.id}: vcpu accounting broken")
             if inst.free_gpus != inst.gpus - used_g or inst.free_gpus < 0:
@@ -969,7 +997,7 @@ class Engine:
             raise SimulationError("usage counters disagree with the active instances")
         for job_id, job in self.jobs.items():
             count = job.cursor
-            plan = job.spec.phase_plan
+            plan = job.shape.plan
             # The length of its work table: chunks, transitions, integration and completion.
             if not 0 <= count < plan.equil_chunks + plan.n_transitions + 2:
                 raise SimulationError(f"job {job_id}: persisted item count {count} is out of range")

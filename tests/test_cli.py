@@ -604,7 +604,7 @@ def test_every_bundled_scenario_builds_its_engine(name, n_jobs):
     assert len(engine.jobs) == n_jobs
     types = {}
     for job in engine.jobs.values():
-        types.setdefault((job.spec.kind, job.spec.system), set()).update(job.candidates.names)
+        types.setdefault((job.shape.kind, job.shape.system), set()).update(job.shape.candidates.names)
     assert len(types) > 1 and all(types.values()), types
 
 

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import gc
 import math
 import re
 
 import pytest
 
+import spotbatch
 from spotbatch import catalog as cat
 from spotbatch import perfmodel as pm
 from spotbatch import workload as wl
 from spotbatch.errors import MissingRecordError, SimulationError, ValidationError
-from spotbatch.orchestrator.engine import Engine, EngineConfig
+from spotbatch.orchestrator import scenario as scen
+from spotbatch.orchestrator.engine import Engine, EngineConfig, InstanceState, MetricsSample, _Job, _Shape
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
@@ -81,9 +84,8 @@ def micro_config(**kwargs):
 
 def work_table(plan=None):
     """The micro engine's (event, duration) per work item of one job with ``plan`` on t1."""
-    job = micro_job("j1", plan=plan)
-    engine = Engine(micro_catalog(), [job], micro_records(), micro_config())
-    return [(event, duration) for event, duration, _ in engine._work_table(job, "t1")]
+    engine = Engine(micro_catalog(), [micro_job("j1", plan=plan)], micro_records(), micro_config())
+    return [(event, duration) for event, duration, _ in engine.jobs["j1"].shape.tables["t1"]]
 
 
 def test_resume_point_fresh():
@@ -284,9 +286,9 @@ def test_big_instance_packs_one_48_plus_six_8_then_acquires():
     first = engine.instances["i0001"]
     # 48 + 6 x 8 = 96 exhausts the first instance; the seventh 8-vCPU job
     # triggers a second acquisition.
-    assert {j.spec.id for j in first.resident_jobs} == {"wide"} | {f"narrow{i}" for i in range(6)}
+    assert {j.id for j in first.resident_jobs} == {"wide"} | {f"narrow{i}" for i in range(6)}
     assert first.free_vcpus == 0
-    assert [j.spec.id for j in engine.instances["i0002"].resident_jobs] == ["narrow6"]
+    assert [j.id for j in engine.instances["i0002"].resident_jobs] == ["narrow6"]
     engine.advance(math.inf)
     assert n_completed(engine) == 8
 
@@ -829,8 +831,8 @@ def test_a_job_with_no_rated_type_fails():
     jobs = [micro_job("l1", system="sysB"), micro_job("l2")]
     records = micro_records() + micro_records(instance="t9", system="sysB")
     engine = Engine(micro_catalog(), jobs, records, micro_config())
-    assert engine.jobs["l1"].candidates.types == ()
-    assert engine.jobs["l2"].candidates.types == (("t1", "t1"),)
+    assert engine.jobs["l1"].shape.candidates.types == ()
+    assert engine.jobs["l2"].shape.candidates.types == (("t1", "t1"),)
     report = engine.run()
     assert (report.n_completed, report.n_failed, report.n_submissions) == (1, 1, 2)
     assert engine.jobs["l1"].status == "failed" and engine.jobs["l1"].instance is None
@@ -841,8 +843,51 @@ def test_jobs_of_one_demand_and_candidates_share_one_queue_bucket():
     records = micro_records() + micro_records(system="sysB")
     jobs = [micro_job("c1", kind="complex", system="sysB"), micro_job("l1"), micro_job("l2", vcpus=4)]
     engine = Engine(micro_catalog(), jobs, records, micro_config())
-    c1, l1, l2 = (engine.jobs[j].candidates for j in ("c1", "l1", "l2"))
+    c1, l1, l2 = (engine.jobs[j].shape.candidates for j in ("c1", "l1", "l2"))
     assert c1 is l1 and l2 is not l1 and l2.types == l1.types
+
+
+def test_jobs_of_one_shape_share_it_wherever_they_stand_in_the_job_list():
+    # l1, l3 and l4 agree on every shape field (each has its own, equal phase
+    # plan); l2 differs in demand and c1 in kind and system.
+    records = micro_records() + micro_records(system="sysB")
+    jobs = [micro_job("l1"), micro_job("l2", vcpus=4), micro_job("l3"),
+            micro_job("c1", kind="complex", system="sysB"), micro_job("l4")]
+    engine = Engine(micro_catalog(), jobs, records, micro_config())
+    l1, l2, l3, c1, l4 = (engine.jobs[j].shape for j in ("l1", "l2", "l3", "c1", "l4"))
+    assert l1 is l3 is l4 and l2 is not l1 and c1 is not l1
+    fields = (l1.kind, l1.system, l1.vcpus, l1.gpus, l1.plan, l1.timestep_fs)
+    assert fields == ("ligand", "sysA", 2, 0, micro_plan(), 2.0)
+    assert list(l1.tables) == ["t1"] and l1.tables["t1"] is not c1.tables["t1"]
+
+
+def study2_toy_engine() -> Engine:
+    return scen.build_engine(scen.load_scenario(spotbatch.data_path("scenarios/study2_toy.json")))
+
+
+def test_a_built_engine_keeps_no_job_spec_and_builds_no_work_table_mid_run(monkeypatch):
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if type(o) is wl.JobSpec}
+    engine = study2_toy_engine()
+    gc.collect()
+    assert [o for o in gc.get_objects() if type(o) is wl.JobSpec and id(o) not in before] == []
+
+    def no_table(*args):
+        raise AssertionError("work table built after construction")
+
+    monkeypatch.setattr(Engine, "_work_table", no_table)
+    report = engine.run()
+    assert report.n_completed == report.n_jobs == 240
+
+
+def test_jobs_shapes_instances_and_samples_have_no_dict():
+    # A __dict__ adds about 100 bytes to each of these objects.
+    engine = study2_toy_engine()
+    engine.run()
+    job = next(iter(engine.jobs.values()))
+    records = [job, job.shape, next(iter(engine.instances.values())), engine.samples[0]]
+    assert [type(r) for r in records] == [_Job, _Shape, InstanceState, MetricsSample]
+    assert [r for r in records if hasattr(r, "__dict__")] == []
 
 
 def test_a_region_of_weight_zero_needs_no_price():

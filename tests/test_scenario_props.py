@@ -152,8 +152,11 @@ def build_case(case_seed: int) -> Engine:
 
 
 def job_counts(engine: Engine) -> dict:
-    """Submitted/completed/failed/in-flight partition of the engine's jobs, for conservation checks."""
-    submitted = sum(1 for j in engine.jobs.values() if j.submissions > 0)
+    """Submitted/completed/failed/in-flight partition of the engine's jobs, for conservation checks.
+
+    A job counts as submitted once its id appears in a ``job_submitted`` row.
+    """
+    submitted = len({job_id for _, _, kind, job_id, _ in engine.recorder.events if kind == "job_submitted"})
     done = sum(1 for j in engine.jobs.values() if j.status == "done")
     failed = sum(1 for j in engine.jobs.values() if j.status == "failed")
     return {"submitted": submitted, "completed": done, "failed": failed, "in_flight": submitted - done - failed}
@@ -190,7 +193,7 @@ def check_invariants(engine: Engine) -> None:
     # Completed jobs persisted every item up to their completion; failed ones never started.
     for job_id, job in engine.jobs.items():
         if job.status == "done":
-            plan = job.spec.phase_plan
+            plan = job.shape.plan
             assert job.cursor == plan.equil_chunks + plan.n_transitions + 1
         elif job.status == "failed":
             assert job.cursor == 0
