@@ -71,7 +71,10 @@ instance bill and preemption waste row to its recorder as the row happens.
 Event rows wait in one pending block, which goes to the recorder when it
 holds ``EVENT_BLOCK_ROWS`` rows and at the end of every ``advance``, also
 one that raises.  Without a recorder it builds no rows at all; the ledger
-keeps only running totals, and metrics samples stay in ``samples``.
+keeps only running totals, and metrics samples stay in ``samples``.  Nor
+does it keep a terminated instance: ``instances`` holds the live ones, in
+acquisition order, and an instance's bill is the record of it once it
+terminates.  ``n_instances`` counts the acquisitions and numbers them.
 
 Determinism: a single seeded RNG drives routing draws and preemption
 draws; events are processed in (time, seq) order with seq assigned at
@@ -80,11 +83,15 @@ Each instance has at most one reclaim, planned when it activates.  Its
 heap seq is ``_RECLAIM_SEQ`` plus the instance's acquisition number, above
 every seq a run takes, so it sorts after every other event at its
 instant, also those scheduled there later; it takes the next seq for its
-row when it runs, and is dropped if its instance has terminated first.
-So a completion and a reclaim falling on the same timestamp always
-resolve in the job's favor, reclaims at one instant run in acquisition
-order, and a second reclaim waits for the events the first one scheduled
-there.  Equal inputs and seed reproduce the event log bit for bit.
+row when it runs.  So a completion and a reclaim falling on the same
+timestamp always resolve in the job's favor, reclaims at one instant run
+in acquisition order, and a second reclaim waits for the events the first
+one scheduled there.  A reclaim whose instance has terminated first is
+stale: it is dropped when it comes off the heap, or earlier, once the stale
+reclaims outnumber the live ones, when the heap is rebuilt without them in
+one pass and one heapify.  Keys are unique, so the rebuild leaves the order
+in which events come off the heap as it was.  Equal inputs and seed
+reproduce the event log bit for bit.
 
 The engine is strictly single-threaded; independent engines may run
 concurrently but must never share state.
@@ -171,6 +178,7 @@ class InstanceState:
     free_gpus: int = 0
     idle_epoch: int = 0
     created_seq: int = 0
+    reclaim_planned: bool = False  # its reclaim waits in the event heap
 
     @property
     def terminated(self) -> bool:
@@ -318,7 +326,6 @@ _shape_key = attrgetter("kind", "system", "vcpu_demand", "gpu_demand", "phase_pl
 @dataclass(slots=True, eq=False)
 class _Job:
     id: str
-    fe_label: str
     shape: _Shape
     status: str = ST_PENDING
     epoch: int = 0
@@ -329,7 +336,6 @@ class _Job:
     # items it has persisted, which indexes its next item in work order.
     work: Sequence[WorkEntry] = ()
     cursor: int = 0
-    completed_at: Optional[float] = None
 
 
 def _head_arrival(bucket: Deque[Tuple[int, _Job]]) -> int:
@@ -365,12 +371,19 @@ class Engine:
         self.n_preemptions = 0
         self.n_submissions = 0
         self.n_events = 0
+        self.n_instances = 0  # acquisitions so far; numbers the instances
+        self._makespan = 0.0  # the time of the last completion
 
         # Entries are (time, seq, kind, subject, epoch), the subject being the
         # job or instance the event is about; seq is unique across this heap
         # and the item queues (a reclaim's is _RECLAIM_SEQ plus its instance's
         # number), so entries never compare past it.
         self._heap: List[tuple] = []
+        # The reclaims in the heap whose instance is still up, and the stale
+        # ones, whose instance has terminated first; once the stale outnumber
+        # the live, the heap is rebuilt without them.
+        self._live_reclaims = 0
+        self._stale_reclaims = 0
         # Work-item completions: one FIFO per distinct item duration, one more
         # for the jobs' completions, and a heap of the head entry of every
         # FIFO that is not empty.
@@ -457,7 +470,7 @@ class Engine:
                 tables = {name: self._work_table(plan, timestep_fs, rates[name]) for name, _ in candidates.types}
                 shape = shapes[key] = _Shape(*key, candidates, tables)
             for spec in run:
-                self.jobs[spec.id] = _Job(spec.id, spec.fe_label, shape)
+                self.jobs[spec.id] = _Job(spec.id, shape)
         if missing:
             noun = "system" if len(missing) == 1 else "systems"
             raise MissingRecordError(f"no benchmark record for {noun} {', '.join(map(repr, missing))}")
@@ -467,7 +480,9 @@ class Engine:
                 if spec.id in seen:
                     raise ValidationError(f"duplicate job id {spec.id}")
                 seen.add(spec.id)
+        self._n_fe = len({spec.fe_label for spec in jobs})
 
+        # The live instances, in acquisition order; a terminated one leaves.
         self.instances: Dict[str, InstanceState] = {}
         # Per (region, type): [active instances, vCPUs in use, GPUs in use].
         self._usage: Dict[Tuple[str, str], List[int]] = {}
@@ -564,7 +579,8 @@ class Engine:
             slot = max(self._region_next_slot.get(region, 0.0), now)
             activation = max(activation, slot)
             self._region_next_slot[region] = slot + 60.0 / per_minute
-        number = len(self.instances) + 1
+        self.n_instances += 1
+        number = self.n_instances
         inst = InstanceState(
             id=f"i{number:04d}",
             type_name=type_name,
@@ -674,6 +690,12 @@ class Engine:
 
     def _terminate_instance(self, inst: InstanceState, now: float) -> None:
         inst.terminated_at = now
+        del self.instances[inst.id]
+        if inst.reclaim_planned:  # its reclaim, still in the heap, goes stale
+            self._live_reclaims -= 1
+            self._stale_reclaims += 1
+        if self._stale_reclaims > self._live_reclaims:
+            self._drop_stale_reclaims()
         usage = self._usage[(inst.region, inst.type_name)]
         usage[0] -= 1
         usage[1] -= inst.vcpus - inst.free_vcpus
@@ -683,6 +705,17 @@ class Engine:
         if self.recorder is not None:
             self.recorder.record_bill(bill)
         self._pool[(inst.region, inst.family)] += 1
+
+    def _drop_stale_reclaims(self) -> None:
+        """Rebuild the event heap without its stale reclaims, in one pass and one heapify.
+
+        Keys are unique, so the order in which the other entries leave the
+        heap does not change.  The heap list is rebuilt in place: the event
+        loop holds it.  Only a reclaim has a seq of ``_RECLAIM_SEQ`` or more.
+        """
+        self._heap[:] = [e for e in self._heap if e[1] < _RECLAIM_SEQ or e[3].terminated_at is None]
+        heapq.heapify(self._heap)
+        self._stale_reclaims = 0
 
     # -- event handlers -----------------------------------------------------
 
@@ -713,6 +746,8 @@ class Engine:
             planned = scripted if planned is None else min(planned, scripted)
         if planned is not None:
             heapq.heappush(self._heap, (planned, _RECLAIM_SEQ + inst.created_seq, EV_PREEMPTION, inst, 0))
+            inst.reclaim_planned = True
+            self._live_reclaims += 1
         for job in inst.resident_jobs:
             self._start_next_item(job, now)
 
@@ -720,7 +755,7 @@ class Engine:
         shape = job.shape
         inst = job.instance
         job.status = ST_DONE
-        job.completed_at = now
+        self._makespan = now  # completions run in clock order
         job.work = ()
         inst.resident_jobs.remove(job)
         inst.free_vcpus += shape.vcpus
@@ -739,6 +774,8 @@ class Engine:
 
     def _on_preemption(self, inst: InstanceState, now: float) -> None:
         self.n_preemptions += 1
+        inst.reclaim_planned = False  # this is its reclaim, off the heap
+        self._live_reclaims -= 1
         self._terminate_instance(inst, now)
         for job in inst.resident_jobs:
             wasted = now - job.work_started_at
@@ -898,6 +935,7 @@ class Engine:
                 # would otherwise sample all the way to it.
                 if kind == EV_PREEMPTION:
                     if subject.terminated:
+                        self._stale_reclaims -= 1
                         continue
                     seq = self._seq  # the heap seq only placed it; its row takes the next seq
                     self._seq = seq + 1
@@ -932,22 +970,21 @@ class Engine:
                 f"run stalled with {len(unfinished)} unfinished job(s), e.g. {unfinished[:3]}; "
                 "check pool capacities and allowed instance types"
             )
-        for inst in self.instances.values():
-            if not inst.terminated:
-                # Grace period of None keeps instances up forever; close
-                # them out at the final clock so billing is complete.
-                self._terminate_instance(inst, self.clock)
+        # Grace period of None keeps instances up forever; close them out at
+        # the final clock, in acquisition order, so billing is complete.
+        for inst in list(self.instances.values()):
+            self._terminate_instance(inst, self.clock)
         self._flush_samples(self.clock, inclusive=True)
         return self.summary()
 
     def summary(self) -> SummaryReport:
         done = [j for j in self.jobs.values() if j.status == ST_DONE]
         n_failed = sum(1 for j in self.jobs.values() if j.status == ST_FAILED)
-        n_fe = len({j.fe_label for j in self.jobs.values()})
+        n_fe = self._n_fe  # distinct FE labels among the jobs
         cost_per_fe = self.ledger.total_cost / n_fe if n_fe else None
         return SummaryReport(
             seed=self.config.seed,
-            makespan_s=max((j.completed_at for j in done), default=0.0),
+            makespan_s=self._makespan,
             final_time_s=self.clock,
             total_cost=self.ledger.total_cost,
             cost_per_fe=cost_per_fe,
@@ -956,7 +993,7 @@ class Engine:
             n_completed=len(done),
             n_failed=n_failed,
             n_submissions=self.n_submissions,
-            n_instances=len(self.instances),
+            n_instances=self.n_instances,
             n_preemptions=self.n_preemptions,
             n_events=self.n_events,
             productive_core_hours=self.ledger.productive_core_seconds / 3600.0,
@@ -970,7 +1007,7 @@ class Engine:
         expected_open: Dict[str, List[str]] = {r: [] for r in self._region_free}
         for inst in self.instances.values():  # in acquisition order
             if inst.terminated:
-                continue
+                raise SimulationError(f"instance {inst.id}: kept after it terminated")
             used_v = sum(job.shape.vcpus for job in inst.resident_jobs)
             used_g = sum(job.shape.gpus for job in inst.resident_jobs)
             if inst.free_vcpus != inst.vcpus - used_v or inst.free_vcpus < 0:
@@ -987,7 +1024,7 @@ class Engine:
                 raise SimulationError(f"region {region}: open-capacity index out of date")
         recount: Dict[Tuple[str, str], List[int]] = {}
         for inst in self.instances.values():
-            if not inst.active or inst.terminated:
+            if not inst.active:
                 continue
             usage = recount.setdefault((inst.region, inst.type_name), [0, 0, 0])
             usage[0] += 1
@@ -995,6 +1032,12 @@ class Engine:
             usage[2] += inst.gpus - inst.free_gpus
         if {key: usage for key, usage in self._usage.items() if any(usage)} != recount:
             raise SimulationError("usage counters disagree with the active instances")
+        reclaimed = [entry[3] for entry in self._heap if entry[2] == EV_PREEMPTION]
+        stale = sum(1 for inst in reclaimed if inst.terminated)
+        if (len(reclaimed) - stale, stale) != (self._live_reclaims, self._stale_reclaims):
+            raise SimulationError("reclaim counts disagree with the event heap")
+        if stale > len(reclaimed) - stale:
+            raise SimulationError("stale reclaims outnumber the live ones")
         for job_id, job in self.jobs.items():
             count = job.cursor
             plan = job.shape.plan

@@ -29,6 +29,10 @@ JOB_KINDS = (KIND_COMPLEX, KIND_LIGAND)
 
 DEFAULT_CHUNK_STEPS = 500_000
 MAX_CHUNK_ITERATIONS = 8
+# The most transitions one phase plan may hold.  A job's work table has an
+# entry per transition, so a larger count could exhaust memory when an engine
+# builds the table; the bundled workloads use 80.
+MAX_TRANSITIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,8 @@ class PhasePlan:
     Equilibration runs as ``equil_chunks`` restart chunks of at most
     ``chunk_steps`` integration steps; the runner gives up after
     ``max_chunk_iterations`` chunk attempts, so plans needing more chunks
-    than that are rejected outright.
+    than that are rejected outright.  At most ``MAX_TRANSITIONS``
+    transitions follow.
     """
 
     equil_chunks: int
@@ -131,8 +136,9 @@ class PhasePlan:
                 f"phase plan: {self.equil_chunks} chunks exceed the "
                 f"{self.max_chunk_iterations}-iteration restart budget"
             )
-        if self.n_transitions < 0 or self.transition_steps < 0:
-            raise ValidationError("phase plan: transition counts must be >= 0")
+        finite_number("n_transitions", self.n_transitions, 0, MAX_TRANSITIONS)
+        if self.transition_steps < 0:
+            raise ValidationError("phase plan: transition steps must be >= 0")
 
     def chunk_length(self, index: int) -> int:
         """Steps in chunk ``index`` (the final chunk only covers the remainder)."""
@@ -158,7 +164,6 @@ def make_phase_plan(
     finite_number("timestep_fs", timestep_fs, 0, low_open=True)
     finite_number("chunk_steps", chunk_steps, 0, low_open=True)
     finite_number("transition_ps", transition_ps, 0, low_open=True)
-    finite_number("n_transitions", n_transitions, 0)
     total_equil_steps = round(finite_number("equil_ns * 1e6 / timestep_fs", equil_ns * 1e6 / timestep_fs))
     equil_chunks = math.ceil(total_equil_steps / chunk_steps)
     transition_steps = round(

@@ -138,8 +138,9 @@ def test_criterion_7_simulator_property_suite():
     with criterion(7, "randomized scenario invariants, determinism, and routing statistics"):
         for case_seed in range(test_scenario_props.N_CASES):
             engine = test_scenario_props.build_case(case_seed)
+            acquired = test_engine.track_acquisitions(engine)
             engine.run()
-            test_scenario_props.check_invariants(engine)
+            test_scenario_props.check_invariants(engine, acquired)
             again = test_scenario_props.build_case(case_seed)
             again.run()
             assert again.recorder.events == engine.recorder.events

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -166,12 +167,41 @@ EXPECTED_MICRO_LEDGER = [
 ]
 
 
-def run_micro_scenario():
+def micro_scenario_engine():
     jobs = [micro_job("j1"), micro_job("j2"), micro_job("j3")]
     config = micro_config(scripted_preemptions={"i0001": 1500.0})
-    engine = Engine(micro_catalog(), jobs, micro_records(), config, MemoryRecorder())
+    return Engine(micro_catalog(), jobs, micro_records(), config, MemoryRecorder())
+
+
+def run_micro_scenario():
+    engine = micro_scenario_engine()
     report = engine.run()
     return engine, report
+
+
+def track_acquisitions(engine):
+    """A list that gets every instance ``engine`` acquires, in acquisition order.
+
+    The engine lets go of an instance once it terminates; this list, kept by
+    the test, holds them all for oracles that recompute the bills.
+    """
+    acquired = []
+    acquire = engine._acquire
+
+    def tracked(*args):
+        inst = acquire(*args)
+        acquired.append(inst)
+        return inst
+
+    engine._acquire = tracked
+    return acquired
+
+
+def reclaim_counts(engine):
+    """(live, stale) planned reclaims in the engine's event heap; a stale one's instance has terminated."""
+    reclaimed = [entry[3] for entry in engine._heap if entry[2] == "preemption"]
+    stale = sum(1 for inst in reclaimed if inst.terminated)
+    return len(reclaimed) - stale, stale
 
 
 def test_micro_event_log_matches_hand_table():
@@ -418,10 +448,12 @@ def test_the_sample_at_a_reclaim_is_taken_after_it():
 def test_advance_runs_a_reclaim_planned_at_until():
     config = micro_config(routing=RoutingPolicy({"r1": 1}), scripted_preemptions={"i0001": 1500.0})
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+    acquired = track_acquisitions(engine)
     engine.submit_all()
     engine.advance(1500.0)
     assert engine.n_preemptions == 1
-    assert engine.instances["i0001"].terminated_at == 1500.0
+    assert acquired[0].id == "i0001" and acquired[0].terminated_at == 1500.0
+    assert "i0001" not in engine.instances
 
 
 def test_preempted_instance_work_is_recomputed_elsewhere():
@@ -480,10 +512,11 @@ def test_infinite_grace_bills_until_run_end():
 
 
 def test_billing_identity_recomputed_from_instances():
-    engine, report = run_micro_scenario()
-    recomputed = sum(
-        (i.terminated_at - i.acquired_at) * i.rate / 3600.0 for i in engine.instances.values()
-    )
+    engine = micro_scenario_engine()
+    acquired = track_acquisitions(engine)
+    report = engine.run()
+    assert len(acquired) == report.n_instances == 3
+    recomputed = sum((i.terminated_at - i.acquired_at) * i.rate / 3600.0 for i in acquired)
     assert report.total_cost == pytest.approx(recomputed, abs=1e-9)
     assert report.total_cost == pytest.approx(sum(cost for *_, cost in engine.recorder.bills), abs=1e-12)
 
@@ -883,11 +916,53 @@ def test_a_built_engine_keeps_no_job_spec_and_builds_no_work_table_mid_run(monke
 def test_jobs_shapes_instances_and_samples_have_no_dict():
     # A __dict__ adds about 100 bytes to each of these objects.
     engine = study2_toy_engine()
+    acquired = track_acquisitions(engine)
     engine.run()
     job = next(iter(engine.jobs.values()))
-    records = [job, job.shape, next(iter(engine.instances.values())), engine.samples[0]]
+    records = [job, job.shape, acquired[0], engine.samples[0]]
     assert [type(r) for r in records] == [_Job, _Shape, InstanceState, MetricsSample]
     assert [r for r in records if hasattr(r, "__dict__")] == []
+
+
+# -- a run keeps only live instances ----------------------------------------------------
+
+
+def study2_toy_under_hazard_in_steps(step_s=600.0):
+    """study2_toy under a Spot hazard, recording, yielded after each ``step_s`` advance, then after run()."""
+    scenario = scen.load_scenario(spotbatch.data_path("scenarios/study2_toy.json"))
+    config = replace(scenario.config, preemption=PreemptionModel({"*/*": 0.2}))
+    engine = scen.build_engine(replace(scenario, config=config), record_events=True)
+    engine.submit_all()
+    until = 0.0
+    while any(job.status not in ("done", "failed") for job in engine.jobs.values()):
+        engine.advance(until)
+        yield engine
+        until += step_s
+    engine.run()
+    yield engine
+
+
+def test_a_run_keeps_no_terminated_instance():
+    terminated = 0
+    for engine in study2_toy_under_hazard_in_steps():
+        assert [i.id for i in engine.instances.values() if i.terminated] == []
+        terminated = len(engine.recorder.bills)
+    assert terminated > 400 and engine.instances == {}
+
+
+def test_stale_reclaims_never_outnumber_the_live_ones():
+    most_stale = 0
+    for engine in study2_toy_under_hazard_in_steps():
+        live, stale = reclaim_counts(engine)
+        assert stale <= live
+        most_stale = max(most_stale, stale)
+    assert most_stale > 0 and reclaim_counts(engine) == (0, 0)
+
+
+def test_n_instances_counts_the_bills_and_the_live_instances():
+    for engine in study2_toy_under_hazard_in_steps():
+        assert engine.summary().n_instances == len(engine.recorder.bills) + len(engine.instances)
+    assert engine.summary().n_instances == len(engine.recorder.bills) > 400
 
 
 def test_a_region_of_weight_zero_needs_no_price():

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spotbatch
@@ -113,9 +113,13 @@ def test_fuzzed_scenario_builds_or_raises_an_input_error(scenario_file, path, va
 
 @pytest.mark.parametrize("role", sorted(NAMED))
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), value=JSON_VALUES)
-def test_fuzzed_catalog_or_workload_builds_or_raises_an_input_error(scenario_file, role, data, value):
-    path = data.draw(st.sampled_from(NAMED_KEY_PATHS[role]), label="path")
+@given(pick=st.integers(min_value=0), value=JSON_VALUES)
+# A transition count this large once built a work table until memory ran out.
+@example(pick=NAMED_KEY_PATHS["workload"].index(("n_transitions",)), value=2.584234497615869e16)
+def test_fuzzed_catalog_or_workload_builds_or_raises_an_input_error(scenario_file, role, pick, value):
+    """``pick`` chooses the replaced value's path among the role's key paths, modulo their count."""
+    paths = NAMED_KEY_PATHS[role]
+    path = paths[pick % len(paths)]
     named_file = scenario_file.with_name(f"{role}.json")
     named_file.write_text(json.dumps(_replaced(NAMED[role], path, value)))
     scenario_file.write_text(json.dumps(dict(BASE, **{role: str(named_file)})))

@@ -20,6 +20,7 @@ from spotbatch.orchestrator.engine import Engine, EngineConfig, MetricsSample
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
+from test_engine import reclaim_counts, track_acquisitions
 
 N_CASES = 200
 
@@ -162,7 +163,8 @@ def job_counts(engine: Engine) -> dict:
     return {"submitted": submitted, "completed": done, "failed": failed, "in_flight": submitted - done - failed}
 
 
-def check_invariants(engine: Engine) -> None:
+def check_invariants(engine: Engine, acquired: list) -> None:
+    """Check a finished run; ``acquired`` holds every instance it acquired (see ``track_acquisitions``)."""
     report = engine.summary()
     counts = job_counts(engine)
 
@@ -171,11 +173,16 @@ def check_invariants(engine: Engine) -> None:
     assert counts["completed"] + counts["failed"] == report.n_jobs
     assert counts["in_flight"] == 0
 
+    # The engine has let go of every instance, and of every reclaim still planned
+    # for one; the bills, one per acquired instance, are the record of them.
+    assert engine.instances == {}
+    assert reclaim_counts(engine) == (0, 0)
+    assert report.n_instances == len(acquired) == len(engine.recorder.bills)
+    assert sorted(i.id for i in acquired) == sorted(instance_id for instance_id, *_ in engine.recorder.bills)
+
     # Billing identity, to one second of billing granularity per instance.
-    recomputed = sum(
-        (i.terminated_at - i.acquired_at) * i.rate / 3600.0 for i in engine.instances.values()
-    )
-    slack = sum(i.rate / 3600.0 for i in engine.instances.values())
+    recomputed = sum((i.terminated_at - i.acquired_at) * i.rate / 3600.0 for i in acquired)
+    slack = sum(i.rate / 3600.0 for i in acquired)
     assert abs(report.total_cost - recomputed) <= slack + 1e-9
     assert report.total_cost == pytest.approx(sum(cost for *_, cost in engine.recorder.bills), abs=1e-9)
 
@@ -206,8 +213,9 @@ def check_invariants(engine: Engine) -> None:
 @pytest.mark.parametrize("case_seed", range(N_CASES))
 def test_random_scenario_invariants(case_seed):
     engine = build_case(case_seed)
+    acquired = track_acquisitions(engine)
     engine.run()
-    check_invariants(engine)
+    check_invariants(engine, acquired)
 
     # Bitwise determinism: same construction, same seed, same everything.
     again = build_case(case_seed)
@@ -262,10 +270,11 @@ def test_liveness_under_heavy_preemption():
         strict_checks=True,
     )
     engine = Engine(catalog, jobs, records, config, MemoryRecorder())
+    acquired = track_acquisitions(engine)
     report = engine.run()
     assert report.n_completed == 10
     assert len(engine.recorder.waste) >= 3 * 10
-    check_invariants(engine)
+    check_invariants(engine, acquired)
 
 
 def usage_rows(engine: Engine, time_s: float) -> list:

@@ -59,6 +59,13 @@ def test_plan_rejects_more_chunks_than_restart_budget():
         wl.make_phase_plan(60.0, 2.0, 500_000, 80, 50.0)
 
 
+def test_plan_rejects_more_transitions_than_the_limit():
+    assert wl.make_phase_plan(6.0, 2.0, 500_000, wl.MAX_TRANSITIONS, 50.0).n_transitions == wl.MAX_TRANSITIONS
+    for count in (wl.MAX_TRANSITIONS + 1, 25_842_344_976_158_690):
+        with pytest.raises(ValidationError, match="n_transitions"):
+            wl.make_phase_plan(6.0, 2.0, 500_000, count, 50.0)
+
+
 def test_plan_rejects_nonpositive_inputs():
     with pytest.raises(ValueError):
         wl.make_phase_plan(0.0, 2.0)
@@ -242,3 +249,4 @@ def test_job_spec_rejects_bad_fields(fields, message):
 def test_spec_rejects_non_finite_step_counts(overrides, named):
     with pytest.raises(ValidationError, match=re.escape(f"{named} must be a finite number, got inf")):
         small_spec(**overrides)
+
