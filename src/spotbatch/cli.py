@@ -61,7 +61,7 @@ def cmd_validate(args) -> int:
         problems += str(exc).splitlines()
     if args.workload:
         try:
-            workload.load_workload(args.workload).expand()
+            workload.load_workload(args.workload)
         except SpotbatchError as exc:
             problems += str(exc).splitlines()
     if problems:

@@ -10,11 +10,16 @@ boundary and re-enter routing as fresh submissions.  Instances accrue
 cost per second from activation to termination and idle instances
 terminate after a grace period.
 
-Jobs that agree on kind, system, demand (vCPUs, GPUs), phase plan and
-timestep share one shape, built at construction: those fields, the
-candidate types and one work table per candidate type.  A job keeps only
-its id, its FE label, its shape and its run state, so the engine holds no
-``JobSpec`` once it is built, and no work table is built mid-run.
+A job is its index in the job sequence the engine is built from; heap
+entries, item queues, resident lists and queue buckets hold the index, and
+flat lists indexed by it (``job_status``, ``job_region`` and the rest) hold
+its state.  Jobs that agree on kind, system, demand (vCPUs, GPUs), phase
+plan and timestep share one shape (``job_shape``), built at construction:
+those fields, the candidate types and one work table per candidate type.
+The engine reads a job's id from the sequence only for a row or a message:
+an expanded workload builds a ``JobSpec`` only when read, so an engine built
+from one holds no ``JobSpec`` and no id string; a recorded run reads every
+id once.
 
 A shape's candidate types are the types allowed for its kind that fit its
 demand and have a rate for its system in the benchmark set's rate table.
@@ -31,11 +36,11 @@ queued, the later jobs with both the same wait out the rest of the pass.
 The queue is kept as one FIFO bucket per (demand, candidates) so that a
 pass costs O(placements + buckets), not O(queue length).
 
-A job's work is its shape's table for the type of the instance it is on:
+A job's work (``job_work``) is its shape's table for its instance's type:
 one entry of (completion event, duration, queue) per item, in the order
 the items run.  Each equilibration chunk comes first, then each
 transition, then the integration and the job's completion, both of zero
-duration.  A job's progress is one count: the number of items it has
+duration.  A job's progress (``job_cursor``) is the number of items it has
 persisted, which is also the index in the table of the item that runs next.
 The count only grows; a preemption loses the item in flight and leaves the
 count as it is.  When a job boards an instance, it takes the table for that
@@ -89,9 +94,8 @@ in acquisition order, and a second reclaim waits for the events the first
 one scheduled there.  A reclaim whose instance has terminated first is
 stale: it is dropped when it comes off the heap, or earlier, once the stale
 reclaims outnumber the live ones, when the heap is rebuilt without them in
-one pass and one heapify.  Keys are unique, so the rebuild leaves the order
-in which events come off the heap as it was.  Equal inputs and seed
-reproduce the event log bit for bit.
+one pass and one heapify.  Equal inputs and seed reproduce the event log
+bit for bit.
 
 The engine is strictly single-threaded; independent engines may run
 concurrently but must never share state.
@@ -105,8 +109,8 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from itertools import groupby, islice
+from operator import attrgetter, eq
 from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .. import catalog as cat
@@ -152,7 +156,7 @@ _ITEM_KINDS = {
 
 # A work item's completion, queued in the FIFO of its duration:
 # (time, seq, job, epoch, that FIFO).
-ItemEntry = Tuple[float, int, "_Job", int, Deque]
+ItemEntry = Tuple[float, int, int, int, Deque]
 
 # (event that completes it, duration in seconds, FIFO of that duration) for
 # one item of a job's work on one instance type.
@@ -173,7 +177,7 @@ class InstanceState:
     family: str
     active: bool = False
     terminated_at: Optional[float] = None
-    resident_jobs: List[_Job] = field(default_factory=list)
+    resident_jobs: List[int] = field(default_factory=list)
     free_vcpus: int = 0
     free_gpus: int = 0
     idle_epoch: int = 0
@@ -323,22 +327,7 @@ class _Shape:
 _shape_key = attrgetter("kind", "system", "vcpu_demand", "gpu_demand", "phase_plan", "timestep_fs")
 
 
-@dataclass(slots=True, eq=False)
-class _Job:
-    id: str
-    shape: _Shape
-    status: str = ST_PENDING
-    epoch: int = 0
-    instance: Optional[InstanceState] = None
-    region: Optional[str] = None
-    work_started_at: float = 0.0
-    # The current residency's work table, and the job's progress: the count of
-    # items it has persisted, which indexes its next item in work order.
-    work: Sequence[WorkEntry] = ()
-    cursor: int = 0
-
-
-def _head_arrival(bucket: Deque[Tuple[int, _Job]]) -> int:
+def _head_arrival(bucket: Deque[Tuple[int, int]]) -> int:
     return bucket[0][0]
 
 
@@ -374,10 +363,8 @@ class Engine:
         self.n_instances = 0  # acquisitions so far; numbers the instances
         self._makespan = 0.0  # the time of the last completion
 
-        # Entries are (time, seq, kind, subject, epoch), the subject being the
-        # job or instance the event is about; seq is unique across this heap
-        # and the item queues (a reclaim's is _RECLAIM_SEQ plus its instance's
-        # number), so entries never compare past it.
+        # Entries are (time, seq, kind, subject, epoch); seq is unique across
+        # this heap and the item queues, so entries never compare past it.
         self._heap: List[tuple] = []
         # The reclaims in the heap whose instance is still up, and the stale
         # ones, whose instance has terminated first; once the stale outnumber
@@ -392,7 +379,8 @@ class Engine:
         self._item_heads: List[ItemEntry] = []
         # Event rows not yet handed to the recorder, at most one block.
         self._rows: List[EventRow] = []
-        self._last_progress: Dict[str, int] = {}  # each job's count at the last strict check
+        self._job_ids: Optional[List[str]] = None  # every job's id, read once a recorder needs them
+        self._last_progress: List[int] = []  # each job's count at the last strict check
         self._seq = 0
         self._arrivals = 0  # queue arrivals so far; orders the queue buckets
         # Without an interval no sample is ever due.
@@ -440,7 +428,8 @@ class Engine:
         # Each (kind, system, vCPUs, GPUs) of the jobs with no candidate type,
         # with the types listed for the kind, in first-seen job order.
         self.no_candidates: List[Tuple[str, str, int, int, Tuple[str, ...]]] = []
-        self.jobs: Dict[str, _Job] = {}
+        self.job_shape: List[_Shape] = []
+        id_hashes, fe_labels = [], set()
         # Expansion lists the jobs of one shape next to each other, so the
         # shape is looked up once per run of them; groupby compares the keys,
         # whose fields are mostly the same objects, without hashing a plan.
@@ -470,17 +459,31 @@ class Engine:
                 tables = {name: self._work_table(plan, timestep_fs, rates[name]) for name, _ in candidates.types}
                 shape = shapes[key] = _Shape(*key, candidates, tables)
             for spec in run:
-                self.jobs[spec.id] = _Job(spec.id, shape)
+                id_hashes.append(hash(spec.id))
+                fe_labels.add(spec.fe_label)
+                self.job_shape.append(shape)
         if missing:
             noun = "system" if len(missing) == 1 else "systems"
             raise MissingRecordError(f"no benchmark record for {noun} {', '.join(map(repr, missing))}")
-        if len(self.jobs) < len(jobs):
+        # Sorted hashes find a repeated id without a set of every id, whose table would
+        # outlive the build as heap fragmentation; a repeated hash walks the jobs again.
+        id_hashes.sort()
+        if any(map(eq, id_hashes, islice(id_hashes, 1, None))):
             seen = set()
             for spec in jobs:
                 if spec.id in seen:
                     raise ValidationError(f"duplicate job id {spec.id}")
                 seen.add(spec.id)
-        self._n_fe = len({spec.fe_label for spec in jobs})
+        self._jobs: Sequence[JobSpec] = jobs
+        self._n_fe = len(fe_labels)
+        n = len(self.job_shape)
+        self.job_status: List[str] = [ST_PENDING] * n
+        self.job_epoch: List[int] = [0] * n
+        self.job_instance: List[Optional[InstanceState]] = [None] * n
+        self.job_region: List[Optional[str]] = [None] * n
+        self.job_started: List[float] = [0.0] * n  # when its item in flight started
+        self.job_work: List[Sequence[WorkEntry]] = [()] * n
+        self.job_cursor: List[int] = [0] * n
 
         # The live instances, in acquisition order; a terminated one leaves.
         self.instances: Dict[str, InstanceState] = {}
@@ -489,7 +492,7 @@ class Engine:
         # Per region, the unterminated instances with a free vCPU, in acquisition order.
         self._region_free: Dict[str, List[InstanceState]] = {r: [] for r in catalog.regions}
         # Per region, one FIFO of (arrival, job) per shared candidates object.
-        self._region_queue: Dict[str, Dict[_Candidates, Deque[Tuple[int, _Job]]]] = {
+        self._region_queue: Dict[str, Dict[_Candidates, Deque[Tuple[int, int]]]] = {
             r: {} for r in catalog.regions
         }
 
@@ -497,7 +500,7 @@ class Engine:
 
     # -- scheduling primitives -------------------------------------------
 
-    def _schedule(self, time: float, kind: str, subject: _Job | InstanceState, epoch: int = 0) -> None:
+    def _schedule(self, time: float, kind: str, subject: int | InstanceState, epoch: int = 0) -> None:
         if time < self.clock:
             raise _clock_error(kind, time, self.clock)
         heapq.heappush(self._heap, (time, self._seq, kind, subject, epoch))
@@ -530,8 +533,8 @@ class Engine:
         # The first wave that names a kind submits it; a kind no wave names starts at 0 s.
         start = {kind: time_s for time_s, kinds in reversed(self.config.waves) for kind in kinds}
         entries = [
-            (start.get(job.shape.kind, 0.0), seq, EV_JOB_SUBMITTED, job, 0)
-            for seq, job in enumerate(self.jobs.values(), self._seq)
+            (start.get(shape.kind, 0.0), self._seq + job, EV_JOB_SUBMITTED, job, 0)
+            for job, shape in enumerate(self.job_shape)
         ]
         late = next((entry for entry in entries if entry[0] < self.clock), None)
         if late:
@@ -553,24 +556,24 @@ class Engine:
         if present:
             del open_list[i]
 
-    def _board(self, job: _Job, inst: InstanceState, now: float) -> None:
-        shape = job.shape
+    def _board(self, job: int, inst: InstanceState, now: float) -> None:
+        shape = self.job_shape[job]
         inst.free_vcpus -= shape.vcpus
         inst.free_gpus -= shape.gpus
         inst.resident_jobs.append(job)
         inst.idle_epoch += 1  # cancels any pending idle timeout
         if inst.free_vcpus < 1:
             self._close(inst)
-        job.instance = inst
-        job.status = ST_RUNNING
-        job.work = shape.tables[inst.type_name]
+        self.job_instance[job] = inst
+        self.job_status[job] = ST_RUNNING
+        self.job_work[job] = shape.tables[inst.type_name]
         if inst.active:
             usage = self._usage[(inst.region, inst.type_name)]
             usage[1] += shape.vcpus
             usage[2] += shape.gpus
             self._start_next_item(job, now)
 
-    def _acquire(self, job: _Job, type_name: str, region: str, now: float) -> InstanceState:
+    def _acquire(self, job: int, type_name: str, region: str, now: float) -> InstanceState:
         spec, rate = self._quotes[(type_name, region)]
         self._pool[(region, spec.family)] -= 1
         activation = now + self.config.acquisition_latency_s
@@ -600,21 +603,21 @@ class Engine:
         self._board(job, inst, now)
         return inst
 
-    def _place(self, job: _Job, now: float) -> str:
+    def _place(self, job: int, now: float) -> str:
         """First-fit pack onto a candidate type, else acquire one, else queue; no candidate fails.
 
         Only instances with at least one free vCPU are scanned (full ones
         can never accept a job), in acquisition order.  The first candidate
         whose family has pool left is acquired.
         """
-        shape = job.shape
+        shape = self.job_shape[job]
         candidates = shape.candidates
         if not candidates.types:
-            job.status = ST_FAILED
+            self.job_status[job] = ST_FAILED
             return "infeasible"
         vd, gd = shape.vcpus, shape.gpus
         names = candidates.names
-        region = job.region
+        region = self.job_region[job]
         for inst in self._region_free[region]:
             if inst.type_name in names and inst.free_vcpus >= vd and inst.free_gpus >= gd:
                 self._board(job, inst, now)
@@ -623,12 +626,12 @@ class Engine:
             if self._pool[(region, family)] > 0:
                 self._acquire(job, type_name, region, now)
                 return "acquired"
-        job.status = ST_QUEUED
+        self.job_status[job] = ST_QUEUED
         return "queued"
 
-    def _enqueue(self, job: _Job) -> None:
-        buckets = self._region_queue[job.region]
-        candidates = job.shape.candidates
+    def _enqueue(self, job: int) -> None:
+        buckets = self._region_queue[self.job_region[job]]
+        candidates = self.job_shape[job].candidates
         bucket = buckets.get(candidates)
         if bucket is None:
             bucket = buckets[candidates] = deque()
@@ -659,14 +662,14 @@ class Engine:
 
     # -- job execution ----------------------------------------------------
 
-    def _start_next_item(self, job: _Job, now: float) -> None:
+    def _start_next_item(self, job: int, now: float) -> None:
         """Queue the completion of the job's item at its cursor (the loop queues the rest)."""
-        kind, duration, fifo = job.work[job.cursor]
+        kind, duration, fifo = self.job_work[job][self.job_cursor[job]]
         time = now + duration
         if time < self.clock:
             raise _clock_error(kind, time, self.clock)
-        job.work_started_at = now
-        entry = (time, self._seq, job, job.epoch, fifo)
+        self.job_started[job] = now
+        entry = (time, self._seq, job, self.job_epoch[job], fifo)
         if not fifo:
             heapq.heappush(self._item_heads, entry)
         fifo.append(entry)
@@ -719,15 +722,15 @@ class Engine:
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_job_submitted(self, job: _Job, now: float) -> None:
+    def _on_job_submitted(self, job: int, now: float) -> None:
         self.n_submissions += 1
-        job.region = self.router.route()
+        region = self.job_region[job] = self.router.route()
         outcome = self._place(job, now)
         if outcome == "queued":
             self._enqueue(job)
         elif outcome == "acquired":
             # Leftover capacity on the fresh instance may fit queued jobs.
-            self._retry_queue(job.region, now)
+            self._retry_queue(region, now)
 
     def _on_instance_acquired(self, inst: InstanceState, now: float) -> None:
         inst.active = True
@@ -751,12 +754,12 @@ class Engine:
         for job in inst.resident_jobs:
             self._start_next_item(job, now)
 
-    def _on_job_completed(self, job: _Job, now: float) -> None:
-        shape = job.shape
-        inst = job.instance
-        job.status = ST_DONE
+    def _on_job_completed(self, job: int, now: float) -> None:
+        shape = self.job_shape[job]
+        inst = self.job_instance[job]
+        self.job_status[job] = ST_DONE
         self._makespan = now  # completions run in clock order
-        job.work = ()
+        self.job_work[job] = ()
         inst.resident_jobs.remove(job)
         inst.free_vcpus += shape.vcpus
         inst.free_gpus += shape.gpus
@@ -766,7 +769,7 @@ class Engine:
         open_list, i, present = self._open_position(inst)
         if not present and inst.free_vcpus >= 1:
             open_list.insert(i, inst)
-        job.instance = None
+        self.job_instance[job] = None
         inst.idle_epoch += 1
         if not inst.resident_jobs and self.config.grace_period_s is not None:
             self._schedule(now + self.config.grace_period_s, EV_IDLE_TIMEOUT, inst, inst.idle_epoch)
@@ -778,15 +781,15 @@ class Engine:
         self._live_reclaims -= 1
         self._terminate_instance(inst, now)
         for job in inst.resident_jobs:
-            wasted = now - job.work_started_at
-            self.ledger.wasted_core_seconds += wasted * job.shape.vcpus
+            wasted = now - self.job_started[job]
+            self.ledger.wasted_core_seconds += wasted * self.job_shape[job].vcpus
             if self.recorder is not None:
-                event, duration, _ = job.work[job.cursor]
-                self.recorder.record_waste((inst.id, job.id, wasted, _ITEM_KINDS[event], duration))
-            job.epoch += 1  # invalidates the in-flight completion event
-            job.instance = None
-            job.work = ()
-            job.status = ST_PENDING
+                event, duration, _ = self.job_work[job][self.job_cursor[job]]
+                self.recorder.record_waste((inst.id, self._job_ids[job], wasted, _ITEM_KINDS[event], duration))
+            self.job_epoch[job] += 1  # invalidates the in-flight completion event
+            self.job_instance[job] = None
+            self.job_work[job] = ()
+            self.job_status[job] = ST_PENDING
             self._schedule(now, EV_JOB_SUBMITTED, job)
         inst.resident_jobs.clear()
         inst.free_vcpus = inst.vcpus
@@ -812,7 +815,7 @@ class Engine:
 
     # -- main loop -------------------------------------------------------------
 
-    def _run_items(self, stop: float, t_event: float, seq_event: int) -> Optional[_Job]:
+    def _run_items(self, stop: float, t_event: float, seq_event: int) -> Optional[int]:
         """Handle queued work items in (time, seq) order while they are due by ``stop``.
 
         ``stop`` is the earliest of the next sample time, the end of the
@@ -822,12 +825,11 @@ class Engine:
         as it always is against a reclaim.  Returns the job whose completion
         it reached (counted and recorded; its handler is left to the caller),
         else None.
-
-        Every persisted item queues the job's next item and so takes one
-        seq; the items handled are counted from the seqs taken.
         """
         heads, ledger, completions = self._item_heads, self.ledger, self._completions
         heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
+        epochs, works, cursors, started = self.job_epoch, self.job_work, self.job_cursor, self.job_started
+        shapes, instances, ids = self.job_shape, self.job_instance, self._job_ids
         rows = None if self.recorder is None else self._rows
         block = EVENT_BLOCK_ROWS
         strict_checks = self.config.strict_checks
@@ -845,12 +847,12 @@ class Engine:
                     heapreplace(heads, fifo[0])
                 else:
                     heappop(heads)
-                if job.epoch != epoch:  # the job was preempted since
+                if epochs[job] != epoch:  # the job was preempted since
                     continue
                 clock = time
-                work, cursor = job.work, job.cursor
+                work, cursor = works[job], cursors[job]
                 if rows is not None:
-                    rows.append((time, item_seq, work[cursor][0], job.id, job.instance.id))
+                    rows.append((time, item_seq, work[cursor][0], ids[job], instances[job].id))
                     if len(rows) >= block:
                         rows = self._hand_over()
                 if fifo is completions:
@@ -858,14 +860,14 @@ class Engine:
                     return job
                 # The item reached a persisted boundary: credit it, count it
                 # and queue the next item behind the others of its duration.
-                productive += (time - job.work_started_at) * job.shape.vcpus
+                productive += (time - started[job]) * shapes[job].vcpus
                 cursor += 1
-                job.cursor = cursor
+                cursors[job] = cursor
                 next_kind, duration, next_fifo = work[cursor]
                 next_time = time + duration
                 if next_time < time:
                     raise _clock_error(next_kind, next_time, time)
-                job.work_started_at = time
+                started[job] = time
                 entry = (next_time, seq, job, epoch, next_fifo)
                 if not next_fifo:
                     heappush(heads, entry)
@@ -892,6 +894,8 @@ class Engine:
         """
         if until < self.clock:
             raise SimulationError(f"cannot advance to {until}: clock is already at {self.clock}")
+        if self.recorder is not None and self._job_ids is None:
+            self._job_ids = [spec.id for spec in self._jobs]
         try:
             self._advance(until)
         finally:
@@ -948,8 +952,8 @@ class Engine:
             self.clock = t_next
             self.n_events += 1
             if recording:
-                if isinstance(subject, _Job):
-                    self._record((t_next, seq, kind, subject.id, ""))
+                if type(subject) is int:
+                    self._record((t_next, seq, kind, self._job_ids[subject], ""))
                 else:
                     self._record((t_next, seq, kind, "", subject.id))
             handlers[kind](subject, t_next)
@@ -964,10 +968,11 @@ class Engine:
         if not self._submitted:
             self.submit_all()
         self.advance(math.inf)
-        unfinished = [j.id for j in self.jobs.values() if j.status not in (ST_DONE, ST_FAILED)]
+        unfinished = [job for job, status in enumerate(self.job_status) if status not in (ST_DONE, ST_FAILED)]
         if unfinished:
+            examples = [self._jobs[job].id for job in unfinished[:3]]
             raise SimulationError(
-                f"run stalled with {len(unfinished)} unfinished job(s), e.g. {unfinished[:3]}; "
+                f"run stalled with {len(unfinished)} unfinished job(s), e.g. {examples}; "
                 "check pool capacities and allowed instance types"
             )
         # Grace period of None keeps instances up forever; close them out at
@@ -978,8 +983,6 @@ class Engine:
         return self.summary()
 
     def summary(self) -> SummaryReport:
-        done = [j for j in self.jobs.values() if j.status == ST_DONE]
-        n_failed = sum(1 for j in self.jobs.values() if j.status == ST_FAILED)
         n_fe = self._n_fe  # distinct FE labels among the jobs
         cost_per_fe = self.ledger.total_cost / n_fe if n_fe else None
         return SummaryReport(
@@ -989,9 +992,9 @@ class Engine:
             total_cost=self.ledger.total_cost,
             cost_per_fe=cost_per_fe,
             n_fe_differences=n_fe,
-            n_jobs=len(self.jobs),
-            n_completed=len(done),
-            n_failed=n_failed,
+            n_jobs=len(self.job_status),
+            n_completed=self.job_status.count(ST_DONE),
+            n_failed=self.job_status.count(ST_FAILED),
             n_submissions=self.n_submissions,
             n_instances=self.n_instances,
             n_preemptions=self.n_preemptions,
@@ -1008,8 +1011,8 @@ class Engine:
         for inst in self.instances.values():  # in acquisition order
             if inst.terminated:
                 raise SimulationError(f"instance {inst.id}: kept after it terminated")
-            used_v = sum(job.shape.vcpus for job in inst.resident_jobs)
-            used_g = sum(job.shape.gpus for job in inst.resident_jobs)
+            used_v = sum(self.job_shape[job].vcpus for job in inst.resident_jobs)
+            used_g = sum(self.job_shape[job].gpus for job in inst.resident_jobs)
             if inst.free_vcpus != inst.vcpus - used_v or inst.free_vcpus < 0:
                 raise SimulationError(f"instance {inst.id}: vcpu accounting broken")
             if inst.free_gpus != inst.gpus - used_g or inst.free_gpus < 0:
@@ -1038,12 +1041,11 @@ class Engine:
             raise SimulationError("reclaim counts disagree with the event heap")
         if stale > len(reclaimed) - stale:
             raise SimulationError("stale reclaims outnumber the live ones")
-        for job_id, job in self.jobs.items():
-            count = job.cursor
-            plan = job.shape.plan
+        for job, (count, shape) in enumerate(zip(self.job_cursor, self.job_shape)):
+            plan = shape.plan
             # The length of its work table: chunks, transitions, integration and completion.
             if not 0 <= count < plan.equil_chunks + plan.n_transitions + 2:
-                raise SimulationError(f"job {job_id}: persisted item count {count} is out of range")
-            if count < self._last_progress.get(job_id, 0):
-                raise SimulationError(f"job {job_id}: persisted progress went backwards")
-            self._last_progress[job_id] = count
+                raise SimulationError(f"job {self._jobs[job].id}: persisted item count {count} is out of range")
+            if self._last_progress and count < self._last_progress[job]:
+                raise SimulationError(f"job {self._jobs[job].id}: persisted progress went backwards")
+        self._last_progress = self.job_cursor.copy()

@@ -9,16 +9,24 @@ integration step.
 
 Every edge/replica/direction/forcefield combination yields one job for the
 solvated protein-ligand complex and one for the ligand alone in water, so
-the total job count is ``2 * replicas * directions * forcefields * sum(edges)``.
-Expansion is deterministic: equal specifications yield identical id
-sequences.
+the total job count is ``2 * replicas * directions * forcefields * sum(edges)``
+(``EnsembleSpec.n_jobs``), at most ``MAX_JOBS``.  Expansion is deterministic:
+equal specifications yield identical id sequences.
+
+Expansion builds no job list.  ``expand_ensemble`` returns an ``Expansion``,
+a sequence whose length comes from the specification and which builds a job
+only when it is read: by index, a mixed-radix decode of the index into
+target, kind, edge, force field, replica and state; by iteration, in that
+same order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import ValidationError, finite_number
 from .jsonfile import entries, load, number, shaped, within
@@ -33,6 +41,12 @@ MAX_CHUNK_ITERATIONS = 8
 # entry per transition, so a larger count could exhaust memory when an engine
 # builds the table; the bundled workloads use 80.
 MAX_TRANSITIONS = 10_000
+# The most jobs one ensemble may expand to, checked from the specification's
+# counts before anything is expanded.  An engine holds about 80 bytes per job
+# once built and about 370 at a run's peak (study 1 at ten times its edges,
+# 198,720 jobs, peaked 64 MiB above study 1 itself), so a million jobs stay
+# under about 400 MiB.
+MAX_JOBS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,18 @@ class EnsembleSpec:
                 raise ValidationError(f"targets[{i}].name duplicates targets[{j}].name {target.name!r}")
         for key in ("replicas", "directions", "forcefields"):
             finite_number(key, getattr(self, key), 1)
+        if self.n_jobs > MAX_JOBS:
+            raise ValidationError(
+                f"2 * replicas * directions * forcefields * sum(edges) is {self.n_jobs} jobs, "
+                f"more than the limit of {MAX_JOBS}"
+            )
         self.phase_plan()
+
+    @property
+    def n_jobs(self) -> int:
+        """The number of jobs the ensemble expands to, computed without expanding it."""
+        per_edge = len(JOB_KINDS) * self.replicas * self.directions * self.forcefields
+        return per_edge * sum(target.edges for target in self.targets)
 
     def phase_plan(self) -> PhasePlan:
         return make_phase_plan(
@@ -214,33 +239,72 @@ def fe_label(target: str, edge: int, forcefield: int) -> str:
     return f"{target}/edge_{edge:04d}/ff{forcefield}"
 
 
-def expand_ensemble(
-    spec: EnsembleSpec,
-    policy: Optional[Dict[str, KindPolicy]] = None,
-) -> List[JobSpec]:
-    """Expand a specification into its full, deterministically ordered job list."""
-    policy = policy or DEFAULT_POLICY
-    for kind in JOB_KINDS:
-        if kind not in policy:
-            raise ValidationError(f"resource policy missing kind {kind!r}")
-    plan = spec.phase_plan()
-    states = [chr(ord("A") + direction) for direction in range(spec.directions)]
-    jobs: List[JobSpec] = []
-    for target in spec.targets:
+class Expansion(Sequence):
+    """The jobs of an ensemble in expansion order, each built as a ``JobSpec`` when it is read.
+
+    A job's index is a mixed-radix number whose digits are, from the most
+    significant: target, kind, edge, force field, replica and state.  The
+    edge digit's radix is its target's edge count.  A job id is its FE label
+    plus its replica, state and kind.
+    """
+
+    def __init__(self, spec: EnsembleSpec, policy: Dict[str, KindPolicy]):
         for kind in JOB_KINDS:
-            kp = policy[kind]
-            system = _pick_proxy(kp, target, kind)
-            # A job id is its FE label plus this suffix: replica, direction and kind.
-            suffixes = [f"/r{r}/state{state}/{kind}" for r in range(spec.replicas) for state in states]
-            for edge in range(target.edges):
-                for ff in range(spec.forcefields):
-                    label = fe_label(target.name, edge, ff)
-                    jobs += [
-                        JobSpec(label + suffix, target.name, kind, system, kp.vcpus, kp.gpus, plan,
-                                spec.timestep_fs, label)
-                        for suffix in suffixes
-                    ]
-    return jobs
+            if kind not in policy:
+                raise ValidationError(f"resource policy missing kind {kind!r}")
+        self._spec = spec
+        self._plan = spec.phase_plan()
+        self._states = [chr(ord("A") + direction) for direction in range(spec.directions)]
+        # Per target, per kind: (kind, system, vCPUs, GPUs).
+        self._kinds = [
+            [(kind, _pick_proxy(policy[kind], target, kind), policy[kind].vcpus, policy[kind].gpus)
+             for kind in JOB_KINDS]
+            for target in spec.targets
+        ]
+        self._per_edge = spec.forcefields * spec.replicas * spec.directions  # jobs per (target, kind, edge)
+        # The index of each target's first job.
+        self._starts = [0]
+        for target in spec.targets:
+            self._starts.append(self._starts[-1] + len(JOB_KINDS) * target.edges * self._per_edge)
+        self._len = self._starts.pop()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> JobSpec:
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError(f"job index {index} out of range for {self._len} jobs")
+        spec = self._spec
+        t = bisect_right(self._starts, index) - 1
+        target = spec.targets[t]
+        k, rest = divmod(index - self._starts[t], target.edges * self._per_edge)
+        edge, rest = divmod(rest, self._per_edge)
+        ff, rest = divmod(rest, spec.replicas * spec.directions)
+        replica, state = divmod(rest, spec.directions)
+        label = fe_label(target.name, edge, ff)
+        kind, system, vcpus, gpus = self._kinds[t][k]
+        job_id = f"{label}/r{replica}/state{self._states[state]}/{kind}"
+        return JobSpec(job_id, target.name, kind, system, vcpus, gpus, self._plan, spec.timestep_fs, label)
+
+    def __iter__(self) -> Iterator[JobSpec]:
+        spec, plan = self._spec, self._plan
+        for target, kinds in zip(spec.targets, self._kinds):
+            for kind, system, vcpus, gpus in kinds:
+                # A job id is its FE label plus this suffix: replica, direction and kind.
+                suffixes = [f"/r{r}/state{state}/{kind}" for r in range(spec.replicas) for state in self._states]
+                for edge in range(target.edges):
+                    for ff in range(spec.forcefields):
+                        label = fe_label(target.name, edge, ff)
+                        for suffix in suffixes:
+                            yield JobSpec(label + suffix, target.name, kind, system, vcpus, gpus, plan,
+                                          spec.timestep_fs, label)
+
+
+def expand_ensemble(spec: EnsembleSpec, policy: Optional[Dict[str, KindPolicy]] = None) -> Expansion:
+    """Expand a specification into its deterministically ordered jobs, built as they are read."""
+    return Expansion(spec, policy or DEFAULT_POLICY)
 
 
 @dataclass(frozen=True)
@@ -248,7 +312,7 @@ class Workload:
     spec: EnsembleSpec
     policy: Dict[str, KindPolicy]
 
-    def expand(self) -> List[JobSpec]:
+    def expand(self) -> Expansion:
         return expand_ensemble(self.spec, self.policy)
 
 

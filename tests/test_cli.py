@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 import tracemalloc
 
 import pytest
 
 import spotbatch
 from spotbatch import cli
+from spotbatch import workload as wl
 from spotbatch.orchestrator import engine as engine_module
 from spotbatch.orchestrator import scenario as scen
 
@@ -601,10 +603,10 @@ def test_every_bundled_scenario_builds_its_engine(name, n_jobs):
     # Their pool overrides and hazard keys name only catalog families or "*",
     # and every (kind, system) of their workloads has a candidate type.
     engine = scen.build_engine(scen.load_scenario(spotbatch.data_path(f"scenarios/{name}.json")))
-    assert len(engine.jobs) == n_jobs
+    assert len(engine.job_shape) == n_jobs
     types = {}
-    for job in engine.jobs.values():
-        types.setdefault((job.shape.kind, job.shape.system), set()).update(job.shape.candidates.names)
+    for shape in engine.job_shape:
+        types.setdefault((shape.kind, shape.system), set()).update(shape.candidates.names)
     assert len(types) > 1 and all(types.values()), types
 
 
@@ -741,6 +743,18 @@ def test_simulate_rejects_bad_catalog_or_workload_naming_file_and_key(tmp_path, 
     assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and named in err
+
+
+def test_simulate_rejects_a_workload_of_too_many_jobs_before_expanding_it(tmp_path, capsys):
+    # 10^9 edges make 1.2 * 10^10 jobs; the count is checked from the workload's numbers alone.
+    path = edited_json(tmp_path, "workload_toy.json", lambda d: d["targets"][0].update(edges=1e9))
+    scenario = toy_variant(tmp_path, workload=path)
+    started = time.perf_counter()
+    assert run_cli("simulate", "--scenario", scenario, "--out", str(tmp_path / "out")) == 1
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert f"is 12000000000 jobs, more than the limit of {wl.MAX_JOBS}" in err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import math
 import re
+import tracemalloc
+import types
 from dataclasses import replace
 
 import pytest
@@ -13,7 +15,7 @@ from spotbatch import perfmodel as pm
 from spotbatch import workload as wl
 from spotbatch.errors import MissingRecordError, SimulationError, ValidationError
 from spotbatch.orchestrator import scenario as scen
-from spotbatch.orchestrator.engine import Engine, EngineConfig, InstanceState, MetricsSample, _Job, _Shape
+from spotbatch.orchestrator.engine import Engine, EngineConfig, InstanceState, MetricsSample, _Shape
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
@@ -86,7 +88,7 @@ def micro_config(**kwargs):
 def work_table(plan=None):
     """The micro engine's (event, duration) per work item of one job with ``plan`` on t1."""
     engine = Engine(micro_catalog(), [micro_job("j1", plan=plan)], micro_records(), micro_config())
-    return [(event, duration) for event, duration, _ in engine.jobs["j1"].shape.tables["t1"]]
+    return [(event, duration) for event, duration, _ in engine.job_shape[0].tables["t1"]]
 
 
 def test_resume_point_fresh():
@@ -101,8 +103,8 @@ def test_resume_point_fresh():
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
     engine.submit_all()
     engine.advance(0.0)
-    job = engine.jobs["j1"]
-    assert job.cursor == 0 and job.work[job.cursor][:2] == ("chunk_done", 1000.0)
+    cursor = engine.job_cursor[0]
+    assert cursor == 0 and engine.job_work[0][cursor][:2] == ("chunk_done", 1000.0)
 
 
 def test_resume_point_mid_transitions():
@@ -113,8 +115,8 @@ def test_resume_point_mid_transitions():
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
     engine.submit_all()
     engine.advance(2200.0)  # both chunks persisted; transition 0 runs until 2500
-    job = engine.jobs["j1"]
-    assert job.cursor == 2 and job.work[job.cursor][:2] == ("transition_done", 500.0)
+    cursor = engine.job_cursor[0]
+    assert cursor == 2 and engine.job_work[0][cursor][:2] == ("transition_done", 500.0)
 
 
 def test_resume_point_integrate_and_done():
@@ -240,7 +242,7 @@ def test_micro_event_log_sorted_by_time_then_seq():
 
 
 def n_completed(engine):
-    return sum(1 for job in engine.jobs.values() if job.status == "done")
+    return engine.job_status.count("done")
 
 
 def one_plan(chunk_steps, transition_steps=0):
@@ -316,9 +318,9 @@ def test_big_instance_packs_one_48_plus_six_8_then_acquires():
     first = engine.instances["i0001"]
     # 48 + 6 x 8 = 96 exhausts the first instance; the seventh 8-vCPU job
     # triggers a second acquisition.
-    assert {j.id for j in first.resident_jobs} == {"wide"} | {f"narrow{i}" for i in range(6)}
+    assert {jobs[j].id for j in first.resident_jobs} == {"wide"} | {f"narrow{i}" for i in range(6)}
     assert first.free_vcpus == 0
-    assert [j.id for j in engine.instances["i0002"].resident_jobs] == ["narrow6"]
+    assert [jobs[j].id for j in engine.instances["i0002"].resident_jobs] == ["narrow6"]
     engine.advance(math.inf)
     assert n_completed(engine) == 8
 
@@ -328,7 +330,7 @@ def test_gpu_job_without_gpu_types_is_infeasible():
     engine = Engine(micro_catalog(), jobs, micro_records(), micro_config())
     engine.submit_all()
     engine.advance(math.inf)
-    assert engine.jobs["g"].status == "failed"
+    assert engine.job_status[0] == "failed"
     report = engine.run()
     assert report.n_failed == 1 and report.n_completed == 0
 
@@ -340,8 +342,7 @@ def test_pool_exhausted_queues_until_capacity_frees():
     engine = Engine(micro_catalog(pool_r1=1), jobs, micro_records(), config)
     engine.submit_all()
     engine.advance(0.0)
-    statuses = [engine.jobs[f"j{i}"].status for i in range(4)]
-    assert statuses == ["running", "queued", "queued", "queued"]
+    assert engine.job_status == ["running", "queued", "queued", "queued"]
     engine.advance(math.inf)
     assert n_completed(engine) == 4
 
@@ -372,7 +373,7 @@ def test_preemption_at_chunk_boundary_counts_chunk_as_done():
     assert engine.ledger.wasted_core_seconds == pytest.approx(0.0)
     assert report.n_completed == 1
     # Chunks, transitions and integration persisted: the count is at the completion.
-    assert engine.jobs["j1"].cursor == 2 + 2 + 1
+    assert engine.job_cursor[0] == 2 + 2 + 1
 
 
 def test_preemption_with_no_residents_just_closes_billing():
@@ -713,9 +714,8 @@ def test_strict_checks_reject_persisted_count_going_backwards():
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
     engine.submit_all()
     engine.advance(2200.0)  # both chunks persisted; transition 0 runs until 2500
-    job = engine.jobs["j1"]
-    assert job.cursor == 2
-    job.cursor = 0
+    assert engine.job_cursor[0] == 2
+    engine.job_cursor[0] = 0
     with pytest.raises(SimulationError, match="j1: persisted progress went backwards"):
         engine.advance()
 
@@ -851,7 +851,7 @@ def test_a_job_packs_and_acquires_only_types_rated_for_its_system():
     engine = Engine(catalog, jobs, records, config)
     engine.submit_all()
     engine.advance(0.0)
-    placed = {job_id: job.instance.type_name for job_id, job in engine.jobs.items()}
+    placed = {jobs[job].id: inst.type_name for job, inst in enumerate(engine.job_instance)}
     assert placed == {"c1": "t2", "l1": "t1"}
     assert engine.instances["i0001"].free_vcpus == 6
     report = engine.run()
@@ -864,11 +864,11 @@ def test_a_job_with_no_rated_type_fails():
     jobs = [micro_job("l1", system="sysB"), micro_job("l2")]
     records = micro_records() + micro_records(instance="t9", system="sysB")
     engine = Engine(micro_catalog(), jobs, records, micro_config())
-    assert engine.jobs["l1"].shape.candidates.types == ()
-    assert engine.jobs["l2"].shape.candidates.types == (("t1", "t1"),)
+    assert engine.job_shape[0].candidates.types == ()
+    assert engine.job_shape[1].candidates.types == (("t1", "t1"),)
     report = engine.run()
     assert (report.n_completed, report.n_failed, report.n_submissions) == (1, 1, 2)
-    assert engine.jobs["l1"].status == "failed" and engine.jobs["l1"].instance is None
+    assert engine.job_status[0] == "failed" and engine.job_instance[0] is None
 
 
 def test_jobs_of_one_demand_and_candidates_share_one_queue_bucket():
@@ -876,7 +876,7 @@ def test_jobs_of_one_demand_and_candidates_share_one_queue_bucket():
     records = micro_records() + micro_records(system="sysB")
     jobs = [micro_job("c1", kind="complex", system="sysB"), micro_job("l1"), micro_job("l2", vcpus=4)]
     engine = Engine(micro_catalog(), jobs, records, micro_config())
-    c1, l1, l2 = (engine.jobs[j].shape.candidates for j in ("c1", "l1", "l2"))
+    c1, l1, l2 = (shape.candidates for shape in engine.job_shape)
     assert c1 is l1 and l2 is not l1 and l2.types == l1.types
 
 
@@ -887,7 +887,7 @@ def test_jobs_of_one_shape_share_it_wherever_they_stand_in_the_job_list():
     jobs = [micro_job("l1"), micro_job("l2", vcpus=4), micro_job("l3"),
             micro_job("c1", kind="complex", system="sysB"), micro_job("l4")]
     engine = Engine(micro_catalog(), jobs, records, micro_config())
-    l1, l2, l3, c1, l4 = (engine.jobs[j].shape for j in ("l1", "l2", "l3", "c1", "l4"))
+    l1, l2, l3, c1, l4 = engine.job_shape
     assert l1 is l3 is l4 and l2 is not l1 and c1 is not l1
     fields = (l1.kind, l1.system, l1.vcpus, l1.gpus, l1.plan, l1.timestep_fs)
     assert fields == ("ligand", "sysA", 2, 0, micro_plan(), 2.0)
@@ -898,12 +898,30 @@ def study2_toy_engine() -> Engine:
     return scen.build_engine(scen.load_scenario(spotbatch.data_path("scenarios/study2_toy.json")))
 
 
+def reachable_strings(root) -> set:
+    """Every string reachable from ``root`` through objects and containers, not through types, modules or code."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType, types.CodeType)
+    seen, stack, strings = set(), [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if type(obj) is str:
+            strings.add(obj)
+        else:
+            stack += gc.get_referents(obj)
+    return strings
+
+
 def test_a_built_engine_keeps_no_job_spec_and_builds_no_work_table_mid_run(monkeypatch):
     gc.collect()
     before = {id(o) for o in gc.get_objects() if type(o) is wl.JobSpec}
     engine = study2_toy_engine()
     gc.collect()
     assert [o for o in gc.get_objects() if type(o) is wl.JobSpec and id(o) not in before] == []
+    ids = {job.id for job in wl.load_workload(spotbatch.data_path("workload_toy.json")).expand()}
+    assert len(ids) == 240 and reachable_strings(engine) & ids == set()
 
     def no_table(*args):
         raise AssertionError("work table built after construction")
@@ -911,6 +929,22 @@ def test_a_built_engine_keeps_no_job_spec_and_builds_no_work_table_mid_run(monke
     monkeypatch.setattr(Engine, "_work_table", no_table)
     report = engine.run()
     assert report.n_completed == report.n_jobs == 240
+    assert reachable_strings(engine) & ids == set()  # a run without a recorder reads no id either
+
+
+def test_a_built_engine_holds_under_120_bytes_per_job():
+    # study2_full's engine held 80 B per job after the build; the bound leaves 50% margin.
+    scenario = scen.load_scenario(spotbatch.data_path("scenarios/study2_full.json"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = scen.build_engine(scenario)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(engine.job_shape) == 6_984
+    assert held / 6_984 < 120
 
 
 def test_jobs_shapes_instances_and_samples_have_no_dict():
@@ -918,9 +952,9 @@ def test_jobs_shapes_instances_and_samples_have_no_dict():
     engine = study2_toy_engine()
     acquired = track_acquisitions(engine)
     engine.run()
-    job = next(iter(engine.jobs.values()))
-    records = [job, job.shape, acquired[0], engine.samples[0]]
-    assert [type(r) for r in records] == [_Job, _Shape, InstanceState, MetricsSample]
+    # A job is an index into the engine's per-job lists, with no record of its own.
+    records = [engine.job_shape[0], acquired[0], engine.samples[0]]
+    assert [type(r) for r in records] == [_Shape, InstanceState, MetricsSample]
     assert [r for r in records if hasattr(r, "__dict__")] == []
 
 
@@ -934,7 +968,7 @@ def study2_toy_under_hazard_in_steps(step_s=600.0):
     engine = scen.build_engine(replace(scenario, config=config), record_events=True)
     engine.submit_all()
     until = 0.0
-    while any(job.status not in ("done", "failed") for job in engine.jobs.values()):
+    while any(status not in ("done", "failed") for status in engine.job_status):
         engine.advance(until)
         yield engine
         until += step_s

@@ -158,8 +158,8 @@ def job_counts(engine: Engine) -> dict:
     A job counts as submitted once its id appears in a ``job_submitted`` row.
     """
     submitted = len({job_id for _, _, kind, job_id, _ in engine.recorder.events if kind == "job_submitted"})
-    done = sum(1 for j in engine.jobs.values() if j.status == "done")
-    failed = sum(1 for j in engine.jobs.values() if j.status == "failed")
+    done = engine.job_status.count("done")
+    failed = engine.job_status.count("failed")
     return {"submitted": submitted, "completed": done, "failed": failed, "in_flight": submitted - done - failed}
 
 
@@ -198,12 +198,12 @@ def check_invariants(engine: Engine, acquired: list) -> None:
     assert len(set(seqs)) == len(seqs)
 
     # Completed jobs persisted every item up to their completion; failed ones never started.
-    for job_id, job in engine.jobs.items():
-        if job.status == "done":
-            plan = job.shape.plan
-            assert job.cursor == plan.equil_chunks + plan.n_transitions + 1
-        elif job.status == "failed":
-            assert job.cursor == 0
+    for status, cursor, shape in zip(engine.job_status, engine.job_cursor, engine.job_shape):
+        if status == "done":
+            plan = shape.plan
+            assert cursor == plan.equil_chunks + plan.n_transitions + 1
+        elif status == "failed":
+            assert cursor == 0
 
     assert report.wasted_core_hours >= 0.0
     if report.n_preemptions == 0:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -144,12 +145,42 @@ def test_job_count_identity(edges, replicas, directions, forcefields):
         targets=targets, replicas=replicas, directions=directions, forcefields=forcefields
     )
     jobs = wl.expand_ensemble(spec)
-    assert len(jobs) == 2 * replicas * directions * forcefields * sum(edges)
+    assert len(jobs) == spec.n_jobs == 2 * replicas * directions * forcefields * sum(edges)
+    # Decoding each index (targets may have no edges) gives the jobs of iteration, in order.
+    assert [jobs[i] for i in range(len(jobs))] == list(jobs)
     # Direct enumeration of distinct labels.
     assert len({j.fe_label for j in jobs}) == (sum(edges) * forcefields if sum(edges) else 0)
 
 
+def test_a_spec_of_more_than_max_jobs_is_rejected_unexpanded():
+    per_edge = 2 * 2 * 2  # kinds x replicas x directions of small_spec
+    edges = wl.MAX_JOBS // per_edge
+    assert small_spec(targets=(wl.TargetSpec("t", 1, 1, edges),)).n_jobs <= wl.MAX_JOBS
+    with pytest.raises(ValidationError, match=f"is {(edges + 1) * per_edge} jobs, more than the limit"):
+        small_spec(targets=(wl.TargetSpec("t", 1, 1, edges + 1),))
+
+
+def test_max_jobs_admits_study1_at_ten_times_its_edges():
+    spec = wl.load_workload(spotbatch.data_path("workload_study1.json")).spec
+    targets = tuple(wl.TargetSpec(t.name, t.complex_atoms, t.ligand_atoms, t.edges * 10) for t in spec.targets)
+    assert replace(spec, targets=targets).n_jobs == 198_720
+
+
 # -- bundled study workloads ----------------------------------------------------
+
+
+# study2_toy's workload and study1_full's.
+@pytest.mark.parametrize("name", ["workload_toy.json", "workload_study1.json"])
+def test_a_job_decoded_by_index_is_the_job_at_that_position(name):
+    jobs = wl.load_workload(spotbatch.data_path(name)).expand()
+    listed = list(jobs)
+    assert len(listed) == len(jobs)
+    assert [jobs[i].id for i in range(len(jobs))] == [job.id for job in listed]
+    assert [jobs[i] for i in range(len(jobs))] == listed
+    assert jobs[-1] == listed[-1]
+    for index in (len(jobs), -len(jobs) - 1):
+        with pytest.raises(IndexError, match="out of range"):
+            jobs[index]
 
 
 def test_study1_workload_counts():
