@@ -87,13 +87,10 @@ class RegionSpec:
 
     name: str
     spot_pool: Mapping[str, int] = field(default_factory=dict)
-    weight: Optional[float] = None
 
     def __post_init__(self):
         for family, cap in self.spot_pool.items():
             finite_number(f"spot_pool.{family}", cap, 0)
-        if self.weight is not None:
-            finite_number("weight", self.weight, 0)
 
     def pool_capacity(self, family: str) -> int:
         if family in self.spot_pool:
@@ -189,11 +186,9 @@ def _instance(raw: dict) -> InstanceTypeSpec:
 
 
 def _region(raw: dict) -> RegionSpec:
-    weight = raw.get("weight")
     return RegionSpec(
         name=shaped(raw["name"], str, "name"),
         spot_pool=numbers(raw.get("spot_pool", {}), "spot_pool", whole=True),
-        weight=None if weight is None else number("weight", weight),
     )
 
 
@@ -210,7 +205,7 @@ def _price(raw: dict) -> PriceEntry:
 
 # The keys each kind of catalog entry must hold, and those it may hold.
 _INSTANCE_KEYS = (("name", "vcpus"), ("gpus", "gpu_model", "clock_ghz", "network_gbps", "efa", "family"))
-_REGION_KEYS = (("name",), ("spot_pool", "weight"))
+_REGION_KEYS = (("name",), ("spot_pool",))
 _PRICE_KEYS = (("instance", "region", "on_demand_per_hour"), ("spot_fraction", "reserved_upfront_per_hour"))
 
 

@@ -60,10 +60,13 @@ heap of both would give.  It handles consecutive work items in a tight
 loop: credit the item, add one to the count and append the next item to
 its duration's queue.  Each persisted item takes one seq, so the loop
 counts its events from the seqs it took.  The event heap holds the
-entries ``(time, seq, kind, subject, epoch)`` of every other event:
-submissions, acquisitions, reclaims and idle timeouts, whose subject is
-the job or instance the event is about.  The first submissions, one per
-job in job order with consecutive seqs, enter it in one ``heapify``.
+entries ``(time, seq, kind, subject, epoch)`` of submissions, acquisitions
+and idle timeouts, whose subject is the job or instance the event is about.
+The first submissions, one per job in job order with consecutive seqs,
+enter it in one ``heapify``.  Reclaims, entries of the same form, sit in a
+sorted list of their own instead, one per live instance that has one:
+activation inserts it and termination, however the instance ends, deletes
+it.  The loop takes the smaller head of the two.
 
 First-fit placement scans a region's open instances (those with a free
 vCPU) in acquisition order; the list is kept in that order as instances
@@ -85,17 +88,16 @@ Determinism: a single seeded RNG drives routing draws and preemption
 draws; events are processed in (time, seq) order with seq assigned at
 scheduling time, and scheduling an event before the clock is an error.
 Each instance has at most one reclaim, planned when it activates.  Its
-heap seq is ``_RECLAIM_SEQ`` plus the instance's acquisition number, above
+seq is ``_RECLAIM_SEQ`` plus the instance's acquisition number, above
 every seq a run takes, so it sorts after every other event at its
 instant, also those scheduled there later; it takes the next seq for its
 row when it runs.  So a completion and a reclaim falling on the same
 timestamp always resolve in the job's favor, reclaims at one instant run
 in acquisition order, and a second reclaim waits for the events the first
-one scheduled there.  A reclaim whose instance has terminated first is
-stale: it is dropped when it comes off the heap, or earlier, once the stale
-reclaims outnumber the live ones, when the heap is rebuilt without them in
-one pass and one heapify.  Equal inputs and seed reproduce the event log
-bit for bit.
+one scheduled there.  A reclaim leaves with its instance, so none is ever
+stale; termination also bumps the instance's idle epoch, so its pending
+idle timeout, if any, is stale by its epoch alone.  Equal inputs and seed
+reproduce the event log bit for bit.
 
 The engine is strictly single-threaded; independent engines may run
 concurrently but must never share state.
@@ -106,12 +108,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import attrgetter, eq
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import catalog as cat
 from .. import perfmodel
@@ -135,7 +137,7 @@ SECONDS_PER_DAY = 86400.0
 # The most event rows the engine holds before it hands them to its recorder.
 EVENT_BLOCK_ROWS = 512
 
-# A planned reclaim's heap seq is this plus its instance's number: above every
+# A planned reclaim's seq is this plus its instance's number: above every
 # seq a run takes, so a reclaim sorts after every other event at its instant.
 _RECLAIM_SEQ = 1 << 62
 
@@ -182,7 +184,7 @@ class InstanceState:
     free_gpus: int = 0
     idle_epoch: int = 0
     created_seq: int = 0
-    reclaim_planned: bool = False  # its reclaim waits in the event heap
+    reclaim_at: Optional[float] = None  # its planned reclaim, in the engine's reclaim list while it is up
 
     @property
     def terminated(self) -> bool:
@@ -305,7 +307,6 @@ class SummaryReport:
 class _Candidates:
     """A shape's candidate types: one object per (demand, candidates), whose identity keys a queue bucket."""
 
-    names: FrozenSet[str]
     types: Tuple[Tuple[str, str], ...]  # (type, family), in allowed order
 
 
@@ -366,11 +367,9 @@ class Engine:
         # Entries are (time, seq, kind, subject, epoch); seq is unique across
         # this heap and the item queues, so entries never compare past it.
         self._heap: List[tuple] = []
-        # The reclaims in the heap whose instance is still up, and the stale
-        # ones, whose instance has terminated first; once the stale outnumber
-        # the live, the heap is rebuilt without them.
-        self._live_reclaims = 0
-        self._stale_reclaims = 0
+        # The planned reclaims of the live instances, sorted entries of the
+        # same form; the heap never holds one.
+        self._reclaims: List[tuple] = []
         # Work-item completions: one FIFO per distinct item duration, one more
         # for the jobs' completions, and a heap of the head entry of every
         # FIFO that is not empty.
@@ -453,7 +452,7 @@ class Engine:
                     types = tuple((n, s.family) for n, s in specs if n in rates and s.vcpus >= vd and s.gpus >= gd)
                     if not types and system not in missing:
                         self.no_candidates.append((*need, tuple(listed)))
-                    fresh = _Candidates(frozenset(n for n, _ in types), types)
+                    fresh = _Candidates(types)
                     candidates = by_need[need] = shared.setdefault((vd, gd, types), fresh)
                 rates = system_rates[system]
                 tables = {name: self._work_table(plan, timestep_fs, rates[name]) for name, _ in candidates.types}
@@ -615,11 +614,10 @@ class Engine:
         if not candidates.types:
             self.job_status[job] = ST_FAILED
             return "infeasible"
-        vd, gd = shape.vcpus, shape.gpus
-        names = candidates.names
+        vd, gd, tables = shape.vcpus, shape.gpus, shape.tables
         region = self.job_region[job]
         for inst in self._region_free[region]:
-            if inst.type_name in names and inst.free_vcpus >= vd and inst.free_gpus >= gd:
+            if inst.type_name in tables and inst.free_vcpus >= vd and inst.free_gpus >= gd:
                 self._board(job, inst, now)
                 return "packed"
         for type_name, family in candidates.types:
@@ -693,12 +691,11 @@ class Engine:
 
     def _terminate_instance(self, inst: InstanceState, now: float) -> None:
         inst.terminated_at = now
+        inst.idle_epoch += 1  # cancels any pending idle timeout
         del self.instances[inst.id]
-        if inst.reclaim_planned:  # its reclaim, still in the heap, goes stale
-            self._live_reclaims -= 1
-            self._stale_reclaims += 1
-        if self._stale_reclaims > self._live_reclaims:
-            self._drop_stale_reclaims()
+        if inst.reclaim_at is not None:  # its reclaim leaves with it
+            reclaims = self._reclaims
+            del reclaims[bisect_left(reclaims, (inst.reclaim_at, _RECLAIM_SEQ + inst.created_seq))]
         usage = self._usage[(inst.region, inst.type_name)]
         usage[0] -= 1
         usage[1] -= inst.vcpus - inst.free_vcpus
@@ -708,17 +705,6 @@ class Engine:
         if self.recorder is not None:
             self.recorder.record_bill(bill)
         self._pool[(inst.region, inst.family)] += 1
-
-    def _drop_stale_reclaims(self) -> None:
-        """Rebuild the event heap without its stale reclaims, in one pass and one heapify.
-
-        Keys are unique, so the order in which the other entries leave the
-        heap does not change.  The heap list is rebuilt in place: the event
-        loop holds it.  Only a reclaim has a seq of ``_RECLAIM_SEQ`` or more.
-        """
-        self._heap[:] = [e for e in self._heap if e[1] < _RECLAIM_SEQ or e[3].terminated_at is None]
-        heapq.heapify(self._heap)
-        self._stale_reclaims = 0
 
     # -- event handlers -----------------------------------------------------
 
@@ -748,9 +734,8 @@ class Engine:
             scripted = max(scripted, now)
             planned = scripted if planned is None else min(planned, scripted)
         if planned is not None:
-            heapq.heappush(self._heap, (planned, _RECLAIM_SEQ + inst.created_seq, EV_PREEMPTION, inst, 0))
-            inst.reclaim_planned = True
-            self._live_reclaims += 1
+            inst.reclaim_at = planned
+            insort(self._reclaims, (planned, _RECLAIM_SEQ + inst.created_seq, EV_PREEMPTION, inst, 0))
         for job in inst.resident_jobs:
             self._start_next_item(job, now)
 
@@ -777,8 +762,6 @@ class Engine:
 
     def _on_preemption(self, inst: InstanceState, now: float) -> None:
         self.n_preemptions += 1
-        inst.reclaim_planned = False  # this is its reclaim, off the heap
-        self._live_reclaims -= 1
         self._terminate_instance(inst, now)
         for job in inst.resident_jobs:
             wasted = now - self.job_started[job]
@@ -819,9 +802,9 @@ class Engine:
         """Handle queued work items in (time, seq) order while they are due by ``stop``.
 
         ``stop`` is the earliest of the next sample time, the end of the
-        advance and the time ``t_event`` of the event heap's head, whose seq
-        is ``seq_event``.  An item at ``stop`` still runs before a sample at
-        that instant, and before the heap's head if its seq is the smaller,
+        advance and the time ``t_event`` of the next event, whose seq is
+        ``seq_event``.  An item at ``stop`` still runs before a sample at
+        that instant, and before that event if its seq is the smaller,
         as it always is against a reclaim.  Returns the job whose completion
         it reached (counted and recorded; its handler is left to the caller),
         else None.
@@ -909,12 +892,14 @@ class Engine:
             EV_PREEMPTION: self._on_preemption,
             EV_IDLE_TIMEOUT: self._on_idle_timeout,
         }
-        heap, heads = self._heap, self._item_heads
+        heap, reclaims, heads = self._heap, self._reclaims, self._item_heads
         heappop = heapq.heappop
         recording = self.recorder is not None
         strict_checks = self.config.strict_checks
         while True:
             entry = heap[0] if heap else None
+            if reclaims and (entry is None or reclaims[0] < entry):
+                entry = reclaims[0]
             t_next = math.inf if entry is None else entry[0]
             item_next = bool(heads) and (entry is None or heads[0] < entry)
             if item_next:
@@ -931,20 +916,17 @@ class Engine:
             if t_next > until or t_next == math.inf:
                 break
             if not item_next:
-                _, seq, kind, subject, epoch = heappop(heap)
-                # A reclaim or an idle timeout is stale once its instance has
-                # terminated, an idle timeout also once its instance has been
-                # boarded since (every boarding bumps idle_epoch).  A stale
-                # event takes no sample: one planned long after the run's end
-                # would otherwise sample all the way to it.
-                if kind == EV_PREEMPTION:
-                    if subject.terminated:
-                        self._stale_reclaims -= 1
-                        continue
-                    seq = self._seq  # the heap seq only placed it; its row takes the next seq
+                _, seq, kind, subject, epoch = entry
+                if kind == EV_PREEMPTION:  # its handler takes it off the reclaim list
+                    seq = self._seq  # the list seq only placed it; its row takes the next seq
                     self._seq = seq + 1
-                elif kind == EV_IDLE_TIMEOUT and (subject.terminated or subject.idle_epoch != epoch):
-                    continue
+                else:
+                    heappop(heap)
+                    # An idle timeout is stale once its instance has been
+                    # boarded or has terminated since: both bump idle_epoch.
+                    # A stale event takes no sample.
+                    if kind == EV_IDLE_TIMEOUT and subject.idle_epoch != epoch:
+                        continue
             if self._next_sample < t_next:
                 self._flush_samples(t_next)
             if item_next:
@@ -1035,12 +1017,13 @@ class Engine:
             usage[2] += inst.gpus - inst.free_gpus
         if {key: usage for key, usage in self._usage.items() if any(usage)} != recount:
             raise SimulationError("usage counters disagree with the active instances")
-        reclaimed = [entry[3] for entry in self._heap if entry[2] == EV_PREEMPTION]
-        stale = sum(1 for inst in reclaimed if inst.terminated)
-        if (len(reclaimed) - stale, stale) != (self._live_reclaims, self._stale_reclaims):
-            raise SimulationError("reclaim counts disagree with the event heap")
-        if stale > len(reclaimed) - stale:
-            raise SimulationError("stale reclaims outnumber the live ones")
+        planned = sorted(
+            (inst.reclaim_at, _RECLAIM_SEQ + inst.created_seq, EV_PREEMPTION, inst, 0)
+            for inst in self.instances.values()
+            if inst.reclaim_at is not None
+        )
+        if planned != self._reclaims or any(entry[2] == EV_PREEMPTION for entry in self._heap):
+            raise SimulationError("reclaim list disagrees with the live instances' planned reclaims")
         for job, (count, shape) in enumerate(zip(self.job_cursor, self.job_shape)):
             plan = shape.plan
             # The length of its work table: chunks, transitions, integration and completion.

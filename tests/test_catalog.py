@@ -194,7 +194,6 @@ NAN = float("nan")
         pytest.param(lambda: cat.PriceEntry("a", "r", 1.0, spot_fraction=NAN), "spot_fraction",
                      id="price-spot"),
         pytest.param(lambda: cat.RegionSpec("r", spot_pool={"c5": NAN}), "spot_pool.c5", id="region-pool"),
-        pytest.param(lambda: cat.RegionSpec("r", weight=NAN), "weight", id="region-weight"),
     ],
 )
 def test_entries_reject_nan(make, named):
@@ -229,4 +228,4 @@ def test_catalog_reports_unknown_entry_keys_with_its_other_problems():
         "regions[1] has unknown key 'weigth'",
         "prices[1].on_demand_per_hour must be a finite number > 0, got -1.0",
     ]
-    assert lines[1].endswith("known keys: name, spot_pool, weight")
+    assert lines[1].endswith("known keys: name, spot_pool")

@@ -606,7 +606,7 @@ def test_every_bundled_scenario_builds_its_engine(name, n_jobs):
     assert len(engine.job_shape) == n_jobs
     types = {}
     for shape in engine.job_shape:
-        types.setdefault((shape.kind, shape.system), set()).update(shape.candidates.names)
+        types.setdefault((shape.kind, shape.system), set()).update(shape.tables)
     assert len(types) > 1 and all(types.values()), types
 
 
@@ -699,8 +699,8 @@ def edited_csv(tmp_path, name, column, value):
                      "instances must be a list", id="number-instances"),
         pytest.param("catalog_aws.json", lambda d: d["regions"][1].update(spot_pool=[1]),
                      "regions[1].spot_pool must be a JSON object", id="list-spot-pool"),
-        pytest.param("catalog_aws.json", lambda d: d["regions"][1].update(weight="x"),
-                     "regions[1].weight must be a number", id="string-region-weight"),
+        pytest.param("catalog_aws.json", lambda d: d["regions"][1].update(weight=6),
+                     "regions[1] has unknown key 'weight'", id="region-weight-is-unknown"),
         pytest.param("catalog_aws.json", lambda d: d["prices"][5].update(spot_fraction=None),
                      "prices[5].spot_fraction must be a number", id="null-spot-fraction"),
         pytest.param("catalog_aws.json", lambda d: d["prices"][5].update(on_demand_per_hour="1"),

@@ -199,13 +199,6 @@ def track_acquisitions(engine):
     return acquired
 
 
-def reclaim_counts(engine):
-    """(live, stale) planned reclaims in the engine's event heap; a stale one's instance has terminated."""
-    reclaimed = [entry[3] for entry in engine._heap if entry[2] == "preemption"]
-    stale = sum(1 for inst in reclaimed if inst.terminated)
-    return len(reclaimed) - stale, stale
-
-
 def test_micro_event_log_matches_hand_table():
     engine, _ = run_micro_scenario()
     assert engine.recorder.events == EXPECTED_MICRO_EVENTS
@@ -984,13 +977,15 @@ def test_a_run_keeps_no_terminated_instance():
     assert terminated > 400 and engine.instances == {}
 
 
-def test_stale_reclaims_never_outnumber_the_live_ones():
-    most_stale = 0
+def test_the_reclaim_list_holds_the_live_instances_planned_reclaims_only():
+    most = 0
     for engine in study2_toy_under_hazard_in_steps():
-        live, stale = reclaim_counts(engine)
-        assert stale <= live
-        most_stale = max(most_stale, stale)
-    assert most_stale > 0 and reclaim_counts(engine) == (0, 0)
+        planned = [i for i in engine.instances.values() if i.reclaim_at is not None]
+        planned.sort(key=lambda i: (i.reclaim_at, i.created_seq))
+        assert [(entry[0], entry[3]) for entry in engine._reclaims] == [(i.reclaim_at, i) for i in planned]
+        assert [entry for entry in engine._heap if entry[2] == "preemption"] == []
+        most = max(most, len(engine._reclaims))
+    assert most > 0 and engine._reclaims == []
 
 
 def test_n_instances_counts_the_bills_and_the_live_instances():

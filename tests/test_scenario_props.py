@@ -20,7 +20,7 @@ from spotbatch.orchestrator.engine import Engine, EngineConfig, MetricsSample
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
-from test_engine import reclaim_counts, track_acquisitions
+from test_engine import track_acquisitions
 
 N_CASES = 200
 
@@ -176,7 +176,8 @@ def check_invariants(engine: Engine, acquired: list) -> None:
     # The engine has let go of every instance, and of every reclaim still planned
     # for one; the bills, one per acquired instance, are the record of them.
     assert engine.instances == {}
-    assert reclaim_counts(engine) == (0, 0)
+    assert engine._reclaims == []
+    assert [entry for entry in engine._heap if entry[2] == "preemption"] == []
     assert report.n_instances == len(acquired) == len(engine.recorder.bills)
     assert sorted(i.id for i in acquired) == sorted(instance_id for instance_id, *_ in engine.recorder.bills)
 
