@@ -62,11 +62,15 @@ its duration's queue.  Each persisted item takes one seq, so the loop
 counts its events from the seqs it took.  The event heap holds the
 entries ``(time, seq, kind, subject, epoch)`` of submissions, acquisitions
 and idle timeouts, whose subject is the job or instance the event is about.
-The first submissions, one per job in job order with consecutive seqs,
-enter it in one ``heapify``.  Reclaims, entries of the same form, sit in a
-sorted list of their own instead, one per live instance that has one:
-activation inserts it and termination, however the instance ends, deletes
-it.  The loop takes the smaller head of the two.
+The jobs' first submissions take one seq per job, consecutive in job order.
+The jobs that start at one time form a wave, and its first submissions are
+adjacent in (time, seq) order: every other event at that time took a seq
+before them or takes one after.  So the heap holds only the lowest job of
+each wave not yet submitted, and the loop puts the wave's next job in when
+it takes that one out, which keeps the order of one entry per job.
+Reclaims sit in a sorted list of their own instead, as (time, instance
+number, instance), one per live instance that has one: activation inserts
+it and termination, however the instance ends, deletes it.
 
 First-fit placement scans a region's open instances (those with a free
 vCPU) in acquisition order; the list is kept in that order as instances
@@ -87,17 +91,18 @@ terminates.  ``n_instances`` counts the acquisitions and numbers them.
 Determinism: a single seeded RNG drives routing draws and preemption
 draws; events are processed in (time, seq) order with seq assigned at
 scheduling time, and scheduling an event before the clock is an error.
-Each instance has at most one reclaim, planned when it activates.  Its
-seq is ``_RECLAIM_SEQ`` plus the instance's acquisition number, above
-every seq a run takes, so it sorts after every other event at its
-instant, also those scheduled there later; it takes the next seq for its
-row when it runs.  So a completion and a reclaim falling on the same
-timestamp always resolve in the job's favor, reclaims at one instant run
-in acquisition order, and a second reclaim waits for the events the first
-one scheduled there.  A reclaim leaves with its instance, so none is ever
-stale; termination also bumps the instance's idle epoch, so its pending
-idle timeout, if any, is stale by its epoch alone.  Equal inputs and seed
-reproduce the event log bit for bit.
+Each instance has at most one reclaim, planned when it activates.  It
+runs after every other event at its instant, also those scheduled there
+later: the loop takes it before the heap's head only when it is strictly
+earlier, and against the work items its key carries ``_RECLAIM_SEQ``,
+above every seq a run takes.  It takes the next seq for its row when it
+runs.  So a completion and a reclaim falling on the same timestamp always
+resolve in the job's favor, reclaims at one instant run in acquisition
+order, the list's order, and a second reclaim waits for the events the
+first one scheduled there.  A reclaim leaves with its instance, so none is
+ever stale; termination also bumps the instance's idle epoch, so its
+pending idle timeout, if any, is stale by its epoch alone.  Equal inputs
+and seed reproduce the event log bit for bit.
 
 The engine is strictly single-threaded; independent engines may run
 concurrently but must never share state.
@@ -111,9 +116,9 @@ import random
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import attrgetter, eq
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import catalog as cat
 from .. import perfmodel
@@ -137,8 +142,8 @@ SECONDS_PER_DAY = 86400.0
 # The most event rows the engine holds before it hands them to its recorder.
 EVENT_BLOCK_ROWS = 512
 
-# A planned reclaim's seq is this plus its instance's number: above every
-# seq a run takes, so a reclaim sorts after every other event at its instant.
+# The seq of a reclaim's key against the work items: above every seq a run
+# takes, so a reclaim sorts after every other event at its instant.
 _RECLAIM_SEQ = 1 << 62
 
 ST_PENDING = "pending"
@@ -367,9 +372,9 @@ class Engine:
         # Entries are (time, seq, kind, subject, epoch); seq is unique across
         # this heap and the item queues, so entries never compare past it.
         self._heap: List[tuple] = []
-        # The planned reclaims of the live instances, sorted entries of the
-        # same form; the heap never holds one.
-        self._reclaims: List[tuple] = []
+        # The planned reclaims of the live instances, sorted (time, instance
+        # number, instance) entries; the heap never holds one.
+        self._reclaims: List[Tuple[float, int, InstanceState]] = []
         # Work-item completions: one FIFO per distinct item duration, one more
         # for the jobs' completions, and a heap of the head entry of every
         # FIFO that is not empty.
@@ -480,7 +485,7 @@ class Engine:
         self.job_epoch: List[int] = [0] * n
         self.job_instance: List[Optional[InstanceState]] = [None] * n
         self.job_region: List[Optional[str]] = [None] * n
-        self.job_started: List[float] = [0.0] * n  # when its item in flight started
+        self.job_started: List[float] = [0.0] * n  # when its item in flight started; 0.0 once done
         self.job_work: List[Sequence[WorkEntry]] = [()] * n
         self.job_cursor: List[int] = [0] * n
 
@@ -496,6 +501,10 @@ class Engine:
         }
 
         self._submitted = False
+        # The seqs of the jobs' first submissions, one per job in job order,
+        # and per start time the jobs of that wave not yet in the heap.
+        self._first_seqs = range(0)
+        self._waves: Dict[float, Iterator[int]] = {}
 
     # -- scheduling primitives -------------------------------------------
 
@@ -524,23 +533,43 @@ class Engine:
 
     # -- submission -------------------------------------------------------
 
+    def _start_times(self) -> Dict[str, float]:
+        """Each kind's start time: the first wave that names it submits it; a kind no wave names starts at 0 s."""
+        return {kind: time_s for time_s, kinds in reversed(self.config.waves) for kind in kinds}
+
     def submit_all(self) -> None:
-        """Schedule every job's submission, in job order with consecutive seqs, in one heapify."""
+        """Schedule every job's submission, in job order with consecutive seqs.
+
+        The jobs that start at one time form a wave, and only its lowest
+        job not yet submitted waits in the heap: the loop puts the next one
+        in when it takes that one out.
+        """
         if self._submitted:
             raise SimulationError("jobs were already submitted")
         self._submitted = True
-        # The first wave that names a kind submits it; a kind no wave names starts at 0 s.
-        start = {kind: time_s for time_s, kinds in reversed(self.config.waves) for kind in kinds}
-        entries = [
-            (start.get(shape.kind, 0.0), self._seq + job, EV_JOB_SUBMITTED, job, 0)
-            for job, shape in enumerate(self.job_shape)
-        ]
-        late = next((entry for entry in entries if entry[0] < self.clock), None)
-        if late:
-            raise _clock_error(EV_JOB_SUBMITTED, late[0], self.clock)
-        self._seq += len(entries)
-        self._heap += entries
-        heapq.heapify(self._heap)
+        start = self._start_times()
+        waves: Dict[float, List[range]] = {}
+        job = 0
+        for shape, run in groupby(self.job_shape):
+            end = job + sum(1 for _ in run)
+            time_s = start.get(shape.kind, 0.0)
+            if time_s < self.clock:
+                raise _clock_error(EV_JOB_SUBMITTED, time_s, self.clock)
+            waves.setdefault(time_s, []).append(range(job, end))
+            job = end
+        self._first_seqs = range(self._seq, self._seq + job)
+        self._seq += job
+        for time_s, ranges in waves.items():
+            self._waves[time_s] = chain.from_iterable(ranges)
+            self._submit_next(time_s)
+
+    def _submit_next(self, time_s: float) -> None:
+        """Put the next job of the wave that starts at ``time_s`` in the heap, if one is left."""
+        job = next(self._waves[time_s], None)
+        if job is None:
+            del self._waves[time_s]
+        else:
+            heapq.heappush(self._heap, (time_s, self._first_seqs.start + job, EV_JOB_SUBMITTED, job, 0))
 
     # -- placement --------------------------------------------------------
 
@@ -695,7 +724,7 @@ class Engine:
         del self.instances[inst.id]
         if inst.reclaim_at is not None:  # its reclaim leaves with it
             reclaims = self._reclaims
-            del reclaims[bisect_left(reclaims, (inst.reclaim_at, _RECLAIM_SEQ + inst.created_seq))]
+            del reclaims[bisect_left(reclaims, (inst.reclaim_at, inst.created_seq))]
         usage = self._usage[(inst.region, inst.type_name)]
         usage[0] -= 1
         usage[1] -= inst.vcpus - inst.free_vcpus
@@ -735,7 +764,7 @@ class Engine:
             planned = scripted if planned is None else min(planned, scripted)
         if planned is not None:
             inst.reclaim_at = planned
-            insort(self._reclaims, (planned, _RECLAIM_SEQ + inst.created_seq, EV_PREEMPTION, inst, 0))
+            insort(self._reclaims, (planned, inst.created_seq, inst))
         for job in inst.resident_jobs:
             self._start_next_item(job, now)
 
@@ -745,6 +774,7 @@ class Engine:
         self.job_status[job] = ST_DONE
         self._makespan = now  # completions run in clock order
         self.job_work[job] = ()
+        self.job_started[job] = 0.0
         inst.resident_jobs.remove(job)
         inst.free_vcpus += shape.vcpus
         inst.free_gpus += shape.gpus
@@ -894,12 +924,16 @@ class Engine:
         }
         heap, reclaims, heads = self._heap, self._reclaims, self._item_heads
         heappop = heapq.heappop
+        first_seqs = self._first_seqs
         recording = self.recorder is not None
         strict_checks = self.config.strict_checks
         while True:
             entry = heap[0] if heap else None
-            if reclaims and (entry is None or reclaims[0] < entry):
-                entry = reclaims[0]
+            # A reclaim runs after every event at its instant: it goes first
+            # only when it is strictly earlier, and its key says the same.
+            if reclaims and (entry is None or reclaims[0][0] < entry[0]):
+                planned, _, inst = reclaims[0]
+                entry = (planned, _RECLAIM_SEQ, EV_PREEMPTION, inst, 0)
             t_next = math.inf if entry is None else entry[0]
             item_next = bool(heads) and (entry is None or heads[0] < entry)
             if item_next:
@@ -922,10 +956,12 @@ class Engine:
                     self._seq = seq + 1
                 else:
                     heappop(heap)
+                    if kind == EV_JOB_SUBMITTED and seq in first_seqs:  # its wave's next job takes its place
+                        self._submit_next(t_next)
                     # An idle timeout is stale once its instance has been
                     # boarded or has terminated since: both bump idle_epoch.
                     # A stale event takes no sample.
-                    if kind == EV_IDLE_TIMEOUT and subject.idle_epoch != epoch:
+                    elif kind == EV_IDLE_TIMEOUT and subject.idle_epoch != epoch:
                         continue
             if self._next_sample < t_next:
                 self._flush_samples(t_next)
@@ -1018,12 +1054,20 @@ class Engine:
         if {key: usage for key, usage in self._usage.items() if any(usage)} != recount:
             raise SimulationError("usage counters disagree with the active instances")
         planned = sorted(
-            (inst.reclaim_at, _RECLAIM_SEQ + inst.created_seq, EV_PREEMPTION, inst, 0)
-            for inst in self.instances.values()
-            if inst.reclaim_at is not None
+            (inst.reclaim_at, inst.created_seq, inst) for inst in self.instances.values() if inst.reclaim_at is not None
         )
         if planned != self._reclaims or any(entry[2] == EV_PREEMPTION for entry in self._heap):
             raise SimulationError("reclaim list disagrees with the live instances' planned reclaims")
+        # Per start time, the lowest job not yet submitted (routed) waits in
+        # the heap as the wave's one first submission.
+        start, lowest, first_seqs = self._start_times(), {}, self._first_seqs
+        for job in range(len(first_seqs)):  # none before submit_all
+            if self.job_region[job] is None:
+                lowest.setdefault(start.get(self.job_shape[job].kind, 0.0), job)
+        expected = sorted((t, first_seqs[job], EV_JOB_SUBMITTED, job, 0) for t, job in lowest.items())
+        firsts = sorted(e for e in self._heap if e[2] == EV_JOB_SUBMITTED and e[1] in first_seqs)
+        if firsts != expected:
+            raise SimulationError("the heap's first submissions are not the lowest unsubmitted job of each wave")
         for job, (count, shape) in enumerate(zip(self.job_cursor, self.job_shape)):
             plan = shape.plan
             # The length of its work table: chunks, transitions, integration and completion.

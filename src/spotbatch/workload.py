@@ -42,10 +42,10 @@ MAX_CHUNK_ITERATIONS = 8
 # builds the table; the bundled workloads use 80.
 MAX_TRANSITIONS = 10_000
 # The most jobs one ensemble may expand to, checked from the specification's
-# counts before anything is expanded.  An engine holds about 80 bytes per job
-# once built and about 370 at a run's peak (study 1 at ten times its edges,
-# 198,720 jobs, peaked 64 MiB above study 1 itself), so a million jobs stay
-# under about 400 MiB.
+# counts before anything is expanded.  An engine holds about 65 bytes per job
+# once built and about 300 at a run's peak (study 1 at ten times its edges,
+# pools and acquisition rate, 198,720 jobs, peaked at 74.8 MiB, 52 MiB above
+# study 1 itself), so a million jobs stay under about 320 MiB.
 MAX_JOBS = 1_000_000
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import heapq
 import math
 import re
 import tracemalloc
@@ -680,6 +681,56 @@ def test_submissions_take_consecutive_seqs_in_job_order_whatever_their_wave():
     ]
 
 
+def interleaved_jobs():
+    """Complex and ligand jobs whose kinds interleave in job order."""
+    kinds = {"c": "complex", "l": "ligand"}
+    return [micro_job(job_id, kind=kinds[job_id[0]]) for job_id in ("c1", "l1", "c2", "l2", "l3", "c3")]
+
+
+def test_interleaved_kinds_submit_by_wave_in_job_order():
+    # Ligand jobs start at 500 s; no wave names the complex kind, so its jobs start at 0 s.
+    config = micro_config(routing=RoutingPolicy({"r1": 1}), waves=[(500.0, ("ligand",))])
+    engine = Engine(micro_catalog(pool_r1=3), interleaved_jobs(), micro_records(), config, MemoryRecorder())
+    engine.run()
+    assert [row for row in engine.recorder.events if row[2] == "job_submitted"] == [
+        (0.0, 0, "job_submitted", "c1", ""),
+        (0.0, 2, "job_submitted", "c2", ""),
+        (0.0, 5, "job_submitted", "c3", ""),
+        (500.0, 1, "job_submitted", "l1", ""),
+        (500.0, 3, "job_submitted", "l2", ""),
+        (500.0, 4, "job_submitted", "l3", ""),
+    ]
+
+
+@pytest.mark.parametrize(
+    "waves, heap",
+    [
+        pytest.param([], [(0.0, 0, "job_submitted", 0, 0)], id="no-wave"),
+        pytest.param(
+            [(500.0, ("ligand",))],
+            [(0.0, 0, "job_submitted", 0, 0), (500.0, 1, "job_submitted", 1, 0)],
+            id="two-start-times",
+        ),
+        pytest.param(
+            [(500.0, ("ligand",)), (500.0, ("complex",))], [(500.0, 0, "job_submitted", 0, 0)], id="one-start-time"
+        ),
+    ],
+)
+def test_the_heap_holds_one_first_submission_per_start_time(waves, heap):
+    config = micro_config(waves=waves)
+    engine = Engine(micro_catalog(pool_r1=3), interleaved_jobs(), micro_records(), config)
+    engine.submit_all()
+    assert sorted(engine._heap) == heap
+
+
+def test_strict_checks_reject_a_second_first_submission_of_a_wave():
+    engine = Engine(micro_catalog(pool_r1=3), interleaved_jobs(), micro_records(), micro_config())
+    engine.submit_all()
+    heapq.heappush(engine._heap, (0.0, 3, "job_submitted", 3, 0))
+    with pytest.raises(SimulationError, match="first submissions are not the lowest unsubmitted job"):
+        engine.advance(0.0)
+
+
 def test_a_wave_before_the_clock_stops_the_run():
     config = micro_config(waves=[(-1.0, ("ligand",))])
     engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
@@ -982,7 +1033,7 @@ def test_the_reclaim_list_holds_the_live_instances_planned_reclaims_only():
     for engine in study2_toy_under_hazard_in_steps():
         planned = [i for i in engine.instances.values() if i.reclaim_at is not None]
         planned.sort(key=lambda i: (i.reclaim_at, i.created_seq))
-        assert [(entry[0], entry[3]) for entry in engine._reclaims] == [(i.reclaim_at, i) for i in planned]
+        assert [(entry[0], entry[2]) for entry in engine._reclaims] == [(i.reclaim_at, i) for i in planned]
         assert [entry for entry in engine._heap if entry[2] == "preemption"] == []
         most = max(most, len(engine._reclaims))
     assert most > 0 and engine._reclaims == []

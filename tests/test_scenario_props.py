@@ -206,6 +206,11 @@ def check_invariants(engine: Engine, acquired: list) -> None:
         elif status == "failed":
             assert cursor == 0
 
+    # A finished job holds no run state.
+    assert engine.job_instance == [None] * report.n_jobs
+    assert engine.job_work == [()] * report.n_jobs
+    assert engine.job_started == [0.0] * report.n_jobs
+
     assert report.wasted_core_hours >= 0.0
     if report.n_preemptions == 0:
         assert report.wasted_core_hours == 0.0
