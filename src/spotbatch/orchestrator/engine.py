@@ -11,11 +11,13 @@ cost per second from activation to termination and idle instances
 terminate after a grace period.
 
 A job is its index in the job sequence the engine is built from; heap
-entries, item queues, resident lists and queue buckets hold the index, and
-flat lists indexed by it (``job_status``, ``job_region`` and the rest) hold
-its state.  Jobs that agree on kind, system, demand (vCPUs, GPUs), phase
-plan and timestep share one shape (``job_shape``), built at construction:
-those fields, the candidate types and one work table per candidate type.
+entries, item queues, resident tuples and queue buckets hold the index, and
+flat sequences indexed by it (``job_status``, ``job_epoch``, ``job_instance``,
+``job_arrival``, ``job_started``, ``job_work``, ``job_cursor`` and
+``job_shape``) hold its state.  Jobs that agree on kind, system, demand
+(vCPUs, GPUs), phase plan and timestep share one shape (``job_shape``),
+built at construction: those fields, the candidate types and one work
+table per candidate type.
 The engine reads a job's id from the sequence only for a row or a message:
 an expanded workload builds a ``JobSpec`` only when read, so an engine built
 from one holds no ``JobSpec`` and no id string; a recorded run reads every
@@ -33,8 +35,9 @@ Queued jobs wait per region in arrival order.  Whenever capacity may have
 freed, the region's queue is retried oldest first; capacity only shrinks
 during one retry pass, so once a job of some demand and candidates stays
 queued, the later jobs with both the same wait out the rest of the pass.
-The queue is kept as one FIFO bucket per (demand, candidates) so that a
-pass costs O(placements + buckets), not O(queue length).
+The queue is kept as one FIFO bucket of jobs per (demand, candidates) so
+that a pass costs O(placements + buckets), not O(queue length); a job's
+arrival number (``job_arrival``) tells which bucket's head is the oldest.
 
 A job's work (``job_work``) is its shape's table for its instance's type:
 one entry of (completion event, duration, queue) per item, in the order
@@ -68,15 +71,18 @@ adjacent in (time, seq) order: every other event at that time took a seq
 before them or takes one after.  So the heap holds only the lowest job of
 each wave not yet submitted, and the loop puts the wave's next job in when
 it takes that one out, which keeps the order of one entry per job.
-Reclaims sit in a sorted list of their own instead, as (time, instance
-number, instance), one per live instance that has one: activation inserts
-it and termination, however the instance ends, deletes it.
+Reclaims sit in a sorted list of their own instead: the live instances
+that have one, by (``reclaim_at``, ``created_seq``).  Activation inserts an
+instance and termination, however the instance ends, deletes it.
 
-First-fit placement scans a region's open instances (those with a free
-vCPU) in acquisition order; the list is kept in that order as instances
-fill, free up and terminate, so a placement never sorts.  Metrics samples
-read per-(region, type) usage counters that activation, boarding,
-completion and termination keep up to date.
+An instance shares its type, region, family, vCPUs, GPUs and hourly rate
+with the others of its type and region, as one ``Offer`` built at
+construction; its resident jobs are a tuple in boarding order, ``()`` when
+it holds none.  First-fit placement scans a region's open instances (those
+with a free vCPU) in acquisition order; the list is kept in that order as
+instances fill, free up and terminate, so a placement never sorts.  Metrics
+samples read per-offer usage counters that activation, boarding, completion
+and termination keep up to date.
 
 The engine keeps no row of its output (see ``recorder``).  It hands each
 instance bill and preemption waste row to its recorder as the row happens.
@@ -170,21 +176,28 @@ ItemEntry = Tuple[float, int, int, int, Deque]
 WorkEntry = Tuple[str, float, Deque[ItemEntry]]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Offer:
+    """One allowed instance type in one routed region, built at construction and shared by its instances."""
+
+    type_name: str
+    region: str
+    family: str
+    vcpus: int
+    gpus: int
+    rate: float  # hourly, at the run's payment model
+
+
 @dataclass(slots=True)
 class InstanceState:
     """One acquired (or requested) instance and its current occupancy."""
 
     id: str
-    type_name: str
-    region: str
-    vcpus: int
-    gpus: int
-    rate: float
+    offer: Offer
     acquired_at: float
-    family: str
     active: bool = False
     terminated_at: Optional[float] = None
-    resident_jobs: List[int] = field(default_factory=list)
+    resident_jobs: Tuple[int, ...] = ()  # in boarding order
     free_vcpus: int = 0
     free_gpus: int = 0
     idle_epoch: int = 0
@@ -213,11 +226,12 @@ class BillingLedger:
 
     def bill(self, instance: InstanceState, until: float) -> BillRow:
         """Add the instance's bill up to ``until`` to the totals and return it as a row."""
+        offer = instance.offer
         duration = until - instance.acquired_at
-        cost = duration / 3600.0 * instance.rate
+        cost = duration / 3600.0 * offer.rate
         self.total_cost += cost
-        self.billed_core_seconds += duration * instance.vcpus
-        return (instance.id, duration, instance.rate, cost)
+        self.billed_core_seconds += duration * offer.vcpus
+        return (instance.id, duration, offer.rate, cost)
 
 
 @dataclass(slots=True)
@@ -333,11 +347,14 @@ class _Shape:
 _shape_key = attrgetter("kind", "system", "vcpu_demand", "gpu_demand", "phase_plan", "timestep_fs")
 
 
-def _head_arrival(bucket: Deque[Tuple[int, int]]) -> int:
-    return bucket[0][0]
-
-
 _created_seq = attrgetter("created_seq")
+# The order of the reclaim list: by planned time, then acquisition.
+_reclaim_key = attrgetter("reclaim_at", "created_seq")
+
+
+def _usage_order(item: Tuple[Offer, List[int]]) -> Tuple[str, str]:
+    """Metrics samples come by region, then type."""
+    return item[0].region, item[0].type_name
 
 
 def _clock_error(kind: str, time: float, clock: float) -> SimulationError:
@@ -372,9 +389,9 @@ class Engine:
         # Entries are (time, seq, kind, subject, epoch); seq is unique across
         # this heap and the item queues, so entries never compare past it.
         self._heap: List[tuple] = []
-        # The planned reclaims of the live instances, sorted (time, instance
-        # number, instance) entries; the heap never holds one.
-        self._reclaims: List[Tuple[float, int, InstanceState]] = []
+        # The live instances that have a planned reclaim, by (reclaim_at,
+        # created_seq); the heap never holds a reclaim.
+        self._reclaims: List[InstanceState] = []
         # Work-item completions: one FIFO per distinct item duration, one more
         # for the jobs' completions, and a heap of the head entry of every
         # FIFO that is not empty.
@@ -406,14 +423,15 @@ class Engine:
                 if name not in known:
                     raise ValidationError(f"{what} references unknown {noun} {name!r}")
         routed = [r for r, w in config.routing.weights.items() if w > 0]
-        # Per (allowed type, routed region): the instance spec and its hourly
-        # rate.  An unknown type or a missing rate fails here, not mid-run.
-        self._quotes: Dict[Tuple[str, str], Tuple[cat.InstanceTypeSpec, float]] = {
-            (name, region): (catalog.instance(name), cat.lookup_rate(catalog, name, region, config.payment))
-            for names in config.allowed_types.values()
-            for name in names
-            for region in routed
-        }
+        # Per (allowed type, routed region): its offer.  An unknown type or a
+        # missing rate fails here, not mid-run.
+        self._offers: Dict[Tuple[str, str], Offer] = {}
+        for names in config.allowed_types.values():
+            for name in names:
+                spec = catalog.instance(name)
+                for region in routed:
+                    rate = cat.lookup_rate(catalog, name, region, config.payment)
+                    self._offers[(name, region)] = Offer(name, region, spec.family, spec.vcpus, spec.gpus, rate)
         # Per (region, family): the instances its pool has left to lend, from
         # the region's override of the family, else of "*", else the catalog.
         self._pool: Dict[Tuple[str, str], int] = {}
@@ -484,21 +502,22 @@ class Engine:
         self.job_status: List[str] = [ST_PENDING] * n
         self.job_epoch: List[int] = [0] * n
         self.job_instance: List[Optional[InstanceState]] = [None] * n
-        self.job_region: List[Optional[str]] = [None] * n
+        # Its last queue arrival, while it is queued: one 8-byte slot per job,
+        # in a memoryview rather than an array, whose extension module would
+        # add to the memory of every process that imports the engine.
+        self.job_arrival = memoryview(bytearray(8 * n)).cast("q")
         self.job_started: List[float] = [0.0] * n  # when its item in flight started; 0.0 once done
         self.job_work: List[Sequence[WorkEntry]] = [()] * n
         self.job_cursor: List[int] = [0] * n
 
         # The live instances, in acquisition order; a terminated one leaves.
         self.instances: Dict[str, InstanceState] = {}
-        # Per (region, type): [active instances, vCPUs in use, GPUs in use].
-        self._usage: Dict[Tuple[str, str], List[int]] = {}
+        # Per offer (region and type): [active instances, vCPUs in use, GPUs in use].
+        self._usage: Dict[Offer, List[int]] = {}
         # Per region, the unterminated instances with a free vCPU, in acquisition order.
         self._region_free: Dict[str, List[InstanceState]] = {r: [] for r in catalog.regions}
-        # Per region, one FIFO of (arrival, job) per shared candidates object.
-        self._region_queue: Dict[str, Dict[_Candidates, Deque[Tuple[int, int]]]] = {
-            r: {} for r in catalog.regions
-        }
+        # Per region, one FIFO of jobs per shared candidates object.
+        self._region_queue: Dict[str, Dict[_Candidates, Deque[int]]] = {r: {} for r in catalog.regions}
 
         self._submitted = False
         # The seqs of the jobs' first submissions, one per job in job order,
@@ -575,7 +594,7 @@ class Engine:
 
     def _open_position(self, inst: InstanceState) -> Tuple[List[InstanceState], int, bool]:
         """The region's open list, where ``inst`` sits or would sit in it, and whether it is there."""
-        open_list = self._region_free[inst.region]
+        open_list = self._region_free[inst.offer.region]
         i = bisect_left(open_list, inst.created_seq, key=_created_seq)
         return open_list, i, i < len(open_list) and open_list[i] is inst
 
@@ -588,22 +607,22 @@ class Engine:
         shape = self.job_shape[job]
         inst.free_vcpus -= shape.vcpus
         inst.free_gpus -= shape.gpus
-        inst.resident_jobs.append(job)
+        inst.resident_jobs += (job,)
         inst.idle_epoch += 1  # cancels any pending idle timeout
         if inst.free_vcpus < 1:
             self._close(inst)
         self.job_instance[job] = inst
         self.job_status[job] = ST_RUNNING
-        self.job_work[job] = shape.tables[inst.type_name]
+        self.job_work[job] = shape.tables[inst.offer.type_name]
         if inst.active:
-            usage = self._usage[(inst.region, inst.type_name)]
+            usage = self._usage[inst.offer]
             usage[1] += shape.vcpus
             usage[2] += shape.gpus
             self._start_next_item(job, now)
 
     def _acquire(self, job: int, type_name: str, region: str, now: float) -> InstanceState:
-        spec, rate = self._quotes[(type_name, region)]
-        self._pool[(region, spec.family)] -= 1
+        offer = self._offers[(type_name, region)]
+        self._pool[(region, offer.family)] -= 1
         activation = now + self.config.acquisition_latency_s
         per_minute = self.config.acquisitions_per_region_minute
         if per_minute:
@@ -614,15 +633,10 @@ class Engine:
         number = self.n_instances
         inst = InstanceState(
             id=f"i{number:04d}",
-            type_name=type_name,
-            region=region,
-            vcpus=spec.vcpus,
-            gpus=spec.gpus,
-            rate=rate,
+            offer=offer,
             acquired_at=activation,
-            family=spec.family,
-            free_vcpus=spec.vcpus,
-            free_gpus=spec.gpus,
+            free_vcpus=offer.vcpus,
+            free_gpus=offer.gpus,
             created_seq=number,
         )
         self.instances[inst.id] = inst
@@ -631,8 +645,8 @@ class Engine:
         self._board(job, inst, now)
         return inst
 
-    def _place(self, job: int, now: float) -> str:
-        """First-fit pack onto a candidate type, else acquire one, else queue; no candidate fails.
+    def _place(self, job: int, region: str, now: float) -> str:
+        """First-fit pack in ``region`` onto a candidate type, else acquire one, else queue; no candidate fails.
 
         Only instances with at least one free vCPU are scanned (full ones
         can never accept a job), in acquisition order.  The first candidate
@@ -644,9 +658,8 @@ class Engine:
             self.job_status[job] = ST_FAILED
             return "infeasible"
         vd, gd, tables = shape.vcpus, shape.gpus, shape.tables
-        region = self.job_region[job]
         for inst in self._region_free[region]:
-            if inst.type_name in tables and inst.free_vcpus >= vd and inst.free_gpus >= gd:
+            if inst.offer.type_name in tables and inst.free_vcpus >= vd and inst.free_gpus >= gd:
                 self._board(job, inst, now)
                 return "packed"
         for type_name, family in candidates.types:
@@ -656,13 +669,14 @@ class Engine:
         self.job_status[job] = ST_QUEUED
         return "queued"
 
-    def _enqueue(self, job: int) -> None:
-        buckets = self._region_queue[self.job_region[job]]
+    def _enqueue(self, job: int, region: str) -> None:
+        buckets = self._region_queue[region]
         candidates = self.job_shape[job].candidates
         bucket = buckets.get(candidates)
         if bucket is None:
             bucket = buckets[candidates] = deque()
-        bucket.append((self._arrivals, job))
+        bucket.append(job)
+        self.job_arrival[job] = self._arrivals
         self._arrivals += 1
 
     def _retry_queue(self, region: str, now: float) -> None:
@@ -675,10 +689,11 @@ class Engine:
         buckets = self._region_queue[region]
         if not buckets:
             return
+        arrival = self.job_arrival
         trying = list(buckets.values())
         while trying:
-            bucket = min(trying, key=_head_arrival)
-            if self._place(bucket[0][1], now) == "queued":
+            bucket = min(trying, key=lambda bucket: arrival[bucket[0]])
+            if self._place(bucket[0], region, now) == "queued":
                 trying.remove(bucket)
                 continue
             bucket.popleft()
@@ -724,38 +739,40 @@ class Engine:
         del self.instances[inst.id]
         if inst.reclaim_at is not None:  # its reclaim leaves with it
             reclaims = self._reclaims
-            del reclaims[bisect_left(reclaims, (inst.reclaim_at, inst.created_seq))]
-        usage = self._usage[(inst.region, inst.type_name)]
+            del reclaims[bisect_left(reclaims, (inst.reclaim_at, inst.created_seq), key=_reclaim_key)]
+        offer = inst.offer
+        usage = self._usage[offer]
         usage[0] -= 1
-        usage[1] -= inst.vcpus - inst.free_vcpus
-        usage[2] -= inst.gpus - inst.free_gpus
+        usage[1] -= offer.vcpus - inst.free_vcpus
+        usage[2] -= offer.gpus - inst.free_gpus
         self._close(inst)
         bill = self.ledger.bill(inst, now)
         if self.recorder is not None:
             self.recorder.record_bill(bill)
-        self._pool[(inst.region, inst.family)] += 1
+        self._pool[(offer.region, offer.family)] += 1
 
     # -- event handlers -----------------------------------------------------
 
     def _on_job_submitted(self, job: int, now: float) -> None:
         self.n_submissions += 1
-        region = self.job_region[job] = self.router.route()
-        outcome = self._place(job, now)
+        region = self.router.route()
+        outcome = self._place(job, region, now)
         if outcome == "queued":
-            self._enqueue(job)
+            self._enqueue(job, region)
         elif outcome == "acquired":
             # Leftover capacity on the fresh instance may fit queued jobs.
             self._retry_queue(region, now)
 
     def _on_instance_acquired(self, inst: InstanceState, now: float) -> None:
         inst.active = True
-        usage = self._usage.setdefault((inst.region, inst.type_name), [0, 0, 0])
+        offer = inst.offer
+        usage = self._usage.setdefault(offer, [0, 0, 0])
         usage[0] += 1
-        usage[1] += inst.vcpus - inst.free_vcpus
-        usage[2] += inst.gpus - inst.free_gpus
+        usage[1] += offer.vcpus - inst.free_vcpus
+        usage[2] += offer.gpus - inst.free_gpus
         planned = None
         if self.config.payment == cat.SPOT:  # only Spot capacity is reclaimed at random
-            draw = self.config.preemption.draw_seconds_until_preemption(self.rng, inst.region, inst.family)
+            draw = self.config.preemption.draw_seconds_until_preemption(self.rng, offer.region, offer.family)
             if draw is not None:
                 planned = now + draw
         scripted = self.config.scripted_preemptions.get(inst.id)
@@ -764,7 +781,7 @@ class Engine:
             planned = scripted if planned is None else min(planned, scripted)
         if planned is not None:
             inst.reclaim_at = planned
-            insort(self._reclaims, (planned, inst.created_seq, inst))
+            insort(self._reclaims, inst, key=_reclaim_key)
         for job in inst.resident_jobs:
             self._start_next_item(job, now)
 
@@ -775,10 +792,12 @@ class Engine:
         self._makespan = now  # completions run in clock order
         self.job_work[job] = ()
         self.job_started[job] = 0.0
-        inst.resident_jobs.remove(job)
+        residents = inst.resident_jobs
+        i = residents.index(job)
+        inst.resident_jobs = residents[:i] + residents[i + 1:]
         inst.free_vcpus += shape.vcpus
         inst.free_gpus += shape.gpus
-        usage = self._usage[(inst.region, inst.type_name)]
+        usage = self._usage[inst.offer]
         usage[1] -= shape.vcpus
         usage[2] -= shape.gpus
         open_list, i, present = self._open_position(inst)
@@ -788,7 +807,7 @@ class Engine:
         inst.idle_epoch += 1
         if not inst.resident_jobs and self.config.grace_period_s is not None:
             self._schedule(now + self.config.grace_period_s, EV_IDLE_TIMEOUT, inst, inst.idle_epoch)
-        self._retry_queue(inst.region, now)
+        self._retry_queue(inst.offer.region, now)
 
     def _on_preemption(self, inst: InstanceState, now: float) -> None:
         self.n_preemptions += 1
@@ -804,21 +823,21 @@ class Engine:
             self.job_work[job] = ()
             self.job_status[job] = ST_PENDING
             self._schedule(now, EV_JOB_SUBMITTED, job)
-        inst.resident_jobs.clear()
-        inst.free_vcpus = inst.vcpus
-        inst.free_gpus = inst.gpus
-        self._retry_queue(inst.region, now)
+        inst.resident_jobs = ()
+        inst.free_vcpus = inst.offer.vcpus
+        inst.free_gpus = inst.offer.gpus
+        self._retry_queue(inst.offer.region, now)
 
     def _on_idle_timeout(self, inst: InstanceState, now: float) -> None:
         self._terminate_instance(inst, now)
-        self._retry_queue(inst.region, now)
+        self._retry_queue(inst.offer.region, now)
 
     # -- metrics --------------------------------------------------------------
 
     def _take_sample(self, time_s: float) -> None:
-        for (region, type_name), (count, vcpus, gpus) in sorted(self._usage.items()):
+        for offer, (count, vcpus, gpus) in sorted(self._usage.items(), key=_usage_order):
             if count:
-                self.samples.append(MetricsSample(time_s, region, type_name, count, vcpus, gpus))
+                self.samples.append(MetricsSample(time_s, offer.region, offer.type_name, count, vcpus, gpus))
 
     def _flush_samples(self, until: float, inclusive: bool = False) -> None:
         """Take every sample due before ``until``, or also at it when ``inclusive``."""
@@ -905,7 +924,7 @@ class Engine:
         The event rows still pending go to the recorder before it returns,
         also when it raises.
         """
-        if until < self.clock:
+        if not until >= self.clock:  # also refuses NaN
             raise SimulationError(f"cannot advance to {until}: clock is already at {self.clock}")
         if self.recorder is not None and self._job_ids is None:
             self._job_ids = [spec.id for spec in self._jobs]
@@ -931,9 +950,9 @@ class Engine:
             entry = heap[0] if heap else None
             # A reclaim runs after every event at its instant: it goes first
             # only when it is strictly earlier, and its key says the same.
-            if reclaims and (entry is None or reclaims[0][0] < entry[0]):
-                planned, _, inst = reclaims[0]
-                entry = (planned, _RECLAIM_SEQ, EV_PREEMPTION, inst, 0)
+            if reclaims and (entry is None or reclaims[0].reclaim_at < entry[0]):
+                inst = reclaims[0]
+                entry = (inst.reclaim_at, _RECLAIM_SEQ, EV_PREEMPTION, inst, 0)
             t_next = math.inf if entry is None else entry[0]
             item_next = bool(heads) and (entry is None or heads[0] < entry)
             if item_next:
@@ -1031,38 +1050,37 @@ class Engine:
                 raise SimulationError(f"instance {inst.id}: kept after it terminated")
             used_v = sum(self.job_shape[job].vcpus for job in inst.resident_jobs)
             used_g = sum(self.job_shape[job].gpus for job in inst.resident_jobs)
-            if inst.free_vcpus != inst.vcpus - used_v or inst.free_vcpus < 0:
+            if inst.free_vcpus != inst.offer.vcpus - used_v or inst.free_vcpus < 0:
                 raise SimulationError(f"instance {inst.id}: vcpu accounting broken")
-            if inst.free_gpus != inst.gpus - used_g or inst.free_gpus < 0:
+            if inst.free_gpus != inst.offer.gpus - used_g or inst.free_gpus < 0:
                 raise SimulationError(f"instance {inst.id}: gpu accounting broken")
             if inst.free_vcpus >= 1:
-                expected_open[inst.region].append(inst.id)
+                expected_open[inst.offer.region].append(inst.id)
         for region, open_list in self._region_free.items():
             seqs = [inst.created_seq for inst in open_list]
             if any(a >= b for a, b in zip(seqs, seqs[1:])):
                 raise SimulationError(f"region {region}: open instances out of acquisition order")
             if [inst.id for inst in open_list] != expected_open[region]:
                 raise SimulationError(f"region {region}: open-capacity index out of date")
-        recount: Dict[Tuple[str, str], List[int]] = {}
+        recount: Dict[Offer, List[int]] = {}
         for inst in self.instances.values():
             if not inst.active:
                 continue
-            usage = recount.setdefault((inst.region, inst.type_name), [0, 0, 0])
+            usage = recount.setdefault(inst.offer, [0, 0, 0])
             usage[0] += 1
-            usage[1] += inst.vcpus - inst.free_vcpus
-            usage[2] += inst.gpus - inst.free_gpus
+            usage[1] += inst.offer.vcpus - inst.free_vcpus
+            usage[2] += inst.offer.gpus - inst.free_gpus
         if {key: usage for key, usage in self._usage.items() if any(usage)} != recount:
             raise SimulationError("usage counters disagree with the active instances")
-        planned = sorted(
-            (inst.reclaim_at, inst.created_seq, inst) for inst in self.instances.values() if inst.reclaim_at is not None
-        )
+        planned = sorted((inst for inst in self.instances.values() if inst.reclaim_at is not None), key=_reclaim_key)
         if planned != self._reclaims or any(entry[2] == EV_PREEMPTION for entry in self._heap):
             raise SimulationError("reclaim list disagrees with the live instances' planned reclaims")
         # Per start time, the lowest job not yet submitted (routed) waits in
-        # the heap as the wave's one first submission.
+        # the heap as the wave's one first submission.  Routing moves a job
+        # off pending, and only a preemption, which bumps its epoch, puts it back.
         start, lowest, first_seqs = self._start_times(), {}, self._first_seqs
         for job in range(len(first_seqs)):  # none before submit_all
-            if self.job_region[job] is None:
+            if self.job_status[job] == ST_PENDING and self.job_epoch[job] == 0:
                 lowest.setdefault(start.get(self.job_shape[job].kind, 0.0), job)
         expected = sorted((t, first_seqs[job], EV_JOB_SUBMITTED, job, 0) for t, job in lowest.items())
         firsts = sorted(e for e in self._heap if e[2] == EV_JOB_SUBMITTED and e[1] in first_seqs)

@@ -4,6 +4,7 @@ import gc
 import heapq
 import math
 import re
+import sys
 import tracemalloc
 import types
 from dataclasses import replace
@@ -511,7 +512,7 @@ def test_billing_identity_recomputed_from_instances():
     acquired = track_acquisitions(engine)
     report = engine.run()
     assert len(acquired) == report.n_instances == 3
-    recomputed = sum((i.terminated_at - i.acquired_at) * i.rate / 3600.0 for i in acquired)
+    recomputed = sum((i.terminated_at - i.acquired_at) * i.offer.rate / 3600.0 for i in acquired)
     assert report.total_cost == pytest.approx(recomputed, abs=1e-9)
     assert report.total_cost == pytest.approx(sum(cost for *_, cost in engine.recorder.bills), abs=1e-12)
 
@@ -522,6 +523,15 @@ def test_time_regression_rejected():
     engine.advance(2000.0)
     with pytest.raises(SimulationError):
         engine.advance(1000.0)
+
+
+def test_advance_to_nan_is_refused_and_runs_nothing():
+    # NaN compares false both ways: neither "before the clock" nor "past the next event".
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), micro_config())
+    engine.submit_all()
+    with pytest.raises(SimulationError, match="cannot advance to nan"):
+        engine.advance(math.nan)
+    assert (engine.clock, engine.n_events, engine.job_status) == (0.0, 0, ["pending"])
 
 
 def test_advance_takes_the_samples_due_before_until():
@@ -895,7 +905,7 @@ def test_a_job_packs_and_acquires_only_types_rated_for_its_system():
     engine = Engine(catalog, jobs, records, config)
     engine.submit_all()
     engine.advance(0.0)
-    placed = {jobs[job].id: inst.type_name for job, inst in enumerate(engine.job_instance)}
+    placed = {jobs[job].id: inst.offer.type_name for job, inst in enumerate(engine.job_instance)}
     assert placed == {"c1": "t2", "l1": "t1"}
     assert engine.instances["i0001"].free_vcpus == 6
     report = engine.run()
@@ -922,6 +932,51 @@ def test_jobs_of_one_demand_and_candidates_share_one_queue_bucket():
     engine = Engine(micro_catalog(), jobs, records, micro_config())
     c1, l1, l2 = (shape.candidates for shape in engine.job_shape)
     assert c1 is l1 and l2 is not l1 and l2.types == l1.types
+
+
+def test_a_freed_instance_takes_queued_jobs_across_buckets_in_arrival_order():
+    # One 4-vCPU t1 in r1.  j0 fills it; a1, b1, a2 and b2 queue in that
+    # order, the a jobs (1 vCPU) in one bucket and the b jobs (3 vCPUs) in
+    # another.  When j0 completes at 1000 s the oldest arrivals go first:
+    # a1 (3 vCPUs left), then b1 (none left); a2 and b2 wait.  Taking a
+    # bucket at a time would board a1 and a2 instead.  At 2000 s a1's
+    # completion frees 1 vCPU for a2, and b1's then frees 3 for b2.  Each
+    # job is one 1000 s chunk.  The idle timeout j0 left at 1120 s (seq 9)
+    # is stale once a1 boards.  Rows derived by hand:
+    plan = one_plan(500)
+    jobs = [micro_job("j0", vcpus=4, plan=plan)]
+    jobs += [micro_job(name, vcpus=vcpus, plan=plan) for name, vcpus in (("a1", 1), ("b1", 3), ("a2", 1), ("b2", 3))]
+    config = micro_config(routing=RoutingPolicy({"r1": 1}))
+    engine = Engine(micro_catalog(), jobs, micro_records(), config, MemoryRecorder())
+    engine.submit_all()
+    engine.advance(0.0)
+    assert engine.job_status == ["running", "queued", "queued", "queued", "queued"]
+    report = engine.run()
+    assert engine.recorder.events == [
+        (0.0, 0, "job_submitted", "j0", ""),
+        (0.0, 1, "job_submitted", "a1", ""),
+        (0.0, 2, "job_submitted", "b1", ""),
+        (0.0, 3, "job_submitted", "a2", ""),
+        (0.0, 4, "job_submitted", "b2", ""),
+        (0.0, 5, "instance_acquired", "", "i0001"),
+        (1000.0, 6, "chunk_done", "j0", "i0001"),
+        (1000.0, 7, "integrate_done", "j0", "i0001"),
+        (1000.0, 8, "job_completed", "j0", "i0001"),
+        (2000.0, 10, "chunk_done", "a1", "i0001"),
+        (2000.0, 11, "chunk_done", "b1", "i0001"),
+        (2000.0, 12, "integrate_done", "a1", "i0001"),
+        (2000.0, 13, "integrate_done", "b1", "i0001"),
+        (2000.0, 14, "job_completed", "a1", "i0001"),
+        (2000.0, 15, "job_completed", "b1", "i0001"),
+        (3000.0, 16, "chunk_done", "a2", "i0001"),
+        (3000.0, 17, "chunk_done", "b2", "i0001"),
+        (3000.0, 18, "integrate_done", "a2", "i0001"),
+        (3000.0, 19, "integrate_done", "b2", "i0001"),
+        (3000.0, 20, "job_completed", "a2", "i0001"),
+        (3000.0, 21, "job_completed", "b2", "i0001"),
+        (3120.0, 22, "instance_idle_timeout", "", "i0001"),
+    ]
+    assert (report.n_completed, report.n_instances, report.makespan_s) == (5, 1, 3000.0)
 
 
 def test_jobs_of_one_shape_share_it_wherever_they_stand_in_the_job_list():
@@ -1033,10 +1088,36 @@ def test_the_reclaim_list_holds_the_live_instances_planned_reclaims_only():
     for engine in study2_toy_under_hazard_in_steps():
         planned = [i for i in engine.instances.values() if i.reclaim_at is not None]
         planned.sort(key=lambda i: (i.reclaim_at, i.created_seq))
-        assert [(entry[0], entry[2]) for entry in engine._reclaims] == [(i.reclaim_at, i) for i in planned]
+        assert [(i.reclaim_at, i) for i in engine._reclaims] == [(i.reclaim_at, i) for i in planned]
         assert [entry for entry in engine._heap if entry[2] == "preemption"] == []
         most = max(most, len(engine._reclaims))
     assert most > 0 and engine._reclaims == []
+
+
+def test_queues_hold_jobs_reclaims_hold_live_instances_and_residents_are_tuples():
+    for engine in study2_toy_under_hazard_in_steps():
+        for buckets in engine._region_queue.values():
+            assert all(type(job) is int for bucket in buckets.values() for job in bucket)
+        assert all(type(i) is InstanceState and engine.instances[i.id] is i for i in engine._reclaims)
+        residents = {}
+        for job, inst in enumerate(engine.job_instance):
+            if inst is not None:
+                residents.setdefault(inst.id, []).append(job)
+        for inst in engine.instances.values():
+            assert type(inst.resident_jobs) is tuple
+            assert sorted(inst.resident_jobs) == residents.get(inst.id, [])
+
+
+def test_a_live_instance_holds_under_252_bytes():
+    # At the step with the most live instances, study2_toy's held 168 B each
+    # (record plus resident tuple); the bound leaves 50% margin.
+    most, held = 0, 0
+    for engine in study2_toy_under_hazard_in_steps():
+        live = engine.instances.values()
+        if len(live) > most:
+            most = len(live)
+            held = sum(sys.getsizeof(i) + sys.getsizeof(i.resident_jobs) for i in live)
+    assert most > 0 and held / most < 252
 
 
 def test_n_instances_counts_the_bills_and_the_live_instances():

@@ -182,8 +182,8 @@ def check_invariants(engine: Engine, acquired: list) -> None:
     assert sorted(i.id for i in acquired) == sorted(instance_id for instance_id, *_ in engine.recorder.bills)
 
     # Billing identity, to one second of billing granularity per instance.
-    recomputed = sum((i.terminated_at - i.acquired_at) * i.rate / 3600.0 for i in acquired)
-    slack = sum(i.rate / 3600.0 for i in acquired)
+    recomputed = sum((i.terminated_at - i.acquired_at) * i.offer.rate / 3600.0 for i in acquired)
+    slack = sum(i.offer.rate / 3600.0 for i in acquired)
     assert abs(report.total_cost - recomputed) <= slack + 1e-9
     assert report.total_cost == pytest.approx(sum(cost for *_, cost in engine.recorder.bills), abs=1e-9)
 
@@ -288,10 +288,10 @@ def usage_rows(engine: Engine, time_s: float) -> list:
     usage = {}
     for inst in engine.instances.values():
         if inst.active and not inst.terminated:
-            row = usage.setdefault((inst.region, inst.type_name), [0, 0, 0])
+            row = usage.setdefault((inst.offer.region, inst.offer.type_name), [0, 0, 0])
             row[0] += 1
-            row[1] += inst.vcpus - inst.free_vcpus
-            row[2] += inst.gpus - inst.free_gpus
+            row[1] += inst.offer.vcpus - inst.free_vcpus
+            row[2] += inst.offer.gpus - inst.free_gpus
     return [MetricsSample(time_s, region, type_name, *row) for (region, type_name), row in sorted(usage.items())]
 
 
