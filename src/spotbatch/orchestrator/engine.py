@@ -10,8 +10,8 @@ boundary and re-enter routing as fresh submissions.  Instances accrue
 cost per second from activation to termination and idle instances
 terminate after a grace period.
 
-A job is its index in the job sequence the engine is built from; heap
-entries, item queues, resident tuples and queue buckets hold the index, and
+A job is its index in the job sequence the engine is built from; event
+entries, resident tuples and queue buckets hold the index, and
 flat sequences indexed by it (``job_status``, ``job_epoch``, ``job_instance``,
 ``job_arrival``, ``job_started``, ``job_work``, ``job_cursor`` and
 ``job_shape``) hold its state.  Jobs that agree on kind, system, demand
@@ -40,7 +40,7 @@ that a pass costs O(placements + buckets), not O(queue length); a job's
 arrival number (``job_arrival``) tells which bucket's head is the oldest.
 
 A job's work (``job_work``) is its shape's table for its instance's type:
-one entry of (completion event, duration, queue) per item, in the order
+one entry of (completion event, duration, FIFO) per item, in the order
 the items run.  Each equilibration chunk comes first, then each
 transition, then the integration and the job's completion, both of zero
 duration.  A job's progress (``job_cursor``) is the number of items it has
@@ -49,28 +49,35 @@ The count only grows; a preemption loses the item in flight and leaves the
 count as it is.  When a job boards an instance, it takes the table for that
 instance's type and resumes at its count.
 
-Work-item completions do not enter the event heap.  Every item is
-scheduled at the clock plus its duration; the clock never goes back,
-rounding a float sum is monotone and seq only grows, so the items that
-share one duration are scheduled in (time, seq) order.  Each distinct
-duration therefore has one FIFO queue of ``(time, seq, job, epoch,
-queue)`` entries, and a small heap holds the head entry of every queue
-that is not empty.  The jobs' completions, of zero duration, have a FIFO
-of their own, so the loop knows a completion by the queue it came from.
-The event loop takes whichever of that heap and the event heap has the
-smaller (time, seq), so items and events run in exactly the order one
-heap of both would give.  It handles consecutive work items in a tight
-loop: credit the item, add one to the count and append the next item to
-its duration's queue.  Each persisted item takes one seq, so the loop
-counts its events from the seqs it took.  The event heap holds the
-entries ``(time, seq, kind, subject, epoch)`` of submissions, acquisitions
-and idle timeouts, whose subject is the job or instance the event is about.
-The jobs' first submissions take one seq per job, consecutive in job order.
-The jobs that start at one time form a wave, and its first submissions are
-adjacent in (time, seq) order: every other event at that time took a seq
-before them or takes one after.  So the heap holds only the lowest job of
-each wave not yet submitted, and the loop puts the wave's next job in when
-it takes that one out, which keeps the order of one entry per job.
+Every event but a reclaim waits in a FIFO, as an entry ``(time, seq,
+subject, epoch, FIFO)`` whose subject is the job, instance or wave the
+event is about.  Every FIFO but a work item's carries the handler that
+runs its events; the loop runs work items itself.  Seq is a counter that
+every scheduled event takes, so it only grows, and the clock never goes
+back.  Each FIFO takes
+its events at the clock plus one fixed delay, or at a time that never
+decreases, so its entries arrive in (time, seq) order:
+
+- resubmissions after a reclaim, at the clock;
+- idle timeouts, at the clock plus the grace period;
+- acquisitions, one FIFO per region, at the clock plus the latency, or at
+  the region's next rate-limit slot, which never decreases;
+- work items, one FIFO per distinct item duration, and the jobs'
+  completions, of zero duration, at the clock plus the duration (rounding a
+  float sum is monotone);
+- waves: one entry per start time, in time order.
+
+One heap holds the head entry of every FIFO that is not empty, so taking
+its smallest entry gives the global (time, seq) order.  The loop handles
+consecutive work items in a tight loop: credit the item, add one to the
+count and append the next item to its duration's FIFO.  Each persisted item
+takes one seq, so the loop counts its events from the seqs it took.  The
+jobs' first submissions take one seq per job, consecutive in job order, in
+``submit_all``.  The jobs that start at one time form a wave; its entry
+takes the seq of its lowest job, and its handler submits the wave's jobs in
+job order, each with its own seq and row.  Every other event at that time
+took a seq before the wave's or takes one after the whole wave, so this is
+the order one entry per job would give.
 Reclaims sit in a sorted list of their own instead: the live instances
 that have one, by (``reclaim_at``, ``created_seq``).  Activation inserts an
 instance and termination, however the instance ends, deletes it.
@@ -99,16 +106,15 @@ draws; events are processed in (time, seq) order with seq assigned at
 scheduling time, and scheduling an event before the clock is an error.
 Each instance has at most one reclaim, planned when it activates.  It
 runs after every other event at its instant, also those scheduled there
-later: the loop takes it before the heap's head only when it is strictly
-earlier, and against the work items its key carries ``_RECLAIM_SEQ``,
-above every seq a run takes.  It takes the next seq for its row when it
-runs.  So a completion and a reclaim falling on the same timestamp always
-resolve in the job's favor, reclaims at one instant run in acquisition
-order, the list's order, and a second reclaim waits for the events the
-first one scheduled there.  A reclaim leaves with its instance, so none is
-ever stale; termination also bumps the instance's idle epoch, so its
-pending idle timeout, if any, is stale by its epoch alone.  Equal inputs
-and seed reproduce the event log bit for bit.
+later: the loop takes it only when it is strictly earlier than every FIFO
+head.  It takes the next seq for its row when it runs.  So a completion
+and a reclaim falling on the same timestamp always resolve in the job's
+favor, reclaims at one instant run in acquisition order, the list's order,
+and a second reclaim waits for the events the first one scheduled there.
+A reclaim leaves with its instance, so none is ever stale; termination
+also bumps the instance's idle epoch, so its pending idle timeout, if any,
+is stale by its epoch alone.  Equal inputs and seed reproduce the event
+log bit for bit.
 
 The engine is strictly single-threaded; independent engines may run
 concurrently but must never share state.
@@ -124,7 +130,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
 from operator import attrgetter, eq
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import catalog as cat
 from .. import perfmodel
@@ -148,10 +154,6 @@ SECONDS_PER_DAY = 86400.0
 # The most event rows the engine holds before it hands them to its recorder.
 EVENT_BLOCK_ROWS = 512
 
-# The seq of a reclaim's key against the work items: above every seq a run
-# takes, so a reclaim sorts after every other event at its instant.
-_RECLAIM_SEQ = 1 << 62
-
 ST_PENDING = "pending"
 ST_QUEUED = "queued"
 ST_RUNNING = "running"
@@ -167,13 +169,29 @@ _ITEM_KINDS = {
     EV_JOB_COMPLETED: "done",
 }
 
-# A work item's completion, queued in the FIFO of its duration:
-# (time, seq, job, epoch, that FIFO).
-ItemEntry = Tuple[float, int, int, int, Deque]
+# An event waiting in its FIFO: (time, seq, subject, epoch, that FIFO).
+Entry = Tuple[float, int, object, int, Deque]
 
 # (event that completes it, duration in seconds, FIFO of that duration) for
 # one item of a job's work on one instance type.
-WorkEntry = Tuple[str, float, Deque[ItemEntry]]
+WorkEntry = Tuple[str, float, Deque[Entry]]
+
+
+class _EventFifo(deque):
+    """The FIFO of every event but a work item, and the handler that runs its events.
+
+    ``handler(engine, time, seq, subject, epoch)`` runs an entry's event;
+    it is an ``Engine`` method taken from the class, so that a FIFO holds no
+    reference to its engine.  Work items wait in plain deques instead, which
+    the loop runs itself: a deque subclass's append and popleft take about
+    30 ns more a call, and the work-item loop calls each once per item.
+    """
+
+    __slots__ = ("handler",)
+
+    def __init__(self, handler: Callable[..., None]):
+        super().__init__()
+        self.handler = handler
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -196,17 +214,12 @@ class InstanceState:
     offer: Offer
     acquired_at: float
     active: bool = False
-    terminated_at: Optional[float] = None
     resident_jobs: Tuple[int, ...] = ()  # in boarding order
     free_vcpus: int = 0
     free_gpus: int = 0
     idle_epoch: int = 0
     created_seq: int = 0
     reclaim_at: Optional[float] = None  # its planned reclaim, in the engine's reclaim list while it is up
-
-    @property
-    def terminated(self) -> bool:
-        return self.terminated_at is not None
 
 
 @dataclass
@@ -246,6 +259,14 @@ class MetricsSample:
 
 def _invalid(key: str, rule: str, value) -> ValidationError:
     return ValidationError(f"{key} must be {rule}, got {value!r}")
+
+
+def _is_instance_id(name) -> bool:
+    """Whether ``name`` is an id the engine gives an instance: i0001, i0002, ..., i9999, i10000, ..."""
+    if not (isinstance(name, str) and name[:1] == "i" and name[1:].isdecimal()):
+        return False
+    number = int(name[1:])
+    return number >= 1 and name == f"i{number:04d}"
 
 
 @dataclass(frozen=True)
@@ -292,6 +313,8 @@ class EngineConfig:
                 if kind not in JOB_KINDS:
                     raise _invalid(f"waves[{i}].kinds[{j}]", f"one of {JOB_KINDS}", kind)
         for instance_id, time_s in self.scripted_preemptions.items():
+            if not _is_instance_id(instance_id):
+                raise _invalid(f"scripted_preemptions.{instance_id}", "an instance id (i0001, i0002, ...)", instance_id)
             finite_number(f"scripted_preemptions.{instance_id}", time_s)
         for region, families in self.pool_overrides.items():
             for family, count in families.items():
@@ -386,18 +409,19 @@ class Engine:
         self.n_instances = 0  # acquisitions so far; numbers the instances
         self._makespan = 0.0  # the time of the last completion
 
-        # Entries are (time, seq, kind, subject, epoch); seq is unique across
-        # this heap and the item queues, so entries never compare past it.
-        self._heap: List[tuple] = []
         # The live instances that have a planned reclaim, by (reclaim_at,
-        # created_seq); the heap never holds a reclaim.
+        # created_seq); no FIFO holds a reclaim.
         self._reclaims: List[InstanceState] = []
-        # Work-item completions: one FIFO per distinct item duration, one more
-        # for the jobs' completions, and a heap of the head entry of every
-        # FIFO that is not empty.
-        self._item_fifos: Dict[float, Deque[ItemEntry]] = {}
-        self._completions: Deque[ItemEntry] = deque()
-        self._item_heads: List[ItemEntry] = []
+        # The FIFOs of events (see the module docstring), and a heap of the
+        # head entry of every FIFO that is not empty.  Seq is unique across
+        # the FIFOs, so entries never compare past it.
+        self._item_fifos: Dict[float, Deque[Entry]] = {}  # per distinct item duration
+        self._completions = _EventFifo(Engine._on_job_completed)
+        self._resubmissions = _EventFifo(Engine._on_job_submitted)
+        self._idle_timeouts = _EventFifo(Engine._on_idle_timeout)
+        self._acquisitions = {r: _EventFifo(Engine._on_instance_acquired) for r in catalog.regions}
+        self._wave_fifo = _EventFifo(Engine._on_wave)
+        self._heads: List[Entry] = []
         # Event rows not yet handed to the recorder, at most one block.
         self._rows: List[EventRow] = []
         self._job_ids: Optional[List[str]] = None  # every job's id, read once a recorder needs them
@@ -520,18 +544,25 @@ class Engine:
         self._region_queue: Dict[str, Dict[_Candidates, Deque[int]]] = {r: {} for r in catalog.regions}
 
         self._submitted = False
-        # The seqs of the jobs' first submissions, one per job in job order,
-        # and per start time the jobs of that wave not yet in the heap.
-        self._first_seqs = range(0)
-        self._waves: Dict[float, Iterator[int]] = {}
 
     # -- scheduling primitives -------------------------------------------
 
-    def _schedule(self, time: float, kind: str, subject: int | InstanceState, epoch: int = 0) -> None:
+    def _schedule(self, kind: str, time: float, fifo: Deque[Entry], subject, epoch: int = 0) -> None:
+        """Queue an event ``kind`` about ``subject`` at ``time`` at the back of ``fifo``, with the next seq."""
         if time < self.clock:
             raise _clock_error(kind, time, self.clock)
-        heapq.heappush(self._heap, (time, self._seq, kind, subject, epoch))
+        entry = (time, self._seq, subject, epoch, fifo)
+        if not fifo:
+            heapq.heappush(self._heads, entry)
+        fifo.append(entry)
         self._seq += 1
+
+    def _fifos(self) -> List[Deque[Entry]]:
+        """Every FIFO of events."""
+        return [
+            *self._item_fifos.values(), self._completions, self._resubmissions, self._idle_timeouts,
+            *self._acquisitions.values(), self._wave_fifo,
+        ]
 
     def _work_table(
         self, plan: PhasePlan, timestep_fs: float, rates: perfmodel.PhaseRates
@@ -559,9 +590,9 @@ class Engine:
     def submit_all(self) -> None:
         """Schedule every job's submission, in job order with consecutive seqs.
 
-        The jobs that start at one time form a wave, and only its lowest
-        job not yet submitted waits in the heap: the loop puts the next one
-        in when it takes that one out.
+        The jobs that start at one time form a wave.  The wave FIFO holds
+        one entry per start time, in time order, which carries the seq of
+        the wave's lowest job; its handler submits the wave's jobs.
         """
         if self._submitted:
             raise SimulationError("jobs were already submitted")
@@ -576,19 +607,12 @@ class Engine:
                 raise _clock_error(EV_JOB_SUBMITTED, time_s, self.clock)
             waves.setdefault(time_s, []).append(range(job, end))
             job = end
-        self._first_seqs = range(self._seq, self._seq + job)
+        base = self._seq  # job j's first submission takes seq base + j
         self._seq += job
-        for time_s, ranges in waves.items():
-            self._waves[time_s] = chain.from_iterable(ranges)
-            self._submit_next(time_s)
-
-    def _submit_next(self, time_s: float) -> None:
-        """Put the next job of the wave that starts at ``time_s`` in the heap, if one is left."""
-        job = next(self._waves[time_s], None)
-        if job is None:
-            del self._waves[time_s]
-        else:
-            heapq.heappush(self._heap, (time_s, self._first_seqs.start + job, EV_JOB_SUBMITTED, job, 0))
+        fifo = self._wave_fifo
+        fifo.extend((t, base + waves[t][0].start, waves[t], 0, fifo) for t in sorted(waves))
+        if fifo:
+            heapq.heappush(self._heads, fifo[0])
 
     # -- placement --------------------------------------------------------
 
@@ -641,7 +665,7 @@ class Engine:
         )
         self.instances[inst.id] = inst
         self._region_free[region].append(inst)  # the newest instance sorts last
-        self._schedule(activation, EV_INSTANCE_ACQUIRED, inst)
+        self._schedule(EV_INSTANCE_ACQUIRED, activation, self._acquisitions[region], inst)
         self._board(job, inst, now)
         return inst
 
@@ -707,15 +731,8 @@ class Engine:
     def _start_next_item(self, job: int, now: float) -> None:
         """Queue the completion of the job's item at its cursor (the loop queues the rest)."""
         kind, duration, fifo = self.job_work[job][self.job_cursor[job]]
-        time = now + duration
-        if time < self.clock:
-            raise _clock_error(kind, time, self.clock)
+        self._schedule(kind, now + duration, fifo, job, self.job_epoch[job])
         self.job_started[job] = now
-        entry = (time, self._seq, job, self.job_epoch[job], fifo)
-        if not fifo:
-            heapq.heappush(self._item_heads, entry)
-        fifo.append(entry)
-        self._seq += 1
 
     # -- event rows -----------------------------------------------------------
 
@@ -731,10 +748,16 @@ class Engine:
         self.recorder.record_events(rows)
         return self._rows
 
+    def _occur(self, now: float, seq: int, kind: str, job: Optional[int] = None, inst: Optional[InstanceState] = None):
+        """Move the clock to an event that runs and count it; a recorded run also gets its row."""
+        self.clock = now
+        self.n_events += 1
+        if self.recorder is not None:
+            self._record((now, seq, kind, "" if job is None else self._job_ids[job], "" if inst is None else inst.id))
+
     # -- instance teardown --------------------------------------------------
 
     def _terminate_instance(self, inst: InstanceState, now: float) -> None:
-        inst.terminated_at = now
         inst.idle_epoch += 1  # cancels any pending idle timeout
         del self.instances[inst.id]
         if inst.reclaim_at is not None:  # its reclaim leaves with it
@@ -753,7 +776,17 @@ class Engine:
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_job_submitted(self, job: int, now: float) -> None:
+    def _on_wave(self, now: float, seq: int, ranges: List[range], _epoch: int) -> None:
+        """Submit the jobs that start at ``now``, in job order, each with the seq ``submit_all`` gave it."""
+        base = seq - ranges[0].start
+        strict_checks = self.config.strict_checks
+        for job in chain.from_iterable(ranges):
+            self._on_job_submitted(now, base + job, job, 0)
+            if strict_checks:
+                self._check_invariants()
+
+    def _on_job_submitted(self, now: float, seq: int, job: int, _epoch: int) -> None:
+        self._occur(now, seq, EV_JOB_SUBMITTED, job=job)
         self.n_submissions += 1
         region = self.router.route()
         outcome = self._place(job, region, now)
@@ -763,7 +796,8 @@ class Engine:
             # Leftover capacity on the fresh instance may fit queued jobs.
             self._retry_queue(region, now)
 
-    def _on_instance_acquired(self, inst: InstanceState, now: float) -> None:
+    def _on_instance_acquired(self, now: float, seq: int, inst: InstanceState, _epoch: int) -> None:
+        self._occur(now, seq, EV_INSTANCE_ACQUIRED, inst=inst)
         inst.active = True
         offer = inst.offer
         usage = self._usage.setdefault(offer, [0, 0, 0])
@@ -785,9 +819,12 @@ class Engine:
         for job in inst.resident_jobs:
             self._start_next_item(job, now)
 
-    def _on_job_completed(self, job: int, now: float) -> None:
+    def _on_job_completed(self, now: float, seq: int, job: int, _epoch: int) -> None:
+        # Never stale: it falls at the instant of the job's integration, and a
+        # reclaim at that instant runs after it.
         shape = self.job_shape[job]
         inst = self.job_instance[job]
+        self._occur(now, seq, EV_JOB_COMPLETED, job=job, inst=inst)
         self.job_status[job] = ST_DONE
         self._makespan = now  # completions run in clock order
         self.job_work[job] = ()
@@ -806,10 +843,14 @@ class Engine:
         self.job_instance[job] = None
         inst.idle_epoch += 1
         if not inst.resident_jobs and self.config.grace_period_s is not None:
-            self._schedule(now + self.config.grace_period_s, EV_IDLE_TIMEOUT, inst, inst.idle_epoch)
+            timeout = now + self.config.grace_period_s
+            self._schedule(EV_IDLE_TIMEOUT, timeout, self._idle_timeouts, inst, inst.idle_epoch)
         self._retry_queue(inst.offer.region, now)
 
     def _on_preemption(self, inst: InstanceState, now: float) -> None:
+        """Reclaim ``inst``, the head of the reclaim list; its row takes the next seq."""
+        self._occur(now, self._seq, EV_PREEMPTION, inst=inst)
+        self._seq += 1
         self.n_preemptions += 1
         self._terminate_instance(inst, now)
         for job in inst.resident_jobs:
@@ -822,13 +863,18 @@ class Engine:
             self.job_instance[job] = None
             self.job_work[job] = ()
             self.job_status[job] = ST_PENDING
-            self._schedule(now, EV_JOB_SUBMITTED, job)
+            self._schedule(EV_JOB_SUBMITTED, now, self._resubmissions, job)
         inst.resident_jobs = ()
         inst.free_vcpus = inst.offer.vcpus
         inst.free_gpus = inst.offer.gpus
         self._retry_queue(inst.offer.region, now)
 
-    def _on_idle_timeout(self, inst: InstanceState, now: float) -> None:
+    def _on_idle_timeout(self, now: float, seq: int, inst: InstanceState, epoch: int) -> None:
+        # Stale once its instance has been boarded or has terminated since:
+        # both bump idle_epoch.  A stale event does not count.
+        if inst.idle_epoch != epoch:
+            return
+        self._occur(now, seq, EV_IDLE_TIMEOUT, inst=inst)
         self._terminate_instance(inst, now)
         self._retry_queue(inst.offer.region, now)
 
@@ -847,18 +893,16 @@ class Engine:
 
     # -- main loop -------------------------------------------------------------
 
-    def _run_items(self, stop: float, t_event: float, seq_event: int) -> Optional[int]:
+    def _run_items(self, stop: float) -> Optional[Entry]:
         """Handle queued work items in (time, seq) order while they are due by ``stop``.
 
         ``stop`` is the earliest of the next sample time, the end of the
-        advance and the time ``t_event`` of the next event, whose seq is
-        ``seq_event``.  An item at ``stop`` still runs before a sample at
-        that instant, and before that event if its seq is the smaller,
-        as it always is against a reclaim.  Returns the job whose completion
-        it reached (counted and recorded; its handler is left to the caller),
+        advance and the next reclaim.  An item at ``stop`` still runs before
+        a sample or a reclaim at that instant.  Returns the first other
+        entry due by ``stop``, taken off its FIFO, for the caller to run,
         else None.
         """
-        heads, ledger, completions = self._item_heads, self.ledger, self._completions
+        heads, ledger = self._heads, self.ledger
         heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
         epochs, works, cursors, started = self.job_epoch, self.job_work, self.job_cursor, self.job_started
         shapes, instances, ids = self.job_shape, self.job_instance, self._job_ids
@@ -869,16 +913,17 @@ class Engine:
         productive = ledger.productive_core_seconds
         try:
             while heads:
-                time, item_seq, job, epoch, fifo = heads[0]
-                if time >= stop and (
-                    time > stop or time == math.inf or (time == t_event and item_seq > seq_event)
-                ):
+                entry = heads[0]
+                time, item_seq, job, epoch, fifo = entry
+                if time >= stop and (time > stop or time == math.inf):
                     return None
                 fifo.popleft()
                 if fifo:
                     heapreplace(heads, fifo[0])
                 else:
                     heappop(heads)
+                if type(fifo) is not deque:  # an _EventFifo: its handler runs it
+                    return entry
                 if epochs[job] != epoch:  # the job was preempted since
                     continue
                 clock = time
@@ -887,9 +932,6 @@ class Engine:
                     rows.append((time, item_seq, work[cursor][0], ids[job], instances[job].id))
                     if len(rows) >= block:
                         rows = self._hand_over()
-                if fifo is completions:
-                    self.n_events += 1
-                    return job
                 # The item reached a persisted boundary: credit it, count it
                 # and queue the next item behind the others of its duration.
                 productive += (time - started[job]) * shapes[job].vcpus
@@ -935,65 +977,25 @@ class Engine:
                 self._hand_over()
 
     def _advance(self, until: float) -> None:
-        handlers = {
-            EV_JOB_SUBMITTED: self._on_job_submitted,
-            EV_INSTANCE_ACQUIRED: self._on_instance_acquired,
-            EV_PREEMPTION: self._on_preemption,
-            EV_IDLE_TIMEOUT: self._on_idle_timeout,
-        }
-        heap, reclaims, heads = self._heap, self._reclaims, self._item_heads
-        heappop = heapq.heappop
-        first_seqs = self._first_seqs
-        recording = self.recorder is not None
+        reclaims, heads = self._reclaims, self._heads
         strict_checks = self.config.strict_checks
         while True:
-            entry = heap[0] if heap else None
-            # A reclaim runs after every event at its instant: it goes first
-            # only when it is strictly earlier, and its key says the same.
-            if reclaims and (entry is None or reclaims[0].reclaim_at < entry[0]):
-                inst = reclaims[0]
-                entry = (inst.reclaim_at, _RECLAIM_SEQ, EV_PREEMPTION, inst, 0)
-            t_next = math.inf if entry is None else entry[0]
-            item_next = bool(heads) and (entry is None or heads[0] < entry)
-            if item_next:
-                stop = min(self._next_sample, until, t_next)
-                completed = self._run_items(stop, t_next, -1 if entry is None else entry[1])
-                if completed is not None:
-                    self._on_job_completed(completed, self.clock)
-                    if strict_checks:
-                        self._check_invariants()
-                    continue
-                item_next = bool(heads) and (entry is None or heads[0] < entry)
-                if item_next:
-                    t_next = heads[0][0]
-            if t_next > until or t_next == math.inf:
-                break
-            if not item_next:
-                _, seq, kind, subject, epoch = entry
-                if kind == EV_PREEMPTION:  # its handler takes it off the reclaim list
-                    seq = self._seq  # the list seq only placed it; its row takes the next seq
-                    self._seq = seq + 1
-                else:
-                    heappop(heap)
-                    if kind == EV_JOB_SUBMITTED and seq in first_seqs:  # its wave's next job takes its place
-                        self._submit_next(t_next)
-                    # An idle timeout is stale once its instance has been
-                    # boarded or has terminated since: both bump idle_epoch.
-                    # A stale event takes no sample.
-                    elif kind == EV_IDLE_TIMEOUT and subject.idle_epoch != epoch:
-                        continue
-            if self._next_sample < t_next:
+            reclaim_at = reclaims[0].reclaim_at if reclaims else math.inf
+            entry = self._run_items(min(self._next_sample, until, reclaim_at))
+            if entry is not None:
+                time, seq, subject, epoch, fifo = entry
+                fifo.handler(self, time, seq, subject, epoch)
+            else:
+                t_head = heads[0][0] if heads else math.inf
+                t_next = min(t_head, reclaim_at)
+                if t_next > until or t_next == math.inf:
+                    break
                 self._flush_samples(t_next)
-            if item_next:
-                continue  # the samples due before it are taken; _run_items handles it next
-            self.clock = t_next
-            self.n_events += 1
-            if recording:
-                if type(subject) is int:
-                    self._record((t_next, seq, kind, self._job_ids[subject], ""))
-                else:
-                    self._record((t_next, seq, kind, "", subject.id))
-            handlers[kind](subject, t_next)
+                if t_head <= reclaim_at:
+                    continue  # the samples due before it are taken; _run_items runs it next
+                # A reclaim runs after every other event at its instant: only
+                # once it is strictly earlier than every head.
+                self._on_preemption(reclaims[0], reclaim_at)
             if strict_checks:
                 self._check_invariants()
         if until != math.inf:
@@ -1046,8 +1048,6 @@ class Engine:
     def _check_invariants(self) -> None:
         expected_open: Dict[str, List[str]] = {r: [] for r in self._region_free}
         for inst in self.instances.values():  # in acquisition order
-            if inst.terminated:
-                raise SimulationError(f"instance {inst.id}: kept after it terminated")
             used_v = sum(self.job_shape[job].vcpus for job in inst.resident_jobs)
             used_g = sum(self.job_shape[job].gpus for job in inst.resident_jobs)
             if inst.free_vcpus != inst.offer.vcpus - used_v or inst.free_vcpus < 0:
@@ -1073,19 +1073,15 @@ class Engine:
         if {key: usage for key, usage in self._usage.items() if any(usage)} != recount:
             raise SimulationError("usage counters disagree with the active instances")
         planned = sorted((inst for inst in self.instances.values() if inst.reclaim_at is not None), key=_reclaim_key)
-        if planned != self._reclaims or any(entry[2] == EV_PREEMPTION for entry in self._heap):
+        if planned != self._reclaims:
             raise SimulationError("reclaim list disagrees with the live instances' planned reclaims")
-        # Per start time, the lowest job not yet submitted (routed) waits in
-        # the heap as the wave's one first submission.  Routing moves a job
-        # off pending, and only a preemption, which bumps its epoch, puts it back.
-        start, lowest, first_seqs = self._start_times(), {}, self._first_seqs
-        for job in range(len(first_seqs)):  # none before submit_all
-            if self.job_status[job] == ST_PENDING and self.job_epoch[job] == 0:
-                lowest.setdefault(start.get(self.job_shape[job].kind, 0.0), job)
-        expected = sorted((t, first_seqs[job], EV_JOB_SUBMITTED, job, 0) for t, job in lowest.items())
-        firsts = sorted(e for e in self._heap if e[2] == EV_JOB_SUBMITTED and e[1] in first_seqs)
-        if firsts != expected:
-            raise SimulationError("the heap's first submissions are not the lowest unsubmitted job of each wave")
+        fifos = self._fifos()
+        for fifo in fifos:
+            keys = [entry[:2] for entry in fifo]
+            if any(a >= b for a, b in zip(keys, keys[1:])) or any(entry[4] is not fifo for entry in fifo):
+                raise SimulationError("a FIFO of events is out of (time, seq) order")
+        if sorted(map(id, self._heads)) != sorted(id(fifo[0]) for fifo in fifos if fifo):
+            raise SimulationError("the heads heap does not hold one head per non-empty FIFO")
         for job, (count, shape) in enumerate(zip(self.job_cursor, self.job_shape)):
             plan = shape.plan
             # The length of its work table: chunks, transitions, integration and completion.

@@ -19,11 +19,11 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from .. import catalog as cat
 from .. import perfmodel
-from ..errors import ParseError
+from ..errors import ParseError, ValidationError
 from ..jsonfile import entries, load, number, numbers, shaped, strings
 from ..workload import JOB_KINDS, load_workload
 from .engine import Engine, EngineConfig, MetricsSample, SummaryReport
@@ -57,6 +57,17 @@ _REQUIRED = ("catalog", "workload", "benchmarks", "routing", "allowed_types")
 _OPTIONAL = ("payment", "preemption_hazards", "scripted_preemptions", "waves", "pool_overrides")
 
 
+def _scripted_preemptions(data) -> Dict[str, float]:
+    """Per instance id, its scripted reclaim time; an id listed twice is an error, not a second reclaim."""
+    times: Dict[str, float] = {}
+    for where, entry in entries(data, "scripted_preemptions", ("instance_id", "time_s")):
+        instance_id = shaped(entry["instance_id"], str, f"{where}.instance_id")
+        if instance_id in times:
+            raise ValidationError(f"{where}.instance_id repeats {instance_id!r}")
+        times[instance_id] = number(f"{where}.time_s", entry["time_s"])
+    return times
+
+
 def _scenario(data, base: Path) -> Scenario:
     shaped(data, dict, "scenario", _REQUIRED, _OPTIONAL + _NUMBER_KNOBS)
     routing = shaped(data["routing"], dict, "routing", ("weights",), ("mode",))
@@ -77,10 +88,7 @@ def _scenario(data, base: Path) -> Scenario:
             for kind, names in shaped(data["allowed_types"], dict, "allowed_types", (), JOB_KINDS).items()
         },
         preemption=PreemptionModel(numbers(data.get("preemption_hazards", {}), "preemption_hazards")),
-        scripted_preemptions={
-            shaped(p["instance_id"], str, f"{where}.instance_id"): number(f"{where}.time_s", p["time_s"])
-            for where, p in entries(data, "scripted_preemptions", ("instance_id", "time_s"))
-        },
+        scripted_preemptions=_scripted_preemptions(data),
         waves=[
             (number(f"{where}.time_s", wave["time_s"]), tuple(strings(wave["kinds"], f"{where}.kinds")))
             for where, wave in entries(data, "waves", ("time_s", "kinds"))

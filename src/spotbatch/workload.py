@@ -156,6 +156,11 @@ class PhasePlan:
     def __post_init__(self):
         if self.equil_chunks * self.chunk_steps < self.total_equil_steps:
             raise ValidationError("phase plan: chunks cannot cover the equilibration steps")
+        if self.equil_chunks > 0 and self.chunk_length(self.equil_chunks - 1) <= 0:
+            raise ValidationError(
+                f"phase plan: {self.equil_chunks} chunks of {self.chunk_steps} steps are more than "
+                f"{self.total_equil_steps} equilibration steps need; the last chunk would be empty"
+            )
         if self.max_chunk_iterations < self.equil_chunks:
             raise ValidationError(
                 f"phase plan: {self.equil_chunks} chunks exceed the "
@@ -171,10 +176,6 @@ class PhasePlan:
             raise ValueError(f"chunk index {index} out of range")
         remaining = self.total_equil_steps - index * self.chunk_steps
         return min(self.chunk_steps, remaining)
-
-    @property
-    def total_steps(self) -> int:
-        return self.total_equil_steps + self.n_transitions * self.transition_steps
 
 
 def make_phase_plan(

@@ -99,7 +99,9 @@ def test_criterion_4_ensemble_expansion_exactness():
         assert len(jobs2) == 6_984
         assert len({j.fe_label for j in jobs2}) == 582
 
-        total_us = sum(j.phase_plan.total_steps * j.timestep_fs * 1e-6 for j in jobs1) / 1000.0
+        plans = [j.phase_plan for j in jobs1]
+        steps = [p.total_equil_steps + p.n_transitions * p.transition_steps for p in plans]
+        total_us = sum(n * j.timestep_fs * 1e-6 for n, j in zip(steps, jobs1)) / 1000.0
         assert total_us == pytest.approx(198.72, abs=1e-9)
 
 
@@ -111,7 +113,7 @@ def test_criterion_5_phase_plan_exactness():
         assert plan.chunk_steps == 500_000
         assert plan.n_transitions == 80
         assert plan.transition_steps == 25_000
-        assert plan.total_steps * 2.0 * 1e-6 == 10.0
+        assert (plan.total_equil_steps + plan.n_transitions * plan.transition_steps) * 2.0 * 1e-6 == 10.0
 
 
 def test_criterion_6_cost_per_fe_band(fe_records, aws_catalog):

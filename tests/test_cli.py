@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +284,22 @@ def test_simulate_deterministic_outputs(tmp_path):
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
 
 
+def test_simulate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Two interpreters that hash strings differently write the same bytes.
+    src = str(Path(spotbatch.__file__).resolve().parents[1])
+    runs = {}
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"out{hash_seed}"
+        argv = [sys.executable, "-m", "spotbatch.cli", "simulate", "--scenario", TOY_SCENARIO, "--out", str(out)]
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        runs[out] = subprocess.Popen(argv + ["--event-log"], env=env, stdout=subprocess.DEVNULL)
+    outputs = []
+    for out, process in runs.items():
+        assert process.wait(timeout=60) == 0
+        outputs.append({name: (out / name).read_bytes() for name in ("events.log", "metrics.csv", "summary.json")})
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_overwrites_outputs(tmp_path):
     out = tmp_path / "out"
     assert run_cli("simulate", "--scenario", TOY_SCENARIO, "--out", str(out)) == 0
@@ -535,6 +555,13 @@ def test_simulate_first_fit_outputs_are_golden(tmp_path, seed):
         pytest.param({"scripted_preemptions": [{"time_s": 10}]},
                      "scripted_preemptions[0] is missing the 'instance_id'",
                      id="scripted-preemption-without-id"),
+        pytest.param({"scripted_preemptions": [{"instance_id": "i1", "time_s": 100}]},
+                     "scripted_preemptions.i1 must be an instance id", id="short-scripted-preemption-id"),
+        pytest.param({"scripted_preemptions": [{"instance_id": "I0001", "time_s": 100}]},
+                     "scripted_preemptions.I0001 must be an instance id", id="upper-case-scripted-preemption-id"),
+        pytest.param({"scripted_preemptions": [{"instance_id": "i0001", "time_s": 100},
+                                               {"instance_id": "i0001", "time_s": 200}]},
+                     "scripted_preemptions[1].instance_id repeats 'i0001'", id="repeated-scripted-preemption-id"),
         pytest.param({"allowed_types": {"complex": "g4dn.4xl", "ligand": ["c5.2xl"]}},
                      "allowed_types.complex must be a list", id="string-allowed-types"),
         pytest.param({"waves": [{"time_s": 0, "kinds": "ligand"}]}, "waves[0].kinds must be a list",

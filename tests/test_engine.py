@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gc
-import heapq
 import math
 import re
 import sys
@@ -425,6 +424,27 @@ def test_a_reclaim_after_the_instance_ended_is_dropped(monkeypatch):
     assert calls == [60.0 * k for k in range(53)]
 
 
+def test_rate_limited_acquisitions_activate_in_their_region_s_slot_order():
+    # One acquisition per region per minute, 10 s latency.  r1 takes j1, j2
+    # and j4 (slots at 0, 60 and 120 s), r2 takes j3 (slot 0 s): i0003
+    # activates before i0002, which was acquired first.  Each region's
+    # activations keep their (time, seq) order; the strict checks verify it.
+    config = micro_config(
+        routing=RoutingPolicy({"r1": 3, "r2": 1}, mode="proportional_roundrobin"),
+        acquisitions_per_region_minute=1.0,
+        acquisition_latency_s=10.0,
+    )
+    jobs = [micro_job(f"j{i}", vcpus=4) for i in range(1, 5)]
+    engine = Engine(micro_catalog(pool_r1=3, pool_r2=1), jobs, micro_records(), config, MemoryRecorder())
+    engine.run()
+    assert [row for row in engine.recorder.events if row[2] == "instance_acquired"] == [
+        (10.0, 4, "instance_acquired", "", "i0001"),
+        (10.0, 6, "instance_acquired", "", "i0003"),
+        (60.0, 5, "instance_acquired", "", "i0002"),
+        (120.0, 7, "instance_acquired", "", "i0004"),
+    ]
+
+
 def test_the_sample_at_a_reclaim_is_taken_after_it():
     # i0001 activates at 100 s and is reclaimed at 1500 s; j1's new instance
     # activates at 1600 s, so at 1500 s no instance is active.
@@ -443,12 +463,13 @@ def test_the_sample_at_a_reclaim_is_taken_after_it():
 
 def test_advance_runs_a_reclaim_planned_at_until():
     config = micro_config(routing=RoutingPolicy({"r1": 1}), scripted_preemptions={"i0001": 1500.0})
-    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config, MemoryRecorder())
     acquired = track_acquisitions(engine)
     engine.submit_all()
     engine.advance(1500.0)
     assert engine.n_preemptions == 1
-    assert acquired[0].id == "i0001" and acquired[0].terminated_at == 1500.0
+    (bill,) = engine.recorder.bills
+    assert acquired[0].id == bill[0] == "i0001" and acquired[0].acquired_at + bill[1] == 1500.0
     assert "i0001" not in engine.instances
 
 
@@ -512,7 +533,8 @@ def test_billing_identity_recomputed_from_instances():
     acquired = track_acquisitions(engine)
     report = engine.run()
     assert len(acquired) == report.n_instances == 3
-    recomputed = sum((i.terminated_at - i.acquired_at) * i.offer.rate / 3600.0 for i in acquired)
+    durations = {instance_id: duration for instance_id, duration, *_ in engine.recorder.bills}
+    recomputed = sum(durations[i.id] * i.offer.rate / 3600.0 for i in acquired)
     assert report.total_cost == pytest.approx(recomputed, abs=1e-9)
     assert report.total_cost == pytest.approx(sum(cost for *_, cost in engine.recorder.bills), abs=1e-12)
 
@@ -713,31 +735,32 @@ def test_interleaved_kinds_submit_by_wave_in_job_order():
 
 
 @pytest.mark.parametrize(
-    "waves, heap",
+    "waves, entries",
     [
-        pytest.param([], [(0.0, 0, "job_submitted", 0, 0)], id="no-wave"),
-        pytest.param(
-            [(500.0, ("ligand",))],
-            [(0.0, 0, "job_submitted", 0, 0), (500.0, 1, "job_submitted", 1, 0)],
-            id="two-start-times",
-        ),
-        pytest.param(
-            [(500.0, ("ligand",)), (500.0, ("complex",))], [(500.0, 0, "job_submitted", 0, 0)], id="one-start-time"
-        ),
+        pytest.param([], [(0.0, 0, [0, 1, 2, 3, 4, 5])], id="no-wave"),
+        pytest.param([(500.0, ("ligand",))], [(0.0, 0, [0, 2, 5]), (500.0, 1, [1, 3, 4])], id="two-start-times"),
+        pytest.param([(500.0, ("ligand",)), (500.0, ("complex",))], [(500.0, 0, [0, 1, 2, 3, 4, 5])],
+                     id="one-start-time"),
     ],
 )
-def test_the_heap_holds_one_first_submission_per_start_time(waves, heap):
+def test_the_wave_fifo_holds_one_entry_per_start_time(waves, entries):
+    # An entry holds the wave's jobs and the seq of its lowest one; the heads
+    # heap holds the first entry only.
     config = micro_config(waves=waves)
     engine = Engine(micro_catalog(pool_r1=3), interleaved_jobs(), micro_records(), config)
     engine.submit_all()
-    assert sorted(engine._heap) == heap
+    fifo = engine._wave_fifo
+    assert [(t, seq, [job for run in ranges for job in run]) for t, seq, ranges, *_ in fifo] == entries
+    assert engine._heads == [fifo[0]]
 
 
-def test_strict_checks_reject_a_second_first_submission_of_a_wave():
-    engine = Engine(micro_catalog(pool_r1=3), interleaved_jobs(), micro_records(), micro_config())
+def test_strict_checks_reject_a_fifo_entry_out_of_order():
+    config = micro_config(waves=[(500.0, ("ligand",))])
+    engine = Engine(micro_catalog(pool_r1=3), interleaved_jobs(), micro_records(), config)
     engine.submit_all()
-    heapq.heappush(engine._heap, (0.0, 3, "job_submitted", 3, 0))
-    with pytest.raises(SimulationError, match="first submissions are not the lowest unsubmitted job"):
+    fifo = engine._wave_fifo
+    fifo.append((100.0, 6, [range(1, 2)], 0, fifo))
+    with pytest.raises(SimulationError, match=re.escape("a FIFO of events is out of (time, seq) order")):
         engine.advance(0.0)
 
 
@@ -806,6 +829,8 @@ def test_negative_work_duration_rejected(monkeypatch):
                      id="unknown-wave-kind"),
         pytest.param({"scripted_preemptions": {"i0001": math.nan}}, "scripted_preemptions.i0001",
                      id="nan-scripted-preemption"),
+        pytest.param({"scripted_preemptions": {"i0000": 10.0}}, "scripted_preemptions.i0000",
+                     id="scripted-preemption-of-instance-zero"),
     ],
 )
 def test_engine_config_rejects_bad_values_at_construction(override, named):
@@ -1078,9 +1103,29 @@ def study2_toy_under_hazard_in_steps(step_s=600.0):
 def test_a_run_keeps_no_terminated_instance():
     terminated = 0
     for engine in study2_toy_under_hazard_in_steps():
-        assert [i.id for i in engine.instances.values() if i.terminated] == []
+        billed = {instance_id for instance_id, *_ in engine.recorder.bills}
+        assert [i for i in engine.instances if i in billed] == []
         terminated = len(engine.recorder.bills)
     assert terminated > 400 and engine.instances == {}
+
+
+def test_strict_checks_reject_a_terminated_instance_kept_live():
+    config = micro_config(routing=RoutingPolicy({"r1": 1}), scripted_preemptions={"i0001": 1500.0})
+    engine = Engine(micro_catalog(), [micro_job("j1")], micro_records(), config)
+    acquired = track_acquisitions(engine)
+    engine.submit_all()
+    engine.advance(1500.0)
+    assert "i0001" not in engine.instances
+    # Still marked active and holding no job, it is missing from its region's
+    # open list and from the usage counters; either check stops it.
+    engine.instances["i0001"] = acquired[0]
+    with pytest.raises(SimulationError, match="open-capacity index out of date|usage counters disagree"):
+        engine._check_invariants()
+
+
+def no_preemption_in_a_fifo(engine):
+    """Whether every FIFO of events holds no reclaim: those wait in the reclaim list."""
+    return all(getattr(fifo, "handler", None) is not Engine._on_preemption for fifo in engine._fifos())
 
 
 def test_the_reclaim_list_holds_the_live_instances_planned_reclaims_only():
@@ -1089,7 +1134,7 @@ def test_the_reclaim_list_holds_the_live_instances_planned_reclaims_only():
         planned = [i for i in engine.instances.values() if i.reclaim_at is not None]
         planned.sort(key=lambda i: (i.reclaim_at, i.created_seq))
         assert [(i.reclaim_at, i) for i in engine._reclaims] == [(i.reclaim_at, i) for i in planned]
-        assert [entry for entry in engine._heap if entry[2] == "preemption"] == []
+        assert no_preemption_in_a_fifo(engine)
         most = max(most, len(engine._reclaims))
     assert most > 0 and engine._reclaims == []
 

@@ -20,7 +20,7 @@ from spotbatch.orchestrator.engine import Engine, EngineConfig, MetricsSample
 from spotbatch.orchestrator.preemption import PreemptionModel
 from spotbatch.orchestrator.recorder import MemoryRecorder
 from spotbatch.orchestrator.routing import RoutingPolicy
-from test_engine import track_acquisitions
+from test_engine import no_preemption_in_a_fifo, track_acquisitions
 
 N_CASES = 200
 
@@ -79,20 +79,17 @@ def build_case(case_seed: int) -> Engine:
             for t in type_specs
         ]
 
+    equil_chunks = rng.randint(1, 4)
+    chunk_steps = rng.choice([100, 250, 500])
+    n_transitions = rng.randint(0, 3)
+    transition_steps = rng.choice([50, 100, 250])
+    total = equil_chunks * chunk_steps - rng.randint(0, chunk_steps - 1)
     plan = wl.PhasePlan(
-        equil_chunks=rng.randint(1, 4),
-        chunk_steps=rng.choice([100, 250, 500]),
-        total_equil_steps=0,  # fixed below
-        n_transitions=rng.randint(0, 3),
-        transition_steps=rng.choice([50, 100, 250]),
-    )
-    total = plan.equil_chunks * plan.chunk_steps - rng.randint(0, plan.chunk_steps - 1)
-    plan = wl.PhasePlan(
-        equil_chunks=plan.equil_chunks,
-        chunk_steps=plan.chunk_steps,
+        equil_chunks=equil_chunks,
+        chunk_steps=chunk_steps,
         total_equil_steps=max(1, total),
-        n_transitions=plan.n_transitions,
-        transition_steps=plan.transition_steps,
+        n_transitions=n_transitions,
+        transition_steps=transition_steps,
     )
 
     jobs = []
@@ -177,12 +174,13 @@ def check_invariants(engine: Engine, acquired: list) -> None:
     # for one; the bills, one per acquired instance, are the record of them.
     assert engine.instances == {}
     assert engine._reclaims == []
-    assert [entry for entry in engine._heap if entry[2] == "preemption"] == []
+    assert no_preemption_in_a_fifo(engine)
     assert report.n_instances == len(acquired) == len(engine.recorder.bills)
     assert sorted(i.id for i in acquired) == sorted(instance_id for instance_id, *_ in engine.recorder.bills)
 
     # Billing identity, to one second of billing granularity per instance.
-    recomputed = sum((i.terminated_at - i.acquired_at) * i.offer.rate / 3600.0 for i in acquired)
+    durations = {instance_id: duration for instance_id, duration, *_ in engine.recorder.bills}
+    recomputed = sum(durations[i.id] * i.offer.rate / 3600.0 for i in acquired)
     slack = sum(i.offer.rate / 3600.0 for i in acquired)
     assert abs(report.total_cost - recomputed) <= slack + 1e-9
     assert report.total_cost == pytest.approx(sum(cost for *_, cost in engine.recorder.bills), abs=1e-9)
@@ -287,7 +285,7 @@ def usage_rows(engine: Engine, time_s: float) -> list:
     """The metrics rows of the engine's state now, recomputed from its instances."""
     usage = {}
     for inst in engine.instances.values():
-        if inst.active and not inst.terminated:
+        if inst.active:
             row = usage.setdefault((inst.offer.region, inst.offer.type_name), [0, 0, 0])
             row[0] += 1
             row[1] += inst.offer.vcpus - inst.free_vcpus

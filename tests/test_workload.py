@@ -77,6 +77,13 @@ def test_chunk_length_remainder():
     assert [plan.chunk_length(i) for i in range(3)] == [400, 400, 200]
 
 
+@pytest.mark.parametrize("equil_chunks", [3, 4])
+def test_plan_rejects_more_chunks_than_its_steps_need(equil_chunks):
+    # 1000 steps fill two chunks of 500: a third would be empty and a fourth hold -500 steps.
+    with pytest.raises(ValidationError, match="the last chunk would be empty"):
+        wl.PhasePlan(equil_chunks, chunk_steps=500, total_equil_steps=1000, n_transitions=0, transition_steps=0)
+
+
 # -- expansion -----------------------------------------------------------------
 
 
@@ -218,7 +225,9 @@ def test_study_expansion_is_pinned(name, n_jobs, digest):
 def test_study1_total_trajectory():
     w = wl.load_workload(spotbatch.data_path("workload_study1.json"))
     jobs = w.expand()
-    total_us = sum(j.phase_plan.total_steps * j.timestep_fs * 1e-6 for j in jobs) / 1000.0
+    plans = [j.phase_plan for j in jobs]
+    steps = [p.total_equil_steps + p.n_transitions * p.transition_steps for p in plans]
+    total_us = sum(n * j.timestep_fs * 1e-6 for n, j in zip(steps, jobs)) / 1000.0
     assert total_us == pytest.approx(198.72, abs=1e-9)
 
 
