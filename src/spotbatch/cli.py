@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: validate, bench, recommend, cost, simulate, report.
-Exit codes: 0 on success, 1 on validation/infeasibility errors, 2 on
-usage errors (bad flags, missing files).  Output tables always use ``.``
+Exit codes: 0 on success; 1 on validation/infeasibility errors, including
+an input that is not UTF-8, JSON nested too deeply or a CSV field over the
+csv module's limit; 2 on usage errors: bad flags, or a file the command
+cannot open or create.  Output tables always use ``.``
 as the decimal point regardless of locale, and output files are fully
 overwritten, never appended.  ``simulate`` writes its event log while the
 run goes and puts it in place only when the run succeeds.
@@ -34,13 +36,6 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _require_files(*paths) -> int:
-    for p in paths:
-        if p is not None and not Path(p).exists():
-            return _fail(f"no such file: {p}", EXIT_USAGE)
-    return EXIT_OK
-
-
 def _render_table(header, rows) -> str:
     cols = [header] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cols) for i in range(len(header))]
@@ -51,9 +46,6 @@ def _render_table(header, rows) -> str:
 
 
 def cmd_validate(args) -> int:
-    code = _require_files(args.catalog, args.workload)
-    if code:
-        return code
     problems = []
     try:
         cat.load_catalog(args.catalog)
@@ -73,9 +65,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    code = _require_files(*(args.bench or []), args.catalog, args.scaling)
-    if code:
-        return code
     if args.scaling:
         rows = []
         for series in perfmodel.load_scaling(args.scaling):
@@ -128,9 +117,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    code = _require_files(*(args.bench or []), args.catalog)
-    if code:
-        return code
     catalog = cat.load_catalog(args.catalog)
     records = perfmodel.load_many_benchmarks(args.bench)
     ranked = perfmodel.recommend(
@@ -197,7 +183,7 @@ def cmd_cost(args) -> int:
         entry = costmodel.make_entry(
             "cloud_per_microsecond", {"instance_hours": value}, currency=args.currency
         )
-    elif args.cost_command == "fe":
+    else:  # fe
         runs = (args.replicas, args.directions)
         complex_runs = costmodel.cost_per_fe(args.complex_runtime_h, args.complex_rate, 0.0, 0.0, *runs)
         ligand_runs = costmodel.cost_per_fe(0.0, 0.0, args.ligand_runtime_h, args.ligand_rate, *runs)
@@ -206,25 +192,19 @@ def cmd_cost(args) -> int:
             {"complex_runs": complex_runs, "ligand_runs": ligand_runs},
             currency=args.currency,
         )
-    else:
-        return _fail("unknown cost subcommand", EXIT_USAGE)
     _emit_cost_entries([entry], args.json)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    code = _require_files(args.scenario)
-    if code:
-        return code
     scenario = scen.load_scenario(args.scenario)
     engine = scen.build_engine(scenario, seed=args.seed)
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as stack:
         if args.event_log:
-            out.mkdir(parents=True, exist_ok=True)
             engine.recorder = stack.enter_context(scen.write_event_log(out / "events.log"))
         report = engine.run()
-    out.mkdir(parents=True, exist_ok=True)
     scen.write_metrics_csv(engine.samples, out / "metrics.csv")
     scen.write_summary_json(report, out / "summary.json")
     print(f"seed: {report.seed}")
@@ -245,9 +225,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    code = _require_files(args.summary)
-    if code:
-        return code
     data = load(args.summary, lambda doc: shaped(doc, dict, "summary"))
     rows = [[k, f"{v:g}" if isinstance(v, float) else str(v)] for k, v in sorted(data.items())]
     print(_render_table(["field", "value"], rows))
@@ -345,6 +322,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SpotbatchError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
+    except OSError as exc:  # a file the command cannot open or create
+        return _fail(f"{exc.filename}: {exc.strerror}", EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .errors import ParseError, ValidationError
 
 
 def read_json(path):
-    """Parse the JSON file at ``path``; malformed JSON and non-finite numbers raise ParseError.
+    """Parse the JSON file at ``path``; unreadable text or JSON and non-finite numbers raise ParseError.
 
     Python's ``json`` accepts ``NaN`` and ``Infinity`` and reads an
     overflowing literal such as ``1e400`` as infinity.  No input of this
@@ -41,6 +41,10 @@ def read_json(path):
         return json.loads(Path(path).read_text(), parse_constant=reject, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid text: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def load(path, parse):

@@ -113,12 +113,7 @@ def load_scenario(path) -> Scenario:
     return load(path, lambda data: _scenario(data, path.parent))
 
 
-def build_engine(
-    scenario: Scenario,
-    seed: Optional[int] = None,
-    record_events: bool = False,
-    strict_checks: bool = False,
-) -> Engine:
+def build_engine(scenario: Scenario, seed: Optional[int] = None, record_events: bool = False) -> Engine:
     """Wire catalog, workload, and benchmarks into a ready-to-run engine.
 
     With ``record_events`` the engine's recorder is a ``MemoryRecorder``;
@@ -127,11 +122,7 @@ def build_engine(
     catalog = cat.load_catalog(scenario.catalog_path)
     jobs = load_workload(scenario.workload_path).expand()
     records = perfmodel.load_many_benchmarks(scenario.benchmark_paths)
-    config = replace(
-        scenario.config,
-        seed=scenario.config.seed if seed is None else seed,
-        strict_checks=strict_checks,
-    )
+    config = replace(scenario.config, seed=scenario.config.seed if seed is None else seed)
     return Engine(catalog, jobs, records, config, MemoryRecorder() if record_events else None)
 
 

@@ -331,13 +331,18 @@ def recommend(
 
 def _read_csv(path, expected_header: List[str]) -> List[Tuple[str, Dict[str, str]]]:
     """``(path:line, row)`` per data row of the CSV at ``path``; its header must be ``expected_header``."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected_header:
-            raise ParseError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {reader.fieldnames}"
-            )
-        rows = [(f"{path}:{reader.line_num}", row) for row in reader]
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected_header:
+                raise ParseError(
+                    f"{path}: expected header {','.join(expected_header)!r}, got {reader.fieldnames}"
+                )
+            rows = [(f"{path}:{reader.line_num}", row) for row in reader]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid text: {exc}") from None
+    except csv.Error as exc:  # a field over the csv module's size limit, for one
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     for where, row in rows:
         if None in row or None in row.values():  # more or fewer cells than the header
             raise ParseError(f"{where}: expected {len(expected_header)} cells")

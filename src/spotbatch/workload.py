@@ -36,6 +36,7 @@ KIND_LIGAND = "ligand"
 JOB_KINDS = (KIND_COMPLEX, KIND_LIGAND)
 
 DEFAULT_CHUNK_STEPS = 500_000
+# The most restart chunks one job's equilibration may take.
 MAX_CHUNK_ITERATIONS = 8
 # The most transitions one phase plan may hold.  A job's work table has an
 # entry per transition, so a larger count could exhaust memory when an engine
@@ -140,10 +141,9 @@ class PhasePlan:
     """The chunked execution plan of one job.
 
     Equilibration runs as ``equil_chunks`` restart chunks of at most
-    ``chunk_steps`` integration steps; the runner gives up after
-    ``max_chunk_iterations`` chunk attempts, so plans needing more chunks
-    than that are rejected outright.  At most ``MAX_TRANSITIONS``
-    transitions follow.
+    ``chunk_steps`` integration steps; a plan needing more than
+    ``MAX_CHUNK_ITERATIONS`` chunks is rejected when it is built.  At most
+    ``MAX_TRANSITIONS`` transitions follow.
     """
 
     equil_chunks: int
@@ -151,7 +151,6 @@ class PhasePlan:
     total_equil_steps: int
     n_transitions: int
     transition_steps: int
-    max_chunk_iterations: int = MAX_CHUNK_ITERATIONS
 
     def __post_init__(self):
         if self.equil_chunks * self.chunk_steps < self.total_equil_steps:
@@ -161,10 +160,10 @@ class PhasePlan:
                 f"phase plan: {self.equil_chunks} chunks of {self.chunk_steps} steps are more than "
                 f"{self.total_equil_steps} equilibration steps need; the last chunk would be empty"
             )
-        if self.max_chunk_iterations < self.equil_chunks:
+        if self.equil_chunks > MAX_CHUNK_ITERATIONS:
             raise ValidationError(
                 f"phase plan: {self.equil_chunks} chunks exceed the "
-                f"{self.max_chunk_iterations}-iteration restart budget"
+                f"{MAX_CHUNK_ITERATIONS}-iteration restart budget"
             )
         finite_number("n_transitions", self.n_transitions, 0, MAX_TRANSITIONS)
         if self.transition_steps < 0:

@@ -344,6 +344,58 @@ def test_simulate_missing_scenario_usage_error():
     assert run_cli("simulate", "--scenario", "/nope.json", "--out", "/tmp/x") == 2
 
 
+SCALING_HEADER = "system,instance,n_instances,ns_per_day\n"
+# How each kind of unreadable path is made; an absent directory is not made at all.
+UNREADABLE = {
+    "directory": lambda path: path.mkdir(),
+    "file": lambda path: path.write_text("{}"),
+    "not UTF-8": lambda path: path.write_bytes(b"\xff\xfe{}"),
+    "nested": lambda path: path.write_text("[" * 100_000),
+    "big cell": lambda path: path.write_text(SCALING_HEADER + "x" * 200_000 + ",c5n.18xl,1,1.0\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, kind, code, reason",
+    [
+        (["validate", "--catalog", "BAD"], "directory", 2, "Is a directory"),
+        (["report", "--summary", "BAD"], "directory", 2, "Is a directory"),
+        (["bench", "--scaling", "BAD"], "directory", 2, "Is a directory"),
+        (["recommend", "--bench", "BAD", "--catalog", CATALOG, "--system", "cmet_complex"], "directory", 2,
+         "Is a directory"),
+        (["simulate", "--scenario", "BAD", "--out", "OUT"], "directory", 2, "Is a directory"),
+        (["cost", "cloud", "--rate", "1", "--ns-per-day", "10", "--json", "BAD"], "directory", 2,
+         "Is a directory"),
+        (["cost", "cloud", "--rate", "1", "--ns-per-day", "10", "--json", "BAD"], "absent directory", 2,
+         "No such file or directory"),
+        (["simulate", "--scenario", TOY_SCENARIO, "--out", "BAD"], "file", 2, "File exists"),
+        (["validate", "--catalog", "BAD"], "not UTF-8", 1, "not valid text"),
+        (["report", "--summary", "BAD"], "not UTF-8", 1, "not valid text"),
+        (["recommend", "--bench", "BAD", "--catalog", CATALOG, "--system", "cmet_complex"], "not UTF-8", 1,
+         "not valid text"),
+        (["bench", "--scaling", "BAD"], "not UTF-8", 1, "not valid text"),
+        (["report", "--summary", "BAD"], "nested", 1, "nested too deeply"),
+        (["bench", "--scaling", "BAD"], "big cell", 1, "field larger than field limit"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_unreadable_path_exits_with_one_error_line(tmp_path, capsys, monkeypatch, argv, kind, code, reason):
+    # No probe may get as far as running the engine: a bad --out fails before the run.
+    monkeypatch.setattr(engine_module.Engine, "run", lambda self: pytest.fail("the engine ran"))
+    if kind == "absent directory":
+        bad = tmp_path / "absent" / "bad"
+    else:
+        bad = tmp_path / "bad"
+        UNREADABLE[kind](bad)
+    argv = [{"BAD": str(bad), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert run_cli(*argv) == code
+    out, err = capsys.readouterr()
+    if argv[0] == "validate" and code == 1:  # validate lists the problems it finds on stdout
+        assert err == ""
+        err = f"error: {out}"
+    assert err.startswith(f"error: {bad}:") and reason in err and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "override", [{"grace_period_s": -500}, {"acquisition_latency_s": -1000}], ids=lambda o: next(iter(o))
 )

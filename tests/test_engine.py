@@ -1022,6 +1022,13 @@ def study2_toy_engine() -> Engine:
     return scen.build_engine(scen.load_scenario(spotbatch.data_path("scenarios/study2_toy.json")))
 
 
+def test_build_engine_keeps_the_scenario_strict_checks():
+    scenario = scen.load_scenario(spotbatch.data_path("scenarios/study2_toy.json"))
+    strict = replace(scenario, config=replace(scenario.config, strict_checks=True))
+    assert scen.build_engine(strict, seed=7).config.strict_checks is True
+    assert scen.build_engine(scenario).config.strict_checks is False
+
+
 def reachable_strings(root) -> set:
     """Every string reachable from ``root`` through objects and containers, not through types, modules or code."""
     skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType, types.CodeType)

@@ -39,7 +39,7 @@ def test_standard_phase_plan():
     assert plan.chunk_steps == 500_000
     assert plan.n_transitions == 80
     assert plan.transition_steps == 25_000
-    assert plan.max_chunk_iterations == 8
+    assert wl.MAX_CHUNK_ITERATIONS == 8
 
 
 def test_single_chunk_degenerate_plan():
@@ -58,6 +58,12 @@ def test_plan_with_larger_timestep():
 def test_plan_rejects_more_chunks_than_restart_budget():
     with pytest.raises(ValidationError):
         wl.make_phase_plan(60.0, 2.0, 500_000, 80, 50.0)
+
+
+def test_plan_of_exactly_the_restart_budget_builds_and_one_more_chunk_does_not():
+    assert wl.PhasePlan(8, 1, 8, 0, 0).equil_chunks == wl.MAX_CHUNK_ITERATIONS
+    with pytest.raises(ValidationError, match="9 chunks exceed the 8-iteration restart budget"):
+        wl.PhasePlan(9, 1, 9, 0, 0)
 
 
 def test_plan_rejects_more_transitions_than_the_limit():
